@@ -96,7 +96,10 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
         if not isinstance(row, list) or len(row) != p:
             raise SchemaError(f"cost row {i} must have {p} entries")
         rows.append([_cost_entry(value, i, j) for j, value in enumerate(row, start=1)])
-    costs = CostMatrix.from_rows(rows)
+    try:
+        costs = CostMatrix.from_rows(rows)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
     return system, costs, warnings
 
 

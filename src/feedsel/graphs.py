@@ -527,81 +527,74 @@ def max_matching(graph: BipartiteGraph) -> dict[int, int]:
     return {l: r for l, r in enumerate(match_l) if r != -1}
 
 
-def _assignment_min_cost(cost: list[list[float]]) -> Optional[tuple[list[int], float]]:
-    """Square min-cost assignment by successive shortest paths with potentials.
-
-    ``cost[i][j]`` is inf for absent edges. Returns (column per row, total)
-    or None when no perfect matching over finite-cost edges exists. O(n^3).
-    """
-    n = len(cost)
-    if n == 0:
-        return [], 0
-    u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    assigned_row = [0] * (n + 1)  # row matched to each column; 0 = free
-    way = [0] * (n + 1)
-    for i in range(1, n + 1):
-        assigned_row[0] = i
-        j0 = 0
-        minv = [INF] * (n + 1)
-        used = [False] * (n + 1)
-        while True:
-            used[j0] = True
-            i0 = assigned_row[j0]
-            delta = INF
-            j1 = -1
-            row = cost[i0 - 1]
-            for j in range(1, n + 1):
-                if used[j]:
-                    continue
-                cur = row[j - 1] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            if delta == INF:
-                return None  # every remaining column is unreachable
-            for j in range(n + 1):
-                if used[j]:
-                    u[assigned_row[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if assigned_row[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            assigned_row[j0] = assigned_row[j1]
-            j0 = j1
-    columns = [-1] * n
-    for j in range(1, n + 1):
-        if assigned_row[j]:
-            columns[assigned_row[j] - 1] = j - 1
-    total = sum(cost[i][columns[i]] for i in range(n))
-    return columns, total
-
-
 def min_cost_perfect_matching(
-    graph: BipartiteGraph,
+    graph: BipartiteGraph, stats: Optional[dict] = None
 ) -> Optional[tuple[dict[int, int], float]]:
     """Minimum-cost perfect matching, or None when no perfect matching exists.
 
-    Infinite-cost edges are unusable and excluded up front; both sides must
-    have equal size.
+    Sparse successive shortest paths (Jonker & Volgenant 1987). Left
+    potentials start at the row minima, right ones at 0; a Hopcroft-Karp
+    matching on the edges at their row minimum (on closed-loop graphs, the
+    zero-cost edges) is then optimal for its size, and each of the d units
+    it lacks is added along a shortest augmenting path found by Dijkstra on
+    the reduced costs. Infinite-cost edges are never inserted; O(E sqrt(V)
+    + d E log V). Adjacency is scanned in sorted order and heap ties break
+    by vertex index, so adding a constant to every cost changes nothing.
+    Both sides must have equal size. When given, ``stats["augmentations"]``
+    receives the number of shortest paths run.
     """
     n_left, n_right = len(graph.left), len(graph.right)
     if n_left != n_right:
         raise DimensionError(f"perfect matching needs equal sides, got {n_left} vs {n_right}")
-    cost = [[INF] * n_right for _ in range(n_left)]
-    for l, r in graph.edges:
-        c = graph.cost((l, r))
-        if not math.isinf(c):
-            cost[l][r] = c
-    result = _assignment_min_cost(cost)
-    if result is None:
-        return None
-    columns, total = result
-    return {l: r for l, r in enumerate(columns)}, total
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n_left)]
+    for l, row in enumerate(graph.adjacency):
+        for r in row:
+            c = graph.cost((l, r))
+            if not math.isinf(c):
+                adjacency[l].append((r, c))
+    u = [min((c for _, c in row), default=0) for row in adjacency]
+    v = [0] * n_right
+    _, match_l, match_r = hopcroft_karp(
+        [[r for r, c in row if c == ul] for row, ul in zip(adjacency, u)], n_right
+    )
+    stats = {} if stats is None else stats
+    stats["augmentations"] = 0
+    for source in [l for l, r in enumerate(match_l) if r == -1]:
+        stats["augmentations"] += 1
+        # Dijkstra over alternating paths; the reduced costs c - u[l] - v[r]
+        # are >= 0 on every edge and 0 on matched ones.
+        dist: dict[int, float] = {}
+        reached_from: dict[int, int] = {}
+        settled: set[int] = set()
+        settled_left = [(source, 0)]
+        heap: list[tuple[float, int]] = []
+        l, dl = source, 0
+        while True:
+            base = dl - u[l]
+            for r, c in adjacency[l]:
+                d = base + c - v[r]
+                if r not in settled and d < dist.get(r, INF):
+                    dist[r] = d
+                    reached_from[r] = l
+                    heapq.heappush(heap, (d, r))
+            while heap and heap[0][1] in settled:
+                heapq.heappop(heap)
+            if not heap:
+                return None
+            d, r = heapq.heappop(heap)
+            settled.add(r)
+            if match_r[r] == -1:
+                break
+            l, dl = match_r[r], d
+            settled_left.append((l, d))
+        # Make the path tight without turning any reduced cost negative.
+        for l, dl in settled_left:
+            u[l] += d - dl
+        for s in settled:
+            v[s] -= d - dist[s]
+        while r != -1:
+            l = reached_from[r]
+            match_r[r] = l
+            match_l[l], r = r, match_l[l]
+    total = sum(graph.cost((l, r)) for l, r in enumerate(match_l))
+    return dict(enumerate(match_l)), total

@@ -9,6 +9,7 @@ an infinite total means "not achievable with admissible links".
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -112,7 +113,11 @@ def validate(system: StructuredSystem) -> list[str]:
 
 @dataclass(frozen=True)
 class CostMatrix:
-    """m x p matrix of nonnegative feedback-link costs; inf marks a forbidden link."""
+    """m x p matrix of nonnegative feedback-link costs; inf marks a forbidden link.
+
+    The finite entries must sum to a finite float, so that no pattern of
+    admissible links, and no path length in the solvers, overflows to inf.
+    """
 
     rows: tuple[tuple[float, ...], ...]
 
@@ -125,6 +130,11 @@ class CostMatrix:
             for j, entry in enumerate(row, start=1):
                 if not (entry >= 0):
                     raise ValueError(f"cost entry ({i}, {j}) must be >= 0 or inf, got {entry!r}")
+        if sum(entry for row in rows for entry in row if entry != INF) > sys.float_info.max:
+            raise ValueError(
+                "the finite cost entries sum beyond the largest float, "
+                "so pattern costs would overflow to inf; scale the costs down"
+            )
         object.__setattr__(self, "rows", rows)
 
     @classmethod

@@ -21,7 +21,8 @@ feedback-selection instance and doubles as a hard-instance generator.
 Deterministic tie-breaking throughout: stage argmins prefer smaller total,
 then smaller first-actuated stage, then lexicographically smaller
 (input, output); the oracle resolves equal-cost optima by lexicographic
-pattern comparison.
+pattern comparison; the cycle-stage matching scans adjacency in sorted
+order and breaks heap ties by vertex index.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ from .sfm import check_no_sfm
 
 class BudgetExceededError(ValueError):
     """The exhaustive oracle refused an instance with too many candidate links."""
+
+
+# Hard cap on the oracle's admissible links, whatever the budget: the scan
+# allocates 8 * 2^k bytes twice.
+MAX_ORACLE_LINKS = 24
 
 
 @dataclass(frozen=True)
@@ -286,35 +292,24 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
 
     Builds the closed-loop bipartite graph over all admissible links,
     charges each feedback edge its link cost and everything else 0, and
-    extracts the pattern from a minimum-cost perfect matching.
+    extracts the pattern from a minimum-cost perfect matching. When the
+    state bipartite graph has a perfect matching, the zero-cost warm start
+    is already perfect, so the stage costs 0 and runs no shortest path.
+    The certificates record the number of shortest augmenting paths run as
+    ``augmentations``.
     """
     system.require_valid()
     costs.require_matches(system)
     n, m, p = system.n, system.m, system.p
     graph = closed_loop_bipartite(system, full_pattern(costs), feedback_costs=costs)
-    if _has_state_perfect_matching(system):
-        # Padding a state matching with the u'_i-u_i and y'_j-y_j identity
-        # edges is a zero-cost perfect matching, which no matching can beat.
-        _, state_match, _ = hopcroft_karp(state_bipartite(system).adjacency, n)
-        matching = {l: r for l, r in enumerate(state_match)}
-        matching.update({v: v for v in range(n, n + m + p)})
-        return Solution(
-            pattern=FeedbackPattern(),
-            cost=0,
-            method="matching",
-            certificates={
-                "matching": sorted(
-                    (graph.left[l], graph.right[r]) for l, r in matching.items()
-                ),
-                "matching_cost": 0,
-            },
-        )
-    result = min_cost_perfect_matching(graph)
+    stats: dict = {}
+    result = min_cost_perfect_matching(graph, stats)
     if result is None:
         return _infeasible(
             "matching",
             "cycle spanning unachievable even with every admissible link "
             "(arbitrary pole placement impossible)",
+            {"augmentations": stats["augmentations"]},
         )
     matching, total = result
     links = set()
@@ -332,6 +327,7 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
         certificates={
             "matching": sorted((graph.left[l], graph.right[r]) for l, r in matching.items()),
             "matching_cost": total,
+            "augmentations": stats["augmentations"],
         },
     )
 
@@ -532,16 +528,17 @@ def exact_oracle(
     lexicographically smallest pattern. The certificates expose the
     coverage-only optimum (condition (a) alone) for validating the chain
     dynamic program. Refuses instances with more than ``budget`` admissible
-    links.
+    links, and any with more than ``MAX_ORACLE_LINKS``.
     """
     system.require_valid()
     costs.require_matches(system)
     links = costs.finite_links()
     n_links = len(links)
-    if n_links > budget:
+    limit = min(budget, MAX_ORACLE_LINKS)
+    if n_links > limit:
         raise BudgetExceededError(
-            f"{n_links} admissible links exceed the enumeration budget of {budget} "
-            f"(2^{n_links} patterns); raise the budget to force the issue"
+            f"{n_links} admissible links exceed the enumeration budget of {limit} "
+            f"(2^{n_links} patterns); the budget can be raised up to {MAX_ORACLE_LINKS}"
         )
 
     n, m, p = system.n, system.m, system.p

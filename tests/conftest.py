@@ -2,14 +2,15 @@
 
 The oracles here deliberately avoid the library's algorithms: matching size
 is recomputed by augmenting max-flow, SCCs by transitive closure, cycle
-spanning by exhaustive subset-and-permutation search, and set cover by full
-enumeration. They are the ground truth the fast implementations are
-compared against.
+spanning by exhaustive subset-and-permutation search, set cover by full
+enumeration, and min-cost matching by a dense O(n^3) assignment. They are
+the ground truth the fast implementations are compared against.
 """
 
 from __future__ import annotations
 
 import collections
+import math
 from itertools import combinations, permutations
 
 import pytest
@@ -230,3 +231,68 @@ def brute_force_min_cost_perfect_matching(cost_rows) -> tuple[float, tuple[int, 
     if best is None:
         return None
     return best, best_perm
+
+
+def dense_min_cost_assignment(cost: list[list[float]]) -> tuple[list[int], float] | None:
+    """Square min-cost assignment by the dense Hungarian method, O(n^3).
+
+    ``cost[i][j]`` is inf for absent edges. Returns (column per row, total)
+    or None when no perfect matching over finite-cost edges exists.
+    """
+    n = len(cost)
+    if n == 0:
+        return [], 0
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
+    assigned_row = [0] * (n + 1)  # row matched to each column; 0 = free
+    way = [0] * (n + 1)
+    for i in range(1, n + 1):
+        assigned_row[0] = i
+        j0 = 0
+        minv = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = assigned_row[j0]
+            delta = math.inf
+            j1 = -1
+            row = cost[i0 - 1]
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = row[j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            if delta == math.inf:
+                return None  # every remaining column is unreachable
+            for j in range(n + 1):
+                if used[j]:
+                    u[assigned_row[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if assigned_row[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            assigned_row[j0] = assigned_row[j1]
+            j0 = j1
+    columns = [-1] * n
+    for j in range(1, n + 1):
+        if assigned_row[j]:
+            columns[assigned_row[j] - 1] = j - 1
+    total = sum(cost[i][columns[i]] for i in range(n))
+    return columns, total
+
+
+def dense_cost_rows(graph) -> list[list[float]]:
+    """The square cost matrix of a BipartiteGraph, inf where there is no edge."""
+    rows = [[math.inf] * len(graph.right) for _ in graph.left]
+    for l, r in graph.edges:
+        rows[l][r] = graph.cost((l, r))
+    return rows

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from feedsel import cost_of, parse_system
+from feedsel import CostMatrix, StructuredSystem, cost_of, parse_system
 from feedsel.cli import parse_feedback_arg, run
 from feedsel.fileio import emit_setcover, emit_system
 from tests.conftest import fig1_cover_instance, section5_system
@@ -223,6 +223,32 @@ def test_solve_exact_budget_refusal_is_usage_error(capsys, section5_file):
     code, _, err = invoke(capsys, "solve-exact", section5_file, "--budget", "3")
     assert code == 2
     assert "budget" in err
+
+
+def test_solve_exact_budget_is_capped(capsys, tmp_path):
+    system = StructuredSystem(
+        n=1, m=5, p=5, a_edges=frozenset({(1, 1)}),
+        b_edges=frozenset({(1, 1)}), c_edges=frozenset({(1, 1)}),
+    )
+    path = tmp_path / "links25.json"
+    path.write_text(emit_system(system, CostMatrix.from_rows([[1] * 5] * 5)))
+    code, out, err = invoke(capsys, "solve-exact", str(path), "--budget", "100")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: 25 admissible links exceed") and err.count("\n") == 1
+
+
+def test_cost_overflow_is_a_one_line_input_error(capsys, tmp_path):
+    document = {
+        "n": 2, "m": 2, "p": 2, "a_edges": [], "b_edges": [[1, 1], [2, 2]],
+        "c_edges": [[1, 1], [2, 2]], "cost": [[1e308, "inf"], ["inf", 1e308]],
+    }
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(document))
+    code, out, err = invoke(capsys, "solve-exact", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "overflow" in err and err.count("\n") == 1
 
 
 def test_solve_greedy_precondition_is_usage_error(capsys, section5_file):

@@ -68,6 +68,15 @@ def test_parse_rejects_unknown_cost_literal():
         parse_system(json.dumps(document))
 
 
+def test_parse_rejects_costs_that_overflow_when_summed():
+    document = {
+        "n": 2, "m": 2, "p": 2, "a_edges": [], "b_edges": [[1, 1], [2, 2]],
+        "c_edges": [[1, 1], [2, 2]], "cost": [[1e308, "inf"], ["inf", 1e308]],
+    }
+    with pytest.raises(SchemaError, match="overflow"):
+        parse_system(json.dumps(document))
+
+
 def test_parse_rejects_non_json():
     with pytest.raises(SchemaError, match="JSON"):
         parse_system("n: 1")

@@ -2,16 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedsel import (
     BipartiteGraph,
     Condensation,
+    CostMatrix,
     DimensionError,
     FeedbackPattern,
     StructuredSystem,
     closed_loop_bipartite,
     closed_loop_digraph,
     condense,
+    full_pattern,
     has_line_spanning_path,
     is_line_dag,
     max_matching,
@@ -25,8 +29,11 @@ from feedsel.graphs import (
     hopcroft_karp,
     strongly_connected_components,
 )
+from feedsel.generators import random_line_system
 from tests.conftest import (
     brute_force_min_cost_perfect_matching,
+    dense_cost_rows,
+    dense_min_cost_assignment,
     fig1_cover_instance,
     maxflow_matching_size,
     scc_partition_by_closure,
@@ -411,3 +418,64 @@ def test_min_cost_perfect_matching_shift_invariance():
         assert shifted is not None
         assert shifted[0] == base[0]  # same optimal edge set
         assert shifted[1] == base[1] + n * delta
+
+
+def _assert_agrees_with_dense_reference(graph):
+    expected = dense_min_cost_assignment(dense_cost_rows(graph))
+    result = min_cost_perfect_matching(graph)
+    if expected is None:
+        assert result is None
+        return
+    assert result is not None
+    matching, total = result
+    assert total == expected[1]
+    assert sorted(matching) == sorted(matching.values()) == list(range(len(graph.left)))
+    assert all((l, r) in graph.edges for l, r in matching.items())
+    assert total == sum(graph.cost(edge) for edge in matching.items())
+
+
+_square_costs = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.lists(
+            st.one_of(st.just(math.inf), st.just(0), st.integers(0, 30)),
+            min_size=n,
+            max_size=n,
+        ),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_square_costs)
+def test_min_cost_matching_agrees_with_dense_reference_on_square_costs(rows):
+    _assert_agrees_with_dense_reference(_cost_graph(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    perfect_matching=st.booleans(),
+    overrides=st.lists(
+        st.tuples(st.integers(0, 3), st.integers(0, 3), st.sampled_from([0, 1, math.inf])),
+        max_size=8,
+    ),
+)
+def test_min_cost_matching_agrees_with_dense_reference_on_closed_loop_graphs(
+    seed, perfect_matching, overrides
+):
+    system, costs = random_line_system(
+        seed,
+        scc_count=3,
+        n_inputs=4,
+        n_outputs=4,
+        cost_range=(1, 20),
+        perfect_matching=perfect_matching,
+    )
+    rows = [list(row) for row in costs.rows]
+    for i, j, value in overrides:
+        rows[i][j] = value  # zero-cost ties and forbidden links
+    costs = CostMatrix.from_rows(rows)
+    graph = closed_loop_bipartite(system, full_pattern(costs), feedback_costs=costs)
+    _assert_agrees_with_dense_reference(graph)

@@ -47,6 +47,15 @@ def test_cost_matrix_rejects_negative_entries():
         CostMatrix.from_rows([[1, -2]])
 
 
+def test_cost_matrix_rejects_finite_entries_that_sum_to_inf():
+    with pytest.raises(ValueError, match="overflow"):
+        CostMatrix.from_rows([[1e308, INF], [INF, 1e308]])
+    with pytest.raises(ValueError, match="overflow"):
+        CostMatrix.from_rows([[10**400]])
+    largest = CostMatrix.from_rows([[1e308, INF], [INF, 0]])
+    assert cost_of(FeedbackPattern.of((1, 1), (2, 2)), largest) == 1e308
+
+
 def test_validate_reference_system(section5):
     system, _ = section5
     assert validate(system) == []

@@ -14,22 +14,28 @@ from feedsel import (
     SetCoverInstance,
     StructuredSystem,
     check_no_sfm,
+    closed_loop_bipartite,
     condense,
     cost_of,
     dp_cover,
     exact_oracle,
+    full_pattern,
     greedy_set_cover,
     greedy_single_input,
     is_line_dag,
+    max_matching,
     min_cost_condition_b,
     reduce_set_cover,
     selected_sets,
     solve_dp,
+    solvers,
+    state_bipartite,
     two_stage,
 )
 from feedsel.generators import random_line_system
 from feedsel.solvers import covering_edge_set
-from tests.conftest import brute_force_set_cover
+from tests.conftest import brute_force_set_cover, dense_cost_rows, dense_min_cost_assignment
+from tests.test_acceptance import _line_instance
 
 
 def reference_condensation() -> Condensation:
@@ -290,6 +296,34 @@ def test_condition_b_stage_cost_equals_pattern_cost():
         assert solution.certificates["matching_cost"] == cost_of(solution.pattern, costs)
 
 
+def test_condition_b_augmentations_equal_state_deficiency(section5):
+    assert min_cost_condition_b(*section5).certificates["augmentations"] == 0
+    rng = random.Random(23)
+    for _ in range(30):
+        system, costs = random_line_system(
+            rng,
+            scc_count=rng.randint(2, 6),
+            n_inputs=3,
+            n_outputs=3,
+            cost_range=(1, 100),
+            perfect_matching=rng.random() < 0.3,
+        )
+        deficiency = system.n - len(max_matching(state_bipartite(system)))
+        solution = min_cost_condition_b(system, costs)
+        assert solution.feasible
+        assert solution.certificates["augmentations"] == deficiency
+
+
+def test_condition_b_cost_equals_dense_reference_on_acceptance_suites():
+    for seed, perfect_matching in [(30_000 + i, True) for i in range(200)] + [
+        (40_000 + i, False) for i in range(200)
+    ]:
+        system, costs = _line_instance(seed, perfect_matching)
+        graph = closed_loop_bipartite(system, full_pattern(costs), feedback_costs=costs)
+        _, expected = dense_min_cost_assignment(dense_cost_rows(graph))
+        assert min_cost_condition_b(system, costs).cost == expected, seed
+
+
 def test_two_stage_collapses_to_dp_with_state_matching(section5):
     system, costs = section5
     combined = two_stage(system, costs)
@@ -508,6 +542,22 @@ def test_oracle_refuses_oversized_instances():
     with pytest.raises(BudgetExceededError, match="9"):
         exact_oracle(system, costs, budget=8)
     assert exact_oracle(system, costs, budget=9).feasible
+
+
+def test_oracle_budget_is_capped_before_any_allocation(monkeypatch):
+    system = StructuredSystem(
+        n=1, m=5, p=5, a_edges=frozenset({(1, 1)}),
+        b_edges=frozenset({(1, 1)}), c_edges=frozenset({(1, 1)}),
+    )
+    under_cap = CostMatrix.from_rows([[1] * 5] * 2 + [[INF] * 5] * 3)
+    assert exact_oracle(system, under_cap, budget=100).cost == 1
+
+    def no_allocation(link_costs):
+        raise AssertionError(f"enumerated {len(link_costs)} links")
+
+    monkeypatch.setattr(solvers, "_subset_costs", no_allocation)
+    with pytest.raises(BudgetExceededError, match="25 admissible links"):
+        exact_oracle(system, CostMatrix.from_rows([[1] * 5] * 5), budget=100)
 
 
 def test_oracle_tie_break_is_lexicographic():
