@@ -17,7 +17,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .dot import condensation_to_dot, digraph_to_dot
+from .dot import condensation_to_dot, system_to_dot
 from .fileio import (
     SchemaError,
     emit_system,
@@ -25,16 +25,10 @@ from .fileio import (
     load_system,
 )
 from .generators import random_line_system
-from .graphs import closed_loop_digraph, condense
-from .model import (
-    DimensionError,
-    FeedbackPattern,
-    PreconditionError,
-    cost_of,
-)
+from .graphs import condense
+from .model import FeedbackPattern, cost_of
 from .sfm import check_no_sfm
 from .solvers import (
-    BudgetExceededError,
     DpTable,
     Solution,
     exact_oracle,
@@ -241,7 +235,7 @@ def _cmd_export_dot(args) -> int:
         text = condensation_to_dot(condense(system))
     else:
         pattern = parse_feedback_arg(args.feedback)
-        text = digraph_to_dot(closed_loop_digraph(system, pattern))
+        text = system_to_dot(system, pattern)
     _emit(text, args.output)
     return 0
 
@@ -323,14 +317,9 @@ def run(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except (
-        SchemaError,
-        DimensionError,
-        PreconditionError,
-        BudgetExceededError,
-        OSError,
-        RuntimeError,
-    ) as exc:
+    except (ValueError, OSError, RuntimeError) as exc:
+        # SchemaError, DimensionError, PreconditionError and
+        # BudgetExceededError are ValueErrors, so input errors exit 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -7,22 +7,21 @@ two exports of the same graph are byte-identical and diffable.
 
 from __future__ import annotations
 
-from .graphs import Condensation, Digraph
+from .graphs import ClosedLoopIndex, Condensation
+from .model import FeedbackPattern, StructuredSystem
+
+SHAPES = {"x": "circle", "u": "box", "y": "diamond"}
 
 
-def digraph_to_dot(graph: Digraph, name: str = "system") -> str:
+def system_to_dot(system: StructuredSystem, pattern: FeedbackPattern, name: str = "system") -> str:
+    """The closed-loop digraph of ``system`` with the feedback edges of ``pattern``."""
+    index = ClosedLoopIndex(system)
+    feedback = index.feedback_edges(index.check_links(pattern.links))
+    label = index.labels
     lines = [f"digraph {name} {{", "  rankdir=LR;"]
-    for v in range(1, graph.n + 1):
-        lines.append(f'  {graph.label(v)} [shape=circle];')
-    for v in range(graph.n + 1, graph.n + graph.m + 1):
-        lines.append(f'  {graph.label(v)} [shape=box];')
-    for v in range(graph.n + graph.m + 1, graph.vertex_count + 1):
-        lines.append(f'  {graph.label(v)} [shape=diamond];')
-    plain = sorted(graph.state_edges | graph.input_edges | graph.output_edges)
-    for tail, head in plain:
-        lines.append(f"  {graph.label(tail)} -> {graph.label(head)};")
-    for tail, head in sorted(graph.feedback_edges):
-        lines.append(f"  {graph.label(tail)} -> {graph.label(head)} [style=dashed];")
+    lines += [f"  {v} [shape={SHAPES[v[0]]}];" for v in label[1:]]
+    lines += [f"  {label[tail]} -> {label[head]};" for tail, head in sorted(index.edges())]
+    lines += [f"  {label[t]} -> {label[h]} [style=dashed];" for t, h in sorted(feedback)]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 from typing import Any
 
-from .model import INF, CostMatrix, SetCoverInstance, StructuredSystem
+from .model import INF, CostMatrix, DimensionError, SetCoverInstance, StructuredSystem
 
 SYSTEM_FIELDS = ("n", "m", "p", "a_edges", "b_edges", "c_edges", "cost")
 SETCOVER_FIELDS = ("universe_size", "sets", "weights")
@@ -78,15 +78,15 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
     n = _int_field(data, "n")
     m = _int_field(data, "m")
     p = _int_field(data, "p")
-    system, warnings = StructuredSystem.from_lists(
-        n, m, p,
-        _edge_list(data, "a_edges"),
-        _edge_list(data, "b_edges"),
-        _edge_list(data, "c_edges"),
-    )
-    problems = system.validate()
-    if problems:
-        raise SchemaError("; ".join(problems))
+    try:
+        system, warnings = StructuredSystem.from_lists(
+            n, m, p,
+            _edge_list(data, "a_edges"),
+            _edge_list(data, "b_edges"),
+            _edge_list(data, "c_edges"),
+        )
+    except DimensionError as exc:
+        raise SchemaError(str(exc)) from exc
 
     raw_cost = data["cost"]
     if not isinstance(raw_cost, list) or len(raw_cost) != m:

@@ -12,15 +12,10 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .graphs import condense, hopcroft_karp, is_line_dag, state_bipartite
+from .graphs import condense, is_line_dag
 from .model import CostMatrix, FeedbackPattern, StructuredSystem, full_pattern
 from .sfm import check_no_sfm
-
-
-def _has_perfect_matching(system: StructuredSystem) -> bool:
-    graph = state_bipartite(system)
-    size, _, _ = hopcroft_karp(graph.adjacency, system.n)
-    return size == system.n
+from .solvers import _has_state_perfect_matching
 
 
 def _rng(seed) -> random.Random:
@@ -52,6 +47,10 @@ def random_line_system(
     if scc_count < 1 or n_inputs < 1 or n_outputs < 1:
         raise ValueError("need at least one SCC, one input and one output")
     lo, hi = scc_size_range
+    if not 1 <= lo <= hi:
+        raise ValueError(f"scc_size_range needs 1 <= lo <= hi, got {scc_size_range}")
+    if not 0 <= cost_range[0] <= cost_range[1]:
+        raise ValueError(f"cost_range needs 0 <= lo <= hi, got {cost_range}")
     for _ in range(max_tries):
         sizes = [rng.randint(lo, hi) for _ in range(scc_count)]
         victim = rng.randrange(scc_count) if not perfect_matching else -1
@@ -127,7 +126,7 @@ def random_line_system(
         condensation = condense(system)
         if condensation.scc_count != scc_count or not is_line_dag(condensation):
             continue
-        if _has_perfect_matching(system) != perfect_matching:
+        if _has_state_perfect_matching(system) != perfect_matching:
             continue
         if not check_no_sfm(system, full_pattern(costs)).feasible:
             continue
@@ -214,7 +213,7 @@ def random_single_input_system(
         condensation = condense(system)
         if len(condensation.non_top_linked_sccs()) != 1:
             continue
-        if not _has_perfect_matching(system):
+        if not _has_state_perfect_matching(system):
             continue
         if not check_no_sfm(system, full_pattern(costs)).feasible:
             continue

@@ -1,8 +1,8 @@
-"""Graph machinery: system digraphs, SCC condensation, bipartite matchings.
+"""Graph machinery: the closed-loop index, SCC condensation, bipartite matchings.
 
-Vertex numbering convention for system digraphs: states are vertices 1..n,
-inputs n+1..n+m, outputs n+m+1..n+m+p. Bipartite graphs use 0-based
-positional indices into their left/right vertex lists.
+``ClosedLoopIndex`` alone knows how states, inputs and outputs are numbered
+as vertices. Bipartite graphs use 0-based positional indices into their
+left/right vertex lists.
 """
 
 from __future__ import annotations
@@ -20,111 +20,102 @@ VertexEdge = tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
-# digraphs
+# the closed-loop graph
+
+
+def _overlay(base: list[list[int]], edges: Iterable[VertexEdge]) -> list[list[int]]:
+    """``base`` plus ``edges``; only the rows that gain an edge are copied."""
+    rows = list(base)
+    for tail, head in edges:
+        if rows[tail] is base[tail]:
+            rows[tail] = base[tail] + [head]
+        else:
+            rows[tail].append(head)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
-class Digraph:
-    """System digraph with edges grouped by origin.
+class ClosedLoopIndex:
+    """The closed-loop graph of one system, with feedback links laid over it.
 
-    state_edges run x -> x, input_edges u -> x, output_edges x -> y and
-    feedback_edges y -> u; every edge is a (tail, head) pair of vertex ids.
+    Digraph vertex ids: states x_1..x_n are 1..n, inputs u_1..u_m are
+    n+1..n+m and outputs y_1..y_p are n+m+1..n+m+p; entry 0 of the
+    successor lists is unused. The bipartite graph pairs the primed copy
+    v' of every vertex (left) with the vertices (right), 0-based in the
+    same order: v' - w is an edge when w -> v is, and every input and
+    output is also paired with itself. A feedback link (i, j) adds the
+    edge y_j -> u_i. The base lists are built on first use and kept, so
+    one index serves every pattern checked on its system; each pattern's
+    lists copy only the rows its feedback edges change and share the
+    others with the base, so callers must not mutate them.
     """
 
-    n: int
-    m: int
-    p: int
-    state_edges: frozenset[VertexEdge] = frozenset()
-    input_edges: frozenset[VertexEdge] = frozenset()
-    output_edges: frozenset[VertexEdge] = frozenset()
-    feedback_edges: frozenset[VertexEdge] = frozenset()
-
-    def __post_init__(self) -> None:
-        n, m, p = self.n, self.m, self.p
-        groups = (
-            ("state_edges", (1, n), (1, n)),
-            ("input_edges", (n + 1, n + m), (1, n)),
-            ("output_edges", (1, n), (n + m + 1, n + m + p)),
-            ("feedback_edges", (n + m + 1, n + m + p), (n + 1, n + m)),
-        )
-        for name, (tlo, thi), (hlo, hhi) in groups:
-            edges = frozenset(getattr(self, name))
-            object.__setattr__(self, name, edges)
-            for tail, head in edges:
-                if not (tlo <= tail <= thi and hlo <= head <= hhi):
-                    raise DimensionError(f"{name}: edge ({tail}, {head}) violates vertex ranges")
-
-    @property
-    def vertex_count(self) -> int:
-        return self.n + self.m + self.p
-
-    def all_edges(self) -> frozenset[VertexEdge]:
-        return self.state_edges | self.input_edges | self.output_edges | self.feedback_edges
-
-    def label(self, v: int) -> str:
-        if 1 <= v <= self.n:
-            return f"x{v}"
-        if self.n < v <= self.n + self.m:
-            return f"u{v - self.n}"
-        if self.n + self.m < v <= self.vertex_count:
-            return f"y{v - self.n - self.m}"
-        raise DimensionError(f"vertex {v} out of range 1..{self.vertex_count}")
+    system: StructuredSystem
 
     @cached_property
-    def successor_lists(self) -> tuple[tuple[int, ...], ...]:
-        """Adjacency as a tuple indexed by vertex id (entry 0 unused)."""
+    def vertex_count(self) -> int:
+        return self.system.n + self.system.m + self.system.p
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        """Vertex names by digraph id (entry 0 unused)."""
+        s = self.system
+        return (
+            ("",)
+            + tuple(f"x{i}" for i in range(1, s.n + 1))
+            + tuple(f"u{i}" for i in range(1, s.m + 1))
+            + tuple(f"y{j}" for j in range(1, s.p + 1))
+        )
+
+    def edges(self) -> Iterator[VertexEdge]:
+        """The system's digraph edges x_j -> x_i, u_j -> x_i and x_j -> y_i."""
+        s, n = self.system, self.system.n
+        yield from ((j, i) for i, j in s.a_edges)
+        yield from ((n + j, i) for i, j in s.b_edges)
+        yield from ((j, n + s.m + i) for i, j in s.c_edges)
+
+    def check_links(self, links: Iterable[Edge]) -> list[Edge]:
+        """The links as a list; DimensionError if one lies outside 1..m x 1..p."""
+        m, p = self.system.m, self.system.p
+        links = list(links)
+        for i, j in links:
+            if not (1 <= i <= m and 1 <= j <= p):
+                raise DimensionError(f"feedback link ({i}, {j}) out of range for m={m}, p={p}")
+        return links
+
+    def feedback_edges(self, links: Iterable[Edge]) -> list[VertexEdge]:
+        """Digraph edges y_j -> u_i of the links (not range-checked)."""
+        n = self.system.n
+        offset = n + self.system.m
+        return [(offset + j, n + i) for i, j in links]
+
+    def matching_edges(self, links: Iterable[Edge]) -> list[VertexEdge]:
+        """Bipartite edges u'_i - y_j of the links, as (left, right) indices."""
+        return [(head - 1, tail - 1) for tail, head in self.feedback_edges(links)]
+
+    @cached_property
+    def _successors(self) -> list[list[int]]:
         succ: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
-        for tail, head in sorted(self.all_edges()):
+        for tail, head in self.edges():
             succ[tail].append(head)
-        return tuple(tuple(s) for s in succ)
+        return succ
 
+    @cached_property
+    def _adjacency(self) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
+        for tail, head in self.edges():
+            adj[head - 1].append(tail - 1)
+        for v in range(self.system.n, self.vertex_count):
+            adj[v].append(v)
+        return adj
 
-def state_digraph(system: StructuredSystem) -> Digraph:
-    """Digraph over the states only: a_edge (i, j) becomes x_j -> x_i."""
-    return Digraph(
-        n=system.n,
-        m=0,
-        p=0,
-        state_edges=frozenset((j, i) for i, j in system.a_edges),
-    )
+    def successors(self, links: Iterable[Edge] = ()) -> list[list[int]]:
+        """Closed-loop successor lists with the feedback edges of ``links``."""
+        return _overlay(self._successors, self.feedback_edges(links))
 
-
-def closed_loop_digraph(system: StructuredSystem, pattern: FeedbackPattern) -> Digraph:
-    """Full system digraph including the feedback edges y_j -> u_i of ``pattern``."""
-    n, m, p = system.n, system.m, system.p
-    for i, j in pattern.links:
-        if not (1 <= i <= m and 1 <= j <= p):
-            raise DimensionError(f"feedback link ({i}, {j}) out of range for m={m}, p={p}")
-    return Digraph(
-        n=n,
-        m=m,
-        p=p,
-        state_edges=frozenset((j, i) for i, j in system.a_edges),
-        input_edges=frozenset((n + j, i) for i, j in system.b_edges),
-        output_edges=frozenset((j, n + m + i) for i, j in system.c_edges),
-        feedback_edges=frozenset((n + m + j, n + i) for i, j in pattern.links),
-    )
-
-
-def closed_loop_successors(
-    system: StructuredSystem, links: Iterable[Edge]
-) -> list[list[int]]:
-    """Successor lists of the closed-loop digraph, without the Digraph wrapper.
-
-    This is the hot path shared by the feasibility checks and the exhaustive
-    oracle; entry 0 is unused.
-    """
-    n, m = system.n, system.m
-    succ: list[list[int]] = [[] for _ in range(n + m + system.p + 1)]
-    for i, j in system.a_edges:
-        succ[j].append(i)
-    for i, j in system.b_edges:
-        succ[n + j].append(i)
-    for i, j in system.c_edges:
-        succ[j].append(n + m + i)
-    for i, j in links:
-        succ[n + m + j].append(n + i)
-    return succ
+    def adjacency(self, links: Iterable[Edge] = ()) -> list[list[int]]:
+        """Left adjacency of the closed-loop bipartite graph with ``links``."""
+        return _overlay(self._adjacency, self.matching_edges(links))
 
 
 def strongly_connected_components(
@@ -144,42 +135,38 @@ def strongly_connected_components(
     for root in range(1, n_vertices + 1):
         if index[root]:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work: list[tuple[int, Iterator[int]]] = [(root, iter(succ[root]))]
         while work:
-            v, ei = work[-1]
-            if ei == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            descended = False
-            neighbors = succ[v]
-            while ei < len(neighbors):
-                w = neighbors[ei]
-                ei += 1
+            v, neighbors = work[-1]
+            for w in neighbors:
                 if not index[w]:
-                    work[-1] = (v, ei)
-                    work.append((w, 0))
-                    descended = True
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
                     break
                 if on_stack[w] and index[w] < low[v]:
                     low[v] = index[w]
-            if descended:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                component = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    component.append(w)
-                    if w == v:
-                        break
-                sccs.append(component)
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    sccs.append(component)
     return sccs
 
 
@@ -249,7 +236,6 @@ def condense(system: StructuredSystem) -> Condensation:
     the smallest state index comes first, so the result is reproducible and
     independent of edge iteration order.
     """
-    system.require_valid()
     n = system.n
     succ: list[list[int]] = [[] for _ in range(n + 1)]
     for i, j in system.a_edges:
@@ -312,22 +298,14 @@ def is_line_dag(condensation: Condensation) -> bool:
     return condensation.dag_edges == expected
 
 
-def has_line_spanning_path(condensation: Condensation) -> Optional[tuple[int, ...]]:
-    """The Hamiltonian path of the SCC DAG as an index order, if one exists.
-
-    A DAG has a Hamiltonian path exactly when its topological order is
-    unique, i.e. every pair of consecutive SCCs in the fixed order is
-    joined by an edge. Extra forward edges are allowed.
-    """
-    ell = condensation.scc_count
-    for k in range(1, ell):
-        if (k, k + 1) not in condensation.dag_edges:
-            return None
-    return tuple(range(1, ell + 1))
-
-
 def missing_path_links(condensation: Condensation) -> list[tuple[int, int]]:
-    """Consecutive SCC pairs that are not joined by a DAG edge."""
+    """Consecutive SCC pairs that are not joined by a DAG edge.
+
+    The list is empty exactly when the SCC DAG has a Hamiltonian path: a
+    DAG has one when its topological order is unique, i.e. every pair of
+    consecutive SCCs in the fixed order is joined by an edge. Extra
+    forward edges are allowed.
+    """
     ell = condensation.scc_count
     return [
         (k, k + 1) for k in range(1, ell) if (k, k + 1) not in condensation.dag_edges
@@ -386,32 +364,6 @@ def state_bipartite(system: StructuredSystem) -> BipartiteGraph:
     )
 
 
-def closed_loop_bipartite_adjacency(
-    system: StructuredSystem, links: Iterable[Edge]
-) -> list[list[int]]:
-    """0-based left adjacency of the closed-loop bipartite graph.
-
-    Left/right vertex order is x'_1..x'_n, u'_1..u'_m, y'_1..y'_p against
-    x_1..x_n, u_1..u_m, y_1..y_p. Includes the identity edges u'_i — u_i
-    and y'_j — y_j.
-    """
-    n, m, p = system.n, system.m, system.p
-    adj: list[list[int]] = [[] for _ in range(n + m + p)]
-    for i, j in system.a_edges:
-        adj[i - 1].append(j - 1)
-    for i, j in system.b_edges:
-        adj[i - 1].append(n + j - 1)
-    for i, j in system.c_edges:
-        adj[n + m + i - 1].append(j - 1)
-    for i in range(1, m + 1):
-        adj[n + i - 1].append(n + i - 1)
-    for j in range(1, p + 1):
-        adj[n + m + j - 1].append(n + m + j - 1)
-    for i, j in links:
-        adj[n + i - 1].append(n + m + j - 1)
-    return adj
-
-
 def closed_loop_bipartite(
     system: StructuredSystem,
     pattern: FeedbackPattern,
@@ -419,31 +371,24 @@ def closed_loop_bipartite(
 ) -> BipartiteGraph:
     """Closed-loop bipartite graph; feedback edges may carry costs.
 
-    When a cost matrix is given, each feedback edge u'_i — y_j costs the
+    When a cost matrix is given, each feedback edge u'_i - y_j costs the
     matrix entry (i, j) and every other edge costs 0.
     """
-    n, m, p = system.n, system.m, system.p
-    for i, j in pattern.links:
-        if not (1 <= i <= m and 1 <= j <= p):
-            raise DimensionError(f"feedback link ({i}, {j}) out of range for m={m}, p={p}")
-    adj = closed_loop_bipartite_adjacency(system, pattern.links)
-    edges = frozenset((l, r) for l, row in enumerate(adj) for r in row)
+    index = ClosedLoopIndex(system)
+    links = index.check_links(pattern.links)
     costs = None
     if feedback_costs is not None:
         costs = {
-            (n + i - 1, n + m + j - 1): feedback_costs.cost(i, j) for i, j in pattern.links
+            edge: feedback_costs.cost(i, j)
+            for edge, (i, j) in zip(index.matching_edges(links), links)
         }
-    labels_left = (
-        tuple(f"x'{i}" for i in range(1, n + 1))
-        + tuple(f"u'{i}" for i in range(1, m + 1))
-        + tuple(f"y'{j}" for j in range(1, p + 1))
+    names = index.labels[1:]
+    return BipartiteGraph(
+        left=tuple(f"{name[0]}'{name[1:]}" for name in names),
+        right=names,
+        edges=frozenset((l, r) for l, row in enumerate(index.adjacency(links)) for r in row),
+        edge_costs=costs,
     )
-    labels_right = (
-        tuple(f"x{i}" for i in range(1, n + 1))
-        + tuple(f"u{i}" for i in range(1, m + 1))
-        + tuple(f"y{j}" for j in range(1, p + 1))
-    )
-    return BipartiteGraph(left=labels_left, right=labels_right, edges=edges, edge_costs=costs)
 
 
 def hopcroft_karp(

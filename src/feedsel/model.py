@@ -38,7 +38,9 @@ class StructuredSystem:
     b_edges: (i, j) means input j actuates state i (edge u_j -> x_i).
     c_edges: (i, j) means output i senses state j (edge x_j -> y_i).
 
-    Instances are immutable and safe to share between threads.
+    Construction checks the counts and every index against them, and
+    raises ``DimensionError`` naming each problem, so every instance is
+    valid. Instances are immutable and safe to share between threads.
     """
 
     n: int
@@ -52,6 +54,24 @@ class StructuredSystem:
         object.__setattr__(self, "a_edges", _edge_set(self.a_edges))
         object.__setattr__(self, "b_edges", _edge_set(self.b_edges))
         object.__setattr__(self, "c_edges", _edge_set(self.c_edges))
+        problems: list[str] = []
+        if self.n < 1:
+            problems.append(f"state count n must be >= 1, got {self.n}")
+        if self.m < 0 or self.p < 0:
+            problems.append(f"input/output counts must be >= 0, got m={self.m}, p={self.p}")
+        ranges = (
+            ("a_edges", self.a_edges, self.n, self.n),
+            ("b_edges", self.b_edges, self.n, self.m),
+            ("c_edges", self.c_edges, self.p, self.n),
+        )
+        for name, edges, rows, cols in ranges:
+            for i, j in sorted(e for e in edges if not (1 <= e[0] <= rows and 1 <= e[1] <= cols)):
+                problems.append(
+                    f"{name}: entry ({i}, {j}) out of range for "
+                    f"(n, m, p) = ({self.n}, {self.m}, {self.p})"
+                )
+        if problems:
+            raise DimensionError("; ".join(problems))
 
     @classmethod
     def from_lists(
@@ -78,37 +98,6 @@ class StructuredSystem:
                 warnings.append(f"{name}: {len(pairs) - len(dedup)} duplicate entries collapsed")
             cleaned[name] = dedup
         return cls(n=n, m=m, p=p, **cleaned), warnings
-
-    def validate(self) -> list[str]:
-        """Check all type invariants; an empty list means the system is valid."""
-        problems: list[str] = []
-        if self.n < 1:
-            problems.append(f"state count n must be >= 1, got {self.n}")
-        if self.m < 0 or self.p < 0:
-            problems.append(f"input/output counts must be >= 0, got m={self.m}, p={self.p}")
-        ranges = (
-            ("a_edges", self.a_edges, self.n, self.n),
-            ("b_edges", self.b_edges, self.n, self.m),
-            ("c_edges", self.c_edges, self.p, self.n),
-        )
-        for name, edges, rows, cols in ranges:
-            for i, j in sorted(edges):
-                if not (1 <= i <= rows and 1 <= j <= cols):
-                    problems.append(
-                        f"{name}: entry ({i}, {j}) out of range for "
-                        f"(n, m, p) = ({self.n}, {self.m}, {self.p})"
-                    )
-        return problems
-
-    def require_valid(self) -> None:
-        problems = self.validate()
-        if problems:
-            raise DimensionError("; ".join(problems))
-
-
-def validate(system: StructuredSystem) -> list[str]:
-    """Diagnostic validation of a system; empty result means ok."""
-    return system.validate()
 
 
 @dataclass(frozen=True)

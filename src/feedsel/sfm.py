@@ -15,14 +15,9 @@ carry the offending states so callers can explain failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Sequence
 
-from .graphs import (
-    closed_loop_bipartite_adjacency,
-    closed_loop_successors,
-    hopcroft_karp,
-    scc_ids,
-)
+from .graphs import ClosedLoopIndex, hopcroft_karp, scc_ids
 from .model import Edge, FeedbackPattern, StructuredSystem
 
 
@@ -48,38 +43,35 @@ class SfmVerdict:
         return f"condition a: {a}; condition b: {b}; {verdict}"
 
 
-def _uncovered_states(system: StructuredSystem, links: Iterable[Edge]) -> tuple[int, ...]:
-    n, m = system.n, system.m
-    links = list(links)
-    succ = closed_loop_successors(system, links)
-    ids = scc_ids(succ, system.n + system.m + system.p)
-    covered = set()
-    for i, j in links:
-        # A feedback edge is inside an SCC exactly when its endpoints share one.
-        if ids[n + m + j] == ids[n + i]:
-            covered.add(ids[n + i])
-    return tuple(s for s in range(1, n + 1) if ids[s] not in covered)
+def _uncovered_states(index: ClosedLoopIndex, links: Sequence[Edge]) -> tuple[int, ...]:
+    """States whose closed-loop SCC holds no feedback edge of ``links``."""
+    ids = scc_ids(index.successors(links), index.vertex_count)
+    # A feedback edge is inside an SCC exactly when its endpoints share one.
+    covered = {ids[u] for y, u in index.feedback_edges(links) if ids[y] == ids[u]}
+    return tuple([s for s in range(1, index.system.n + 1) if ids[s] not in covered])
+
+
+def _has_cycle_family(index: ClosedLoopIndex, links: Sequence[Edge]) -> bool:
+    """True when the closed-loop bipartite graph with ``links`` has a perfect matching."""
+    size, _, _ = hopcroft_karp(index.adjacency(links), index.vertex_count)
+    return size == index.vertex_count
 
 
 def check_condition_a(system: StructuredSystem, pattern: FeedbackPattern) -> tuple[int, ...]:
     """States whose closed-loop SCC contains no selected feedback edge (empty = pass)."""
-    system.require_valid()
-    return _uncovered_states(system, pattern.links)
+    index = ClosedLoopIndex(system)
+    return _uncovered_states(index, index.check_links(pattern.links))
 
 
 def check_condition_b(system: StructuredSystem, pattern: FeedbackPattern) -> bool:
     """True when the closed-loop bipartite graph has a perfect matching."""
-    system.require_valid()
-    total = system.n + system.m + system.p
-    adjacency = closed_loop_bipartite_adjacency(system, pattern.links)
-    size, _, _ = hopcroft_karp(adjacency, total)
-    return size == total
+    index = ClosedLoopIndex(system)
+    return _has_cycle_family(index, index.check_links(pattern.links))
 
 
 def check_no_sfm(system: StructuredSystem, pattern: FeedbackPattern) -> SfmVerdict:
     """Run both feasibility conditions and return the combined verdict."""
-    system.require_valid()
     return SfmVerdict(
-        uncovered_states=_uncovered_states(system, pattern.links),
+        uncovered_states=check_condition_a(system, pattern),
         condition_b_ok=check_condition_b(system, pattern),
     )

@@ -34,16 +34,13 @@ from typing import Optional
 import numpy as np
 
 from .graphs import (
+    ClosedLoopIndex,
     Condensation,
     closed_loop_bipartite,
-    closed_loop_bipartite_adjacency,
-    closed_loop_successors,
     condense,
-    has_line_spanning_path,
     hopcroft_karp,
     min_cost_perfect_matching,
     missing_path_links,
-    scc_ids,
     state_bipartite,
 )
 from .model import (
@@ -56,9 +53,8 @@ from .model import (
     SetCoverInstance,
     StructuredSystem,
     cost_of,
-    full_pattern,
 )
-from .sfm import check_no_sfm
+from .sfm import _has_cycle_family, _uncovered_states, check_no_sfm
 
 
 class BudgetExceededError(ValueError):
@@ -163,8 +159,8 @@ def _check_incidence_ranges(condensation: Condensation, costs: CostMatrix) -> No
 
 
 def _require_line_order(condensation: Condensation) -> None:
-    if has_line_spanning_path(condensation) is None:
-        missing = missing_path_links(condensation)
+    missing = missing_path_links(condensation)
+    if missing:
         raise PreconditionError(
             "SCC DAG admits no line spanning path; consecutive SCC pairs "
             f"without an edge: {missing}; DAG edges: {sorted(condensation.dag_edges)}"
@@ -279,7 +275,6 @@ def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:
     free); ``dp-condition-a`` only optimizes SCC coverage and leaves cycle
     spanning to ``two_stage``.
     """
-    system.require_valid()
     costs.require_matches(system)
     solution = dp_cover(condense(system), costs)
     if not _has_state_perfect_matching(system):
@@ -298,10 +293,9 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
     The certificates record the number of shortest augmenting paths run as
     ``augmentations``.
     """
-    system.require_valid()
     costs.require_matches(system)
-    n, m, p = system.n, system.m, system.p
-    graph = closed_loop_bipartite(system, full_pattern(costs), feedback_costs=costs)
+    links = costs.finite_links()
+    graph = closed_loop_bipartite(system, FeedbackPattern(frozenset(links)), feedback_costs=costs)
     stats: dict = {}
     result = min_cost_perfect_matching(graph, stats)
     if result is None:
@@ -312,11 +306,8 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
             {"augmentations": stats["augmentations"]},
         )
     matching, total = result
-    links = set()
-    for l, r in matching.items():
-        if n <= l < n + m and n + m <= r < n + m + p:
-            links.add((l - n + 1, r - n - m + 1))
-    pattern = FeedbackPattern(frozenset(links))
+    link_at = dict(zip(ClosedLoopIndex(system).matching_edges(links), links))
+    pattern = FeedbackPattern(frozenset(link_at[e] for e in matching.items() if e in link_at))
     cost = cost_of(pattern, costs)
     if cost != total:
         raise AssertionError(f"matching cost {total} != pattern cost {cost}")
@@ -338,7 +329,6 @@ def two_stage(system: StructuredSystem, costs: CostMatrix) -> Solution:
     Each stage alone is a lower bound on the optimum, so the union costs
     at most twice the optimum; it is feasible whenever both stages are.
     """
-    system.require_valid()
     costs.require_matches(system)
     condensation = condense(system)
     _require_line_order(condensation)
@@ -436,7 +426,6 @@ def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution
     one candidate set per admissible output; the greedy cover maps back to
     feedback links on the single input.
     """
-    system.require_valid()
     costs.require_matches(system)
     condensation = condense(system)
     problems = []
@@ -530,7 +519,6 @@ def exact_oracle(
     dynamic program. Refuses instances with more than ``budget`` admissible
     links, and any with more than ``MAX_ORACLE_LINKS``.
     """
-    system.require_valid()
     costs.require_matches(system)
     links = costs.finite_links()
     n_links = len(links)
@@ -541,12 +529,8 @@ def exact_oracle(
             f"(2^{n_links} patterns); the budget can be raised up to {MAX_ORACLE_LINKS}"
         )
 
-    n, m, p = system.n, system.m, system.p
-    total_vertices = n + m + p
-    succ_base = closed_loop_successors(system, [])
-    adj_base = closed_loop_bipartite_adjacency(system, [])
-    base_b_size, _, _ = hopcroft_karp(adj_base, total_vertices)
-    base_b_ok = base_b_size == total_vertices  # monotone: stays true for every pattern
+    index = ClosedLoopIndex(system)
+    base_b_ok = _has_cycle_family(index, [])  # monotone: stays true for every pattern
 
     def mask_links(mask: int) -> list[Edge]:
         return [links[b] for b in range(n_links) if (mask >> b) & 1]
@@ -555,37 +539,12 @@ def exact_oracle(
 
     def cond_a_ok(mask: int) -> bool:
         hit = cond_a_memo.get(mask)
-        if hit is not None:
-            return hit
-        chosen = mask_links(mask)
-        succ = list(succ_base)
-        for i, j in chosen:
-            v = n + m + j
-            if succ[v] is succ_base[v]:
-                succ[v] = succ_base[v] + [n + i]
-            else:
-                succ[v].append(n + i)
-        ids = scc_ids(succ, total_vertices)
-        covered = set()
-        for i, j in chosen:
-            if ids[n + m + j] == ids[n + i]:
-                covered.add(ids[n + i])
-        ok = all(ids[s] in covered for s in range(1, n + 1))
-        cond_a_memo[mask] = ok
-        return ok
+        if hit is None:
+            hit = cond_a_memo[mask] = not _uncovered_states(index, mask_links(mask))
+        return hit
 
     def cond_b_ok(mask: int) -> bool:
-        if base_b_ok:
-            return True
-        adj = list(adj_base)
-        for i, j in mask_links(mask):
-            l = n + i - 1
-            if adj[l] is adj_base[l]:
-                adj[l] = adj_base[l] + [n + m + j - 1]
-            else:
-                adj[l].append(n + m + j - 1)
-        size, _, _ = hopcroft_karp(adj, total_vertices)
-        return size == total_vertices
+        return base_b_ok or _has_cycle_family(index, mask_links(mask))
 
     subset_costs = _subset_costs([costs.cost(i, j) for i, j in links])
     order = np.argsort(subset_costs, kind="stable")

@@ -16,7 +16,6 @@ from itertools import combinations, permutations
 import pytest
 
 from feedsel import CostMatrix, FeedbackPattern, SetCoverInstance, StructuredSystem
-from feedsel.graphs import closed_loop_successors
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +153,25 @@ def _has_spanning_permutation(vertices: list[int], succ) -> bool:
     return backtrack(0)
 
 
+def reference_successors(system: StructuredSystem, pattern: FeedbackPattern) -> list[list[int]]:
+    """Closed-loop successor lists built edge family by edge family.
+
+    Independent of ``ClosedLoopIndex``: states are 1..n, inputs n+1..n+m,
+    outputs n+m+1..n+m+p, and entry 0 is unused.
+    """
+    n, m = system.n, system.m
+    succ: list[list[int]] = [[] for _ in range(n + m + system.p + 1)]
+    for i, j in system.a_edges:
+        succ[j].append(i)
+    for i, j in system.b_edges:
+        succ[n + j].append(i)
+    for i, j in system.c_edges:
+        succ[j].append(n + m + i)
+    for i, j in pattern.links:
+        succ[n + m + j].append(n + i)
+    return succ
+
+
 def spanning_cycle_family_exists(system: StructuredSystem, pattern: FeedbackPattern) -> bool:
     """Exhaustive search for vertex-disjoint cycles covering every state.
 
@@ -162,7 +180,7 @@ def spanning_cycle_family_exists(system: StructuredSystem, pattern: FeedbackPatt
     """
     n = system.n
     total = n + system.m + system.p
-    succ = closed_loop_successors(system, pattern.links)
+    succ = reference_successors(system, pattern)
     auxiliary = list(range(n + 1, total + 1))
     states = list(range(1, n + 1))
     for r in range(len(auxiliary) + 1):

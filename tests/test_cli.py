@@ -144,6 +144,23 @@ def test_gen_line_requires_seed(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--sccs", "0"],
+        ["--inputs", "0"],
+        ["--scc-size", "3", "1"],
+        ["--scc-size", "0", "0"],
+        ["--cost", "5", "1"],
+        ["--cost", "-5", "-1"],
+    ],
+)
+def test_gen_line_bad_arguments_are_one_line_usage_errors(capsys, args):
+    code, out, err = invoke(capsys, "gen-line", "--seed", "1", *args)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gen_line_no_pm_flag(capsys, tmp_path):
     path = tmp_path / "nopm.json"
     code, _, _ = invoke(
@@ -164,6 +181,85 @@ def test_export_dot_styles_and_determinism(capsys, section5_file):
     assert "y3 -> u2 [style=dashed];" in first
     _, second, _ = invoke(capsys, "export-dot", section5_file, "--feedback", "2:3")
     assert first == second
+
+
+SECTION5_DOT_2_3 = """\
+digraph system {
+  rankdir=LR;
+  x1 [shape=circle];
+  x2 [shape=circle];
+  x3 [shape=circle];
+  x4 [shape=circle];
+  x5 [shape=circle];
+  x6 [shape=circle];
+  x7 [shape=circle];
+  x8 [shape=circle];
+  x9 [shape=circle];
+  x10 [shape=circle];
+  x11 [shape=circle];
+  u1 [shape=box];
+  u2 [shape=box];
+  u3 [shape=box];
+  u4 [shape=box];
+  y1 [shape=diamond];
+  y2 [shape=diamond];
+  y3 [shape=diamond];
+  x1 -> x2;
+  x2 -> x1;
+  x2 -> x3;
+  x2 -> y1;
+  x3 -> x2;
+  x3 -> x3;
+  x3 -> x4;
+  x4 -> x5;
+  x5 -> x4;
+  x5 -> x6;
+  x6 -> x6;
+  x6 -> x7;
+  x6 -> y2;
+  x7 -> x8;
+  x8 -> x7;
+  x8 -> x9;
+  x8 -> x10;
+  x8 -> x11;
+  x9 -> x8;
+  x9 -> x9;
+  x9 -> y3;
+  x10 -> x8;
+  x10 -> x10;
+  x11 -> x8;
+  x11 -> x11;
+  u1 -> x1;
+  u2 -> x3;
+  u2 -> x4;
+  u3 -> x6;
+  u3 -> x7;
+  u4 -> x10;
+  y3 -> u2 [style=dashed];
+}
+"""
+
+SECTION5_CONDENSATION_DOT = """\
+digraph condensation {
+  rankdir=LR;
+  C1 [shape=box, label="C1: {x1,x2,x3}\\nin: u1,u2\\nout: y1"];
+  C2 [shape=box, label="C2: {x4,x5}\\nin: u2"];
+  C3 [shape=box, label="C3: {x6}\\nin: u3\\nout: y2"];
+  C4 [shape=box, label="C4: {x7,x8,x9,x10,x11}\\nin: u3,u4\\nout: y3"];
+  C1 -> C2;
+  C2 -> C3;
+  C3 -> C4;
+}
+"""
+
+
+def test_export_dot_golden_output(capsys):
+    section5 = str(DATA / "section5.json")
+    assert invoke(capsys, "export-dot", section5, "--feedback", "2:3") == (0, SECTION5_DOT_2_3, "")
+    assert invoke(capsys, "export-dot", section5, "--condensation") == (0, SECTION5_CONDENSATION_DOT, "")
+    assert invoke(capsys, "export-dot", section5, "--feedback", "2:9") == (
+        2, "", "error: feedback link (2, 9) out of range for m=4, p=3\n"
+    )
 
 
 def test_export_dot_condensation(capsys, section5_file):

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from feedsel import check_no_sfm, condense, full_pattern, is_line_dag, max_matching, state_bipartite
 from feedsel.generators import (
     random_line_system,
@@ -65,5 +67,21 @@ def test_single_input_generator_properties():
 
 def test_random_system_respects_dimensions():
     system, pattern = random_system(7, n=4, m=2, p=3)
-    assert system.validate() == []
+    assert all(1 <= i <= 4 and 1 <= j <= 4 for i, j in system.a_edges)
+    assert all(1 <= i <= 4 and 1 <= j <= 2 for i, j in system.b_edges)
+    assert all(1 <= i <= 3 and 1 <= j <= 4 for i, j in system.c_edges)
     assert all(1 <= i <= 2 and 1 <= j <= 3 for i, j in pattern.links)
+
+
+@pytest.mark.parametrize(
+    "kwargs, argument",
+    [
+        ({"scc_size_range": (0, 2)}, "scc_size_range"),
+        ({"scc_size_range": (3, 1)}, "scc_size_range"),
+        ({"cost_range": (-5, -1)}, "cost_range"),
+        ({"cost_range": (5, 1)}, "cost_range"),
+    ],
+)
+def test_line_generator_rejects_bad_ranges_up_front(kwargs, argument):
+    with pytest.raises(ValueError, match=argument):
+        random_line_system(1, **kwargs)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -13,20 +14,18 @@ from feedsel import (
     FeedbackPattern,
     StructuredSystem,
     closed_loop_bipartite,
-    closed_loop_digraph,
     condense,
     full_pattern,
-    has_line_spanning_path,
     is_line_dag,
     max_matching,
     min_cost_perfect_matching,
     reduce_set_cover,
     state_bipartite,
-    state_digraph,
 )
 from feedsel.graphs import (
-    closed_loop_successors,
+    ClosedLoopIndex,
     hopcroft_karp,
+    missing_path_links,
     strongly_connected_components,
 )
 from feedsel.generators import random_line_system
@@ -36,6 +35,7 @@ from tests.conftest import (
     dense_min_cost_assignment,
     fig1_cover_instance,
     maxflow_matching_size,
+    reference_successors,
     scc_partition_by_closure,
 )
 
@@ -46,47 +46,75 @@ def fig1_system():
 
 
 # ---------------------------------------------------------------------------
-# digraph construction
+# the closed-loop index
 
 
 def test_state_digraph_single_entry():
     system = StructuredSystem(n=2, m=0, p=0, a_edges=frozenset({(1, 2)}))
-    graph = state_digraph(system)
-    assert graph.state_edges == frozenset({(2, 1)})  # x2 -> x1
+    index = ClosedLoopIndex(system)
+    assert list(index.edges()) == [(2, 1)]  # x2 -> x1
+    assert index.successors() == [[], [], [1]]
 
 
 def test_state_digraph_empty():
     system = StructuredSystem(n=3, m=0, p=0)
-    assert state_digraph(system).all_edges() == frozenset()
+    assert list(ClosedLoopIndex(system).edges()) == []
 
 
 def test_state_digraph_fig1_topology():
     system, _ = fig1_system()
-    graph = state_digraph(system)
+    n = system.n
+    state_edges = {(t, h) for t, h in ClosedLoopIndex(system).edges() if t <= n and h <= n}
     self_loops = {(v, v) for v in range(1, 7)}
     hub_edges = {(6, i) for i in range(1, 6)}
-    assert graph.state_edges == frozenset(self_loops | hub_edges)
+    assert state_edges == self_loops | hub_edges
 
 
 def test_closed_loop_digraph_adds_feedback_edge():
     system, _ = fig1_system()
-    graph = closed_loop_digraph(system, FeedbackPattern.of((1, 1)))
+    index = ClosedLoopIndex(system)
     # y1 is vertex 6+1+1 = 8, u1 is vertex 7
-    assert graph.feedback_edges == frozenset({(8, 7)})
-    assert graph.label(8) == "y1" and graph.label(7) == "u1"
+    assert index.feedback_edges([(1, 1)]) == [(8, 7)]
+    assert index.successors([(1, 1)])[8] == [7]
+    assert index.labels[8] == "y1" and index.labels[7] == "u1"
 
 
 def test_closed_loop_digraph_empty_pattern_has_no_feedback():
     system, _ = fig1_system()
-    graph = closed_loop_digraph(system, FeedbackPattern())
-    assert graph.feedback_edges == frozenset()
-    assert len(graph.input_edges) == 1 and len(graph.output_edges) == 7
+    index = ClosedLoopIndex(system)
+    assert index.feedback_edges([]) == []
+    edges = list(index.edges())
+    assert len([e for e in edges if index.labels[e[0]][0] == "u"]) == 1
+    assert len([e for e in edges if index.labels[e[1]][0] == "y"]) == 7
+    outputs = range(system.n + system.m + 1, index.vertex_count + 1)
+    assert all(index.successors()[y] == [] for y in outputs)
 
 
 def test_closed_loop_digraph_rejects_out_of_range_link():
     system, _ = fig1_system()
-    with pytest.raises(DimensionError):
-        closed_loop_digraph(system, FeedbackPattern.of((2, 1)))
+    for link in [(2, 1), (0, 1), (1, 0), (1, 4)]:
+        with pytest.raises(DimensionError, match=re.escape(f"link {link} out of range for m=1, p=3")):
+            ClosedLoopIndex(system).check_links([(1, 1), link])
+    assert ClosedLoopIndex(system).check_links({(1, 3)}) == [(1, 3)]
+
+
+def test_overlay_copies_only_the_rows_its_links_change(section5):
+    system, _ = section5
+    index = ClosedLoopIndex(system)
+    base_succ, base_adj = index.successors(), index.adjacency()
+    snapshot = ([list(row) for row in base_succ], [list(row) for row in base_adj])
+    links = [(2, 3), (1, 1), (4, 3)]
+    succ, adj = index.successors(links), index.adjacency(links)
+    y1, y3 = system.n + system.m + 1, system.n + system.m + 3
+    u1, u2, u4 = system.n + 1, system.n + 2, system.n + 4
+    assert succ[y3] == [u2, u4] and succ[y1] == [u1]
+    assert adj[u2 - 1] == [u2 - 1, y3 - 1] and adj[u4 - 1] == [u4 - 1, y3 - 1]
+    changed_succ, changed_adj = {y1, y3}, {u1 - 1, u2 - 1, u4 - 1}
+    for v, row in enumerate(succ):
+        assert (row is base_succ[v]) == (v not in changed_succ)
+    for v, row in enumerate(adj):
+        assert (row is base_adj[v]) == (v not in changed_adj)
+    assert ([list(row) for row in index.successors()], [list(row) for row in index.adjacency()]) == snapshot
 
 
 def _reaches(succ, start, goal):
@@ -105,8 +133,7 @@ def _reaches(succ, start, goal):
 
 def test_closed_loop_digraph_reference_cycle(section5):
     system, _ = section5
-    graph = closed_loop_digraph(system, FeedbackPattern.of((2, 3)))
-    succ = [list(row) for row in graph.successor_lists]
+    succ = ClosedLoopIndex(system).successors([(2, 3)])
     u2 = system.n + 2
     y3 = system.n + system.m + 3
     assert _reaches(succ, u2, y3) and _reaches(succ, y3, u2)
@@ -115,9 +142,8 @@ def test_closed_loop_digraph_reference_cycle(section5):
 def test_successor_lists_agree_with_fast_builder(section5):
     system, _ = section5
     pattern = FeedbackPattern.of((2, 3), (1, 1))
-    graph = closed_loop_digraph(system, pattern)
-    fast = closed_loop_successors(system, pattern.links)
-    slow = graph.successor_lists
+    fast = ClosedLoopIndex(system).successors(pattern.links)
+    slow = reference_successors(system, pattern)
     assert [sorted(row) for row in fast] == [sorted(row) for row in slow]
 
 
@@ -243,7 +269,7 @@ def test_spanning_path_with_forward_shortcuts():
     shortcuts = {(1, 6), (2, 4), (3, 5), (2, 5), (4, 6), (1, 4)}
     cond = _chain_condensation(6, extra=shortcuts)
     assert not is_line_dag(cond)
-    assert has_line_spanning_path(cond) == (1, 2, 3, 4, 5, 6)
+    assert missing_path_links(cond) == []
 
 
 def test_spanning_path_absent_with_two_sources():
@@ -251,13 +277,13 @@ def test_spanning_path_absent_with_two_sources():
         n=3, m=0, p=0, a_edges=frozenset({(1, 1), (2, 2), (3, 3), (3, 1), (3, 2)})
     )
     cond = condense(system)
-    assert has_line_spanning_path(cond) is None
+    assert missing_path_links(cond) == [(1, 2)]
 
 
 def test_strict_line_has_identity_spanning_path():
     cond = _chain_condensation(4)
     assert is_line_dag(cond)
-    assert has_line_spanning_path(cond) == (1, 2, 3, 4)
+    assert missing_path_links(cond) == []
 
 
 # ---------------------------------------------------------------------------

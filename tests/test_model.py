@@ -12,7 +12,6 @@ from feedsel import (
     SetCoverInstance,
     StructuredSystem,
     cost_of,
-    validate,
 )
 
 
@@ -58,20 +57,37 @@ def test_cost_matrix_rejects_finite_entries_that_sum_to_inf():
 
 def test_validate_reference_system(section5):
     system, _ = section5
-    assert validate(system) == []
+    rebuilt = StructuredSystem(system.n, system.m, system.p, system.a_edges, system.b_edges, system.c_edges)
+    assert rebuilt == system
     assert (system.n, system.m, system.p) == (11, 4, 3)
 
 
 def test_validate_flags_out_of_range_index():
-    system = StructuredSystem(n=2, m=1, p=1, a_edges=frozenset({(0, 1)}))
-    problems = validate(system)
+    with pytest.raises(DimensionError) as excinfo:
+        StructuredSystem(n=2, m=1, p=1, a_edges=frozenset({(0, 1)}))
+    problems = str(excinfo.value).split("; ")
     assert len(problems) == 1
     assert "a_edges" in problems[0] and "(0, 1)" in problems[0]
 
 
 def test_validate_flags_zero_states():
-    system = StructuredSystem(n=0, m=0, p=0)
-    assert any("n must be >= 1" in msg for msg in validate(system))
+    with pytest.raises(DimensionError) as excinfo:
+        StructuredSystem(n=0, m=0, p=0)
+    assert any("n must be >= 1" in msg for msg in str(excinfo.value).split("; "))
+
+
+def test_construction_lists_every_problem_in_sorted_order():
+    with pytest.raises(DimensionError) as excinfo:
+        StructuredSystem(
+            n=2, m=1, p=1,
+            a_edges={(3, 1), (0, 2), (1, 1)}, b_edges={(1, 2)}, c_edges={(2, 1)},
+        )
+    assert str(excinfo.value) == "; ".join(
+        f"{name}: entry {entry} out of range for (n, m, p) = (2, 1, 1)"
+        for name, entry in [
+            ("a_edges", (0, 2)), ("a_edges", (3, 1)), ("b_edges", (1, 2)), ("c_edges", (2, 1)),
+        ]
+    )
 
 
 def test_from_lists_collapses_duplicates_with_warning():
@@ -101,7 +117,6 @@ def test_set_cover_weight_and_cover_check(fig1_cover):
 def test_inputless_system_is_representable_and_unsolvable():
     system = StructuredSystem(n=2, m=0, p=1, a_edges=frozenset({(1, 1), (2, 1)}), c_edges=frozenset({(1, 2)}))
     costs = CostMatrix.from_rows([])
-    assert validate(system) == []
     assert costs.matches(system)
     from feedsel import solve_dp
 

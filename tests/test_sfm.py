@@ -1,6 +1,10 @@
 import random
+import re
+
+import pytest
 
 from feedsel import (
+    DimensionError,
     FeedbackPattern,
     StructuredSystem,
     check_condition_a,
@@ -116,3 +120,19 @@ def test_condition_b_matches_exhaustive_cycle_search_small():
         system, pattern = random_system(rng, n=n, m=m, p=p, a_density=0.35)
         expected = spanning_cycle_family_exists(system, pattern)
         assert check_condition_b(system, pattern) == expected
+
+
+@pytest.mark.parametrize("check", [check_no_sfm, check_condition_a, check_condition_b])
+@pytest.mark.parametrize("link", [(0, 1), (2, 1), (1, 5)])
+def test_checks_reject_out_of_range_links(check, link):
+    # (0, 1) once read as the edge y1 -> x2 and passed; (2, 1) failed for the
+    # wrong reason; (1, 5) raised IndexError.
+    system = StructuredSystem(
+        n=2, m=1, p=1,
+        a_edges=frozenset({(1, 1), (2, 1), (1, 2)}),
+        b_edges=frozenset({(1, 1)}),
+        c_edges=frozenset({(1, 2)}),
+    )
+    assert check_no_sfm(system, FeedbackPattern.of((1, 1))).feasible
+    with pytest.raises(DimensionError, match=re.escape(f"feedback link {link} out of range for m=1, p=1")):
+        check(system, FeedbackPattern.of((1, 1), link))
