@@ -10,6 +10,7 @@ for machine consumption; generators require an explicit ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -240,7 +241,9 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The feedsel argument parser, built once per process and shared: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="feedsel",
         description="Minimum-cost feedback pattern selection for arbitrary pole placement",

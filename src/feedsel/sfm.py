@@ -51,6 +51,98 @@ def _uncovered_states(index: ClosedLoopIndex, links: Sequence[Edge]) -> tuple[in
     return tuple([s for s in range(1, index.system.n + 1) if ids[s] not in covered])
 
 
+def _reachable(rows: Sequence[Sequence[int]], source: int) -> set[int]:
+    """Vertices reachable from ``source`` along ``rows``, ``source`` included."""
+    seen = {source}
+    stack = [source]
+    while stack:
+        for w in rows[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+class CoverageKernel:
+    """Condition (a) for many link lists on one system, from open-loop bitsets.
+
+    Three tables over the open loop (no feedback), as bitsets with bit s
+    for state x_s, bit j for output y_j and bit k for input u_k:
+
+    * ``SR[k]``, the states u_k reaches;
+    * ``OR[k]``, the outputs u_k reaches;
+    * ``SQ[j]``, the states that reach y_j.
+
+    For a link list L, the input graph has an edge k -> i when some link
+    (i, j) in L has y_j in OR[k]; a state is covered iff, for some SCC C
+    of that graph, it lies in the union of SR[k] over k in C and in the
+    union of SQ[j] over the links (i, j) of L with i in C.
+
+    This is ``_uncovered_states`` exactly. The open loop has no edge into
+    an input, so a closed-loop path re-enters an input only by a feedback
+    edge, and between two inputs it runs in the open loop: u_k reaches u_i
+    in the closed loop iff the input graph has a path k ~> i. A state s
+    shares its closed-loop SCC with a feedback edge iff some closed walk
+    passes through s and a feedback edge, so through an input. Cut that
+    walk at the last input u_k before s and the first feedback edge
+    y_j -> u_i after it: u_k ~> s and s ~> y_j are open-loop paths, so s
+    is in SR[k] and SQ[j], and u_i ~> u_k ~> s ~> y_j -> u_i puts k and i
+    in one SCC of the input graph. Conversely those memberships close
+    that walk. Building the tables costs O((m + p) * (n + E)); each call
+    then costs O(|L| + m^2) big-int operations and O(n) to list the
+    states, against a Tarjan run on the whole closed loop, so the kernel
+    pays only across many patterns.
+    """
+
+    def __init__(self, index: ClosedLoopIndex) -> None:
+        s = index.system
+        n, m = s.n, s.m
+        succ = index.successors()
+        pred: list[list[int]] = [[] for _ in succ]
+        for tail, head in index.edges():
+            pred[head].append(tail)
+        self.n = n
+        self.SR = [0] * (m + 1)
+        # OR stored transposed: bit k of inputs_to[j] is set when y_j is in
+        # OR[k], so a link (i, j) adds the input-graph edges inputs_to[j] -> i.
+        self.inputs_to = [0] * (s.p + 1)
+        for k in range(1, m + 1):
+            for v in _reachable(succ, n + k):
+                if v <= n:
+                    self.SR[k] |= 1 << v
+                elif v > n + m:
+                    self.inputs_to[v - n - m] |= 1 << k
+        self.SQ = [0] * (s.p + 1)
+        for j in range(1, s.p + 1):
+            for v in _reachable(pred, n + m + j):
+                if v <= n:
+                    self.SQ[j] |= 1 << v
+
+    def uncovered_states(self, links: Sequence[Edge]) -> tuple[int, ...]:
+        """States whose closed-loop SCC holds no feedback edge of ``links``."""
+        into: dict[int, int] = {}  # link input i -> input-graph predecessors of i
+        sensed: dict[int, int] = {}  # link input i -> union of SQ[j] over its links
+        for i, j in links:
+            into[i] = into.get(i, 0) | self.inputs_to[j]
+            sensed[i] = sensed.get(i, 0) | self.SQ[j]
+        # Only link inputs have predecessors, so every inner vertex of an
+        # input-graph path is one: Warshall over them closes ``into``.
+        heads = list(into)
+        for k in heads:
+            reach_k = into[k]
+            for i in heads:
+                if into[i] >> k & 1:
+                    into[i] |= reach_k
+        covered = 0
+        for i in heads:
+            actuated = self.SR[i]
+            for k in heads:
+                if into[i] >> k & 1 and into[k] >> i & 1:
+                    actuated |= self.SR[k]
+            covered |= actuated & sensed[i]
+        return tuple([v for v in range(1, self.n + 1) if not covered >> v & 1])
+
+
 def _has_cycle_family(index: ClosedLoopIndex, links: Sequence[Edge]) -> bool:
     """True when the closed-loop bipartite graph with ``links`` has a perfect matching."""
     size, _, _ = hopcroft_karp(index.adjacency(links), index.vertex_count)

@@ -13,7 +13,13 @@ Five routes to a pattern:
 * ``greedy_single_input``: weighted-set-cover greedy for single-input
   systems with one source SCC; logarithmic approximation factor.
 * ``exact_oracle``: exhaustive enumeration over admissible links, used to
-  validate the others at small sizes.
+  validate the others at small sizes. Both feasibility conditions are
+  monotone in the link set, so the full link set decides whether any
+  pattern passes each: when it fails coverage the oracle answers without
+  enumerating, and when it fails cycle spanning only the coverage
+  optimum is scanned for, as a certificate. Each pattern's coverage test
+  is a few bit operations on open-loop reachability tables
+  (``sfm.CoverageKernel``).
 
 ``reduce_set_cover`` maps a weighted set cover instance to an equivalent
 feedback-selection instance and doubles as a hard-instance generator.
@@ -54,12 +60,14 @@ from .model import (
     StructuredSystem,
     cost_of,
 )
-from .sfm import _has_cycle_family, _uncovered_states, check_no_sfm
+from .sfm import CoverageKernel, _has_cycle_family, _uncovered_states, check_no_sfm
 
 
 class BudgetExceededError(ValueError):
     """The exhaustive oracle refused an instance with too many candidate links."""
 
+
+_NO_FEASIBLE_PATTERN = "no feasible pattern exists (optimal cost is infinite)"
 
 # Hard cap on the oracle's admissible links, whatever the budget: the scan
 # allocates 8 * 2^k bytes twice.
@@ -102,46 +110,6 @@ def _infeasible(method: str, reason: str, certificates: Optional[dict] = None) -
         method=method,
         reason=reason,
         certificates=certificates or {},
-    )
-
-
-def cumulative_input_sets(condensation: Condensation) -> list[frozenset[int]]:
-    """Inputs actuating any of the first k SCCs, for k = 1..l."""
-    sets = []
-    acc: frozenset[int] = frozenset()
-    for incidence in condensation.input_incidence:
-        acc |= incidence
-        sets.append(acc)
-    return sets
-
-
-def suffix_output_sets(condensation: Condensation) -> list[frozenset[int]]:
-    """Outputs sensing any of the SCCs k..l, for k = 1..l."""
-    sets: list[frozenset[int]] = []
-    acc: frozenset[int] = frozenset()
-    for incidence in reversed(condensation.output_incidence):
-        acc |= incidence
-        sets.append(acc)
-    sets.reverse()
-    return sets
-
-
-def covering_edge_set(
-    condensation: Condensation, costs: CostMatrix, k: int
-) -> frozenset[Edge]:
-    """All admissible feedback links that cover SCC k.
-
-    A link (i, j) covers SCC k when input u_i actuates some SCC at or
-    before k and output y_j senses some SCC at or after k: the feedback
-    edge then closes a cycle through the whole stretch including SCC k.
-    """
-    cum_in = cumulative_input_sets(condensation)[k - 1]
-    suf_out = suffix_output_sets(condensation)[k - 1]
-    return frozenset(
-        (i, j)
-        for i in cum_in
-        for j in suf_out
-        if not math.isinf(costs.cost(i, j))
     )
 
 
@@ -530,28 +498,38 @@ def exact_oracle(
         )
 
     index = ClosedLoopIndex(system)
-    base_b_ok = _has_cycle_family(index, [])  # monotone: stays true for every pattern
+    certificates = {
+        "admissible_links": n_links,
+        "condition_a_cost": INF,
+        "condition_a_pattern": FeedbackPattern(),
+    }
+    # Both conditions are monotone in the link set: a feedback edge only
+    # merges SCCs and adds bipartite edges. So the full link set decides
+    # whether any pattern passes each one.
+    if _uncovered_states(index, links):
+        return _infeasible("exact", _NO_FEASIBLE_PATTERN, certificates)
+    base_b_ok = _has_cycle_family(index, [])
+    full_b_ok = base_b_ok or _has_cycle_family(index, links)
 
     def mask_links(mask: int) -> list[Edge]:
         return [links[b] for b in range(n_links) if (mask >> b) & 1]
 
+    kernel = CoverageKernel(index)
     cond_a_memo: dict[int, bool] = {}
 
     def cond_a_ok(mask: int) -> bool:
         hit = cond_a_memo.get(mask)
         if hit is None:
-            hit = cond_a_memo[mask] = not _uncovered_states(index, mask_links(mask))
+            hit = cond_a_memo[mask] = not kernel.uncovered_states(mask_links(mask))
         return hit
-
-    def cond_b_ok(mask: int) -> bool:
-        return base_b_ok or _has_cycle_family(index, mask_links(mask))
 
     subset_costs = _subset_costs([costs.cost(i, j) for i, j in links])
     order = np.argsort(subset_costs, kind="stable")
 
-    def scan(feasible) -> Optional[tuple[float, FeedbackPattern]]:
+    def scan(feasible) -> FeedbackPattern:
+        # Some mask passes: the full link set passes each test scanned for.
         best_cost: Optional[float] = None
-        best_links: Optional[list[Edge]] = None
+        best_links: list[Edge] = []
         for mask in order:
             mask = int(mask)
             c = float(subset_costs[mask])
@@ -562,25 +540,18 @@ def exact_oracle(
             chosen = sorted(mask_links(mask))
             if best_cost is None or chosen < best_links:
                 best_cost, best_links = c, chosen
-        if best_cost is None:
-            return None
-        return best_cost, FeedbackPattern(frozenset(best_links))
+        return FeedbackPattern(frozenset(best_links))
 
     coverage_only = scan(cond_a_ok)
-    overall = None
-    if coverage_only is not None:
-        overall = scan(lambda mask: cond_a_ok(mask) and cond_b_ok(mask))
-
-    certificates = {
-        "admissible_links": n_links,
-        "condition_a_cost": cost_of(coverage_only[1], costs) if coverage_only else INF,
-        "condition_a_pattern": coverage_only[1] if coverage_only else FeedbackPattern(),
-    }
-    if overall is None:
-        return _infeasible(
-            "exact", "no feasible pattern exists (optimal cost is infinite)", certificates
-        )
-    _, pattern = overall
+    certificates["condition_a_cost"] = cost_of(coverage_only, costs)
+    certificates["condition_a_pattern"] = coverage_only
+    if not full_b_ok:
+        return _infeasible("exact", _NO_FEASIBLE_PATTERN, certificates)
+    # With a state perfect matching every pattern passes (b), so the
+    # coverage optimum is the optimum.
+    pattern = coverage_only if base_b_ok else scan(
+        lambda mask: cond_a_ok(mask) and _has_cycle_family(index, mask_links(mask))
+    )
     return Solution(
         pattern=pattern,
         cost=cost_of(pattern, costs),

@@ -206,6 +206,20 @@ def brute_force_set_cover(instance: SetCoverInstance) -> tuple[float, frozenset[
     return best_weight, best_sets
 
 
+def covering_edge_set(condensation, costs, k: int) -> frozenset[tuple[int, int]]:
+    """All admissible feedback links that cover SCC k.
+
+    A link (i, j) covers SCC k when input u_i actuates some SCC at or
+    before k and output y_j senses some SCC at or after k: the feedback
+    edge then closes a cycle through the whole stretch including SCC k.
+    """
+    inputs = frozenset().union(*condensation.input_incidence[:k])
+    outputs = frozenset().union(*condensation.output_incidence[k - 1:])
+    return frozenset(
+        (i, j) for i in inputs for j in outputs if not math.isinf(costs.cost(i, j))
+    )
+
+
 def naive_pattern_optimum(system, costs, predicate) -> tuple[float, FeedbackPattern] | None:
     """Minimum-cost pattern among all subsets of admissible links.
 

@@ -33,9 +33,9 @@ from feedsel.generators import (
     random_single_input_system,
     random_system,
 )
-from feedsel.solvers import covering_edge_set
 from tests.conftest import (
     brute_force_set_cover,
+    covering_edge_set,
     fig1_cover_instance,
     section5_system,
     spanning_cycle_family_exists,

@@ -172,6 +172,24 @@ def test_gen_line_no_pm_flag(capsys, tmp_path):
     assert json.loads(out)["method"] == "dp-condition-a"
 
 
+def test_calls_in_one_process_share_no_parsed_state(capsys, fig1_file):
+    # The parser is built once per process; each call must still parse from
+    # scratch, defaults included, whatever the calls before it set.
+    calls = [
+        ("solve-exact", fig1_file),
+        ("solve-exact", fig1_file, "--budget"),
+        ("check-sfm", fig1_file, "--feedback", "1:1,1:3"),
+        ("gen-line", "--seed", "7"),
+        ("gen-line", "--seed", "7", "--sccs", "2", "--inputs", "1", "--no-pm"),
+    ]
+    first = [invoke(capsys, *argv) for argv in calls]
+    assert [code for code, _, _ in first] == [0, 2, 0, 0, 0]
+    assert first[3][1] != first[4][1]
+    for order in (reversed(range(len(calls))), [3, 1, 4, 3, 2, 0, 3]):
+        for k in order:
+            assert invoke(capsys, *calls[k]) == first[k]
+
+
 def test_export_dot_styles_and_determinism(capsys, section5_file):
     code, first, _ = invoke(capsys, "export-dot", section5_file, "--feedback", "2:3")
     assert code == 0

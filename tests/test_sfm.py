@@ -2,10 +2,13 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedsel import (
     DimensionError,
     FeedbackPattern,
+    SetCoverInstance,
     StructuredSystem,
     check_condition_a,
     check_condition_b,
@@ -13,7 +16,9 @@ from feedsel import (
     full_pattern,
     reduce_set_cover,
 )
-from feedsel.generators import random_system
+from feedsel.generators import random_line_system, random_system
+from feedsel.graphs import ClosedLoopIndex
+from feedsel.sfm import CoverageKernel, _uncovered_states
 from tests.conftest import fig1_cover_instance, spanning_cycle_family_exists
 
 
@@ -136,3 +141,76 @@ def test_checks_reject_out_of_range_links(check, link):
     assert check_no_sfm(system, FeedbackPattern.of((1, 1))).feasible
     with pytest.raises(DimensionError, match=re.escape(f"feedback link {link} out of range for m=1, p=1")):
         check(system, FeedbackPattern.of((1, 1), link))
+
+
+def test_coverage_kernel_joins_inputs_on_one_cycle_through_three_of_them():
+    # u_k -> x_k -> y_k; links (2, 1), (3, 2), (1, 3) close one cycle through
+    # every state, though no two inputs have direct edges both ways.
+    ring = frozenset({(1, 1), (2, 2), (3, 3)})
+    system = StructuredSystem(n=3, m=3, p=3, a_edges=frozenset(), b_edges=ring, c_edges=ring)
+    index = ClosedLoopIndex(system)
+    kernel = CoverageKernel(index)
+    assert kernel.uncovered_states([(2, 1), (3, 2), (1, 3)]) == () == _uncovered_states(
+        index, [(2, 1), (3, 2), (1, 3)]
+    )
+    assert kernel.uncovered_states([(2, 1), (3, 2)]) == (1, 2, 3)
+
+
+def _kernel_system(family: str, seed: int) -> StructuredSystem:
+    rng = random.Random(seed)
+    if family in ("line_pm", "line_nopm"):
+        system, _ = random_line_system(
+            seed,
+            scc_count=rng.randint(1, 4),
+            n_inputs=rng.randint(1, 4),
+            n_outputs=rng.randint(1, 4),
+            perfect_matching=family == "line_pm",
+        )
+        return system
+    if family == "input_ring":
+        # u_k -> x_k -> y_k for every k, so links (k + 1, k) chain inputs into
+        # cycles through three or more of them: only a closure over the
+        # input graph puts those inputs in one SCC.
+        m = rng.randint(1, 5)
+        base, _ = random_system(
+            rng, n=m + rng.randint(0, 3), m=m, p=m, a_density=0.1, b_density=0.1, c_density=0.1
+        )
+        ring = frozenset((k, k) for k in range(1, m + 1))
+        return StructuredSystem(
+            n=base.n, m=m, p=m, a_edges=base.a_edges,
+            b_edges=base.b_edges | ring, c_edges=base.c_edges | ring,
+        )
+    if family == "set_cover":
+        universe = rng.randint(1, 6)
+        sets = [frozenset(rng.sample(range(1, universe + 1), rng.randint(1, universe)))
+                for _ in range(rng.randint(1, 6))]
+        sets.append(frozenset(range(1, universe + 1)) - frozenset().union(*sets))
+        sets = tuple(s for s in sets if s)
+        instance = SetCoverInstance(universe_size=universe, sets=sets, weights=(1,) * len(sets))
+        return reduce_set_cover(instance)[0]
+    m = 0 if family == "no_inputs" else rng.randint(1, 4)
+    p = 0 if family == "no_outputs" else rng.randint(1, 4)
+    system, _ = random_system(
+        rng, n=rng.randint(1, 7), m=m, p=p,
+        a_density=rng.uniform(0, 0.5), b_density=rng.uniform(0.1, 0.9),
+        c_density=rng.uniform(0.1, 0.9),
+    )
+    return system
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    family=st.sampled_from(
+        ["random", "line_pm", "line_nopm", "set_cover", "input_ring", "no_inputs", "no_outputs"]
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    subsets=st.lists(st.integers(0, 2**25 - 1), min_size=1, max_size=6),
+)
+def test_coverage_kernel_agrees_with_closed_loop_sccs(family, seed, subsets):
+    system = _kernel_system(family, seed)
+    index = ClosedLoopIndex(system)
+    kernel = CoverageKernel(index)
+    every_link = [(i, j) for i in range(1, system.m + 1) for j in range(1, system.p + 1)]
+    for bits in subsets + [(1 << len(every_link)) - 1]:
+        links = [link for b, link in enumerate(every_link) if bits >> b & 1]
+        assert kernel.uncovered_states(links) == _uncovered_states(index, links)

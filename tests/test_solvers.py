@@ -33,8 +33,12 @@ from feedsel import (
     two_stage,
 )
 from feedsel.generators import random_line_system
-from feedsel.solvers import covering_edge_set
-from tests.conftest import brute_force_set_cover, dense_cost_rows, dense_min_cost_assignment
+from tests.conftest import (
+    brute_force_set_cover,
+    covering_edge_set,
+    dense_cost_rows,
+    dense_min_cost_assignment,
+)
 from tests.test_acceptance import _line_instance
 
 
@@ -558,6 +562,59 @@ def test_oracle_budget_is_capped_before_any_allocation(monkeypatch):
     monkeypatch.setattr(solvers, "_subset_costs", no_allocation)
     with pytest.raises(BudgetExceededError, match="25 admissible links"):
         exact_oracle(system, CostMatrix.from_rows([[1] * 5] * 5), budget=100)
+
+
+def test_oracle_decides_uncoverable_instances_before_any_allocation(monkeypatch):
+    # State x2 has no edge at all, so no pattern covers it; a scan would
+    # visit all 2^24 patterns of the 24 links.
+    system = StructuredSystem(
+        n=2, m=4, p=6, a_edges=frozenset({(1, 1)}),
+        b_edges=frozenset({(1, 1)}), c_edges=frozenset({(1, 1)}),
+    )
+
+    def no_allocation(link_costs):
+        raise AssertionError(f"enumerated {len(link_costs)} links")
+
+    monkeypatch.setattr(solvers, "_subset_costs", no_allocation)
+    solution = exact_oracle(system, CostMatrix.from_rows([[1] * 6] * 4), budget=24)
+    assert not solution.feasible
+    assert solution.pattern == FeedbackPattern()
+    assert solution.reason == "no feasible pattern exists (optimal cost is infinite)"
+    assert solution.certificates == {
+        "admissible_links": 24,
+        "condition_a_cost": INF,
+        "condition_a_pattern": FeedbackPattern(),
+    }
+
+
+def test_oracle_certifies_coverage_when_no_pattern_spans_cycles(monkeypatch):
+    # u1 actuates both states and nothing else feeds them, so no cycle
+    # family spans both; coverage alone is cheapest via y2 and y3.
+    from tests.conftest import naive_pattern_optimum
+
+    system = StructuredSystem(
+        n=2, m=1, p=3, a_edges=frozenset(),
+        b_edges=frozenset({(1, 1), (2, 1)}),
+        c_edges=frozenset({(1, 1), (1, 2), (2, 1), (3, 2)}),
+    )
+    costs = CostMatrix.from_rows([[3, 1, 1]])
+    has_cycle_family = solvers._has_cycle_family
+    matching_checks = []
+
+    def counted(index, links):
+        matching_checks.append(list(links))
+        return has_cycle_family(index, links)
+
+    monkeypatch.setattr(solvers, "_has_cycle_family", counted)
+    solution = exact_oracle(system, costs)
+    assert not solution.feasible
+    assert naive_pattern_optimum(system, costs, lambda s, k: check_no_sfm(s, k).feasible) is None
+    coverage = naive_pattern_optimum(system, costs, lambda s, k: check_no_sfm(s, k).condition_a_ok)
+    assert coverage == (2, FeedbackPattern.of((1, 2), (1, 3)))
+    assert solution.certificates["condition_a_cost"] == coverage[0]
+    assert solution.certificates["condition_a_pattern"] == coverage[1]
+    # One check without links and one with all of them; no per-pattern scan.
+    assert matching_checks == [[], costs.finite_links()]
 
 
 def test_oracle_tie_break_is_lexicographic():
