@@ -173,8 +173,6 @@ def _print_report(solution: Solution, elapsed: float, fmt: str) -> int:
 def _cmd_check_sfm(args) -> int:
     system, costs = _load(args.system)
     pattern = parse_feedback_arg(args.feedback)
-    for i, j in pattern.sorted_links():
-        costs.cost(i, j)  # range check against the declared dimensions
     start = time.perf_counter()
     verdict = check_no_sfm(system, pattern)
     elapsed = time.perf_counter() - start

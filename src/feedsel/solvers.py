@@ -13,7 +13,9 @@ Five routes to a pattern:
 * ``greedy_single_input``: weighted-set-cover greedy for single-input
   systems with one source SCC; logarithmic approximation factor.
 * ``exact_oracle``: exhaustive enumeration over admissible links, used to
-  validate the others at small sizes. Both feasibility conditions are
+  validate the others at small sizes. Patterns are generated lazily,
+  cheapest first, from a heap, so a scan ends just past the optimum
+  without generating the costlier patterns. Both feasibility conditions are
   monotone in the link set, so the full link set decides whether any
   pattern passes each: when it fails coverage the oracle answers without
   enumerating, and when it fails cycle spanning only the coverage
@@ -26,18 +28,18 @@ feedback-selection instance and doubles as a hard-instance generator.
 
 Deterministic tie-breaking throughout: stage argmins prefer smaller total,
 then smaller first-actuated stage, then lexicographically smaller
-(input, output); the oracle resolves equal-cost optima by lexicographic
-pattern comparison; the cycle-stage matching scans adjacency in sorted
-order and breaks heap ties by vertex index.
+(input, output); the oracle sums pattern costs cheapest link first and
+resolves equal-cost optima by lexicographic pattern comparison; the
+cycle-stage matching scans adjacency in sorted order and breaks heap ties
+by vertex index.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional
-
-import numpy as np
+from typing import Iterator, Optional
 
 from .graphs import (
     ClosedLoopIndex,
@@ -69,8 +71,8 @@ class BudgetExceededError(ValueError):
 
 _NO_FEASIBLE_PATTERN = "no feasible pattern exists (optimal cost is infinite)"
 
-# Hard cap on the oracle's admissible links, whatever the budget: the scan
-# allocates 8 * 2^k bytes twice.
+# Hard cap on the oracle's admissible links, whatever the budget: a
+# feasible instance may still cost a scan of all 2^k patterns.
 MAX_ORACLE_LINKS = 24
 
 
@@ -467,12 +469,30 @@ def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution
 # exhaustive oracle
 
 
-def _subset_costs(link_costs: list[float]) -> np.ndarray:
-    """Cost of every link subset; bit b of the index selects link b."""
-    arr = np.zeros(1, dtype=np.float64)
-    for c in link_costs:
-        arr = np.concatenate([arr, arr + c])
-    return arr
+def _subsets_by_cost(link_costs: list[float]) -> Iterator[tuple[float, int]]:
+    """Yield (cost, mask) for every link subset, cheapest first.
+
+    Bit b of the mask selects link b. Best-first enumeration over the
+    links sorted by (cost, index): a subset whose costliest sorted link is
+    at position t has two children, one adding link t+1 and one swapping t
+    for t+1. Every nonempty subset has exactly one parent and costs no
+    less than it, so popping a heap yields the subsets in cost order. Each
+    pop pushes at most two entries, so the heap grows with the subsets
+    yielded, not with 2^k. A subset's cost is its link costs summed
+    cheapest first (``base`` is the sum without its costliest link), which
+    float rounding keeps monotone along every parent-child step.
+    """
+    order = sorted(range(len(link_costs)), key=lambda b: (link_costs[b], b))
+    cost = [link_costs[b] for b in order]
+    bit = [1 << b for b in order]
+    yield 0, 0
+    heap = [(cost[0], bit[0], 0, 0)] if order else []
+    while heap:
+        c, mask, t, base = heapq.heappop(heap)
+        yield c, mask
+        if t + 1 < len(order):
+            heapq.heappush(heap, (c + cost[t + 1], mask | bit[t + 1], t + 1, c))
+            heapq.heappush(heap, (base + cost[t + 1], (mask ^ bit[t]) | bit[t + 1], t + 1, base))
 
 
 def exact_oracle(
@@ -480,12 +500,14 @@ def exact_oracle(
 ) -> Solution:
     """Exhaustive minimum over all patterns of admissible links.
 
-    Enumerates subsets in ascending cost order and stops at the first
-    feasible one, which is therefore optimal; equal-cost ties go to the
-    lexicographically smallest pattern. The certificates expose the
-    coverage-only optimum (condition (a) alone) for validating the chain
-    dynamic program. Refuses instances with more than ``budget`` admissible
-    links, and any with more than ``MAX_ORACLE_LINKS``.
+    Takes subsets lazily in ascending cost order (``_subsets_by_cost``)
+    and stops at the first one costlier than the first feasible one, which
+    is therefore optimal. Costs are summed cheapest link first, and
+    equal-cost ties go to the lexicographically smallest pattern. The
+    certificates expose the coverage-only optimum (condition (a) alone)
+    for validating the chain dynamic program. Refuses instances with more
+    than ``budget`` admissible links, and any with more than
+    ``MAX_ORACLE_LINKS``.
     """
     costs.require_matches(system)
     links = costs.finite_links()
@@ -523,16 +545,13 @@ def exact_oracle(
             hit = cond_a_memo[mask] = not kernel.uncovered_states(mask_links(mask))
         return hit
 
-    subset_costs = _subset_costs([costs.cost(i, j) for i, j in links])
-    order = np.argsort(subset_costs, kind="stable")
+    link_costs = [costs.cost(i, j) for i, j in links]
 
     def scan(feasible) -> FeedbackPattern:
         # Some mask passes: the full link set passes each test scanned for.
         best_cost: Optional[float] = None
         best_links: list[Edge] = []
-        for mask in order:
-            mask = int(mask)
-            c = float(subset_costs[mask])
+        for c, mask in _subsets_by_cost(link_costs):
             if best_cost is not None and c > best_cost:
                 break
             if not feasible(mask):

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -278,6 +280,28 @@ def test_export_dot_golden_output(capsys):
     assert invoke(capsys, "export-dot", section5, "--feedback", "2:9") == (
         2, "", "error: feedback link (2, 9) out of range for m=4, p=3\n"
     )
+
+
+def test_check_sfm_out_of_range_link_reads_as_export_dot(capsys):
+    section5 = str(DATA / "section5.json")
+    assert invoke(capsys, "check-sfm", section5, "--feedback", "2:9") == (
+        2, "", "error: feedback link (2, 9) out of range for m=4, p=3\n"
+    )
+
+
+def test_feedsel_solves_without_numpy():
+    # A None entry in sys.modules makes any import of numpy raise ImportError.
+    script = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        f"sys.path.insert(0, {str(DATA.parent / 'src')!r})\n"
+        "import feedsel\n"
+        "from feedsel import cli\n"
+        f"sys.exit(cli.run(['solve-exact', {str(DATA / 'section5.json')!r}]))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert "cost:     5\n" in result.stdout
 
 
 def test_export_dot_condensation(capsys, section5_file):

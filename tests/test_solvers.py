@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedsel import (
     INF,
@@ -559,7 +561,7 @@ def test_oracle_budget_is_capped_before_any_allocation(monkeypatch):
     def no_allocation(link_costs):
         raise AssertionError(f"enumerated {len(link_costs)} links")
 
-    monkeypatch.setattr(solvers, "_subset_costs", no_allocation)
+    monkeypatch.setattr(solvers, "_subsets_by_cost", no_allocation)
     with pytest.raises(BudgetExceededError, match="25 admissible links"):
         exact_oracle(system, CostMatrix.from_rows([[1] * 5] * 5), budget=100)
 
@@ -575,7 +577,7 @@ def test_oracle_decides_uncoverable_instances_before_any_allocation(monkeypatch)
     def no_allocation(link_costs):
         raise AssertionError(f"enumerated {len(link_costs)} links")
 
-    monkeypatch.setattr(solvers, "_subset_costs", no_allocation)
+    monkeypatch.setattr(solvers, "_subsets_by_cost", no_allocation)
     solution = exact_oracle(system, CostMatrix.from_rows([[1] * 6] * 4), budget=24)
     assert not solution.feasible
     assert solution.pattern == FeedbackPattern()
@@ -615,6 +617,28 @@ def test_oracle_certifies_coverage_when_no_pattern_spans_cycles(monkeypatch):
     assert solution.certificates["condition_a_pattern"] == coverage[1]
     # One check without links and one with all of them; no per-pattern scan.
     assert matching_checks == [[], costs.finite_links()]
+
+
+def _assert_each_subset_once_cheapest_first(link_costs):
+    yielded = list(solvers._subsets_by_cost(link_costs))
+    assert sorted(mask for _, mask in yielded) == list(range(2 ** len(link_costs)))
+    keys = [c for c, _ in yielded]
+    assert keys == sorted(keys)
+    return yielded
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 4), max_size=10))
+def test_subsets_by_cost_yields_each_subset_once_cheapest_first(link_costs):
+    # Small integer costs give many ties and zeros, and every sum is exact.
+    for c, mask in _assert_each_subset_once_cheapest_first(link_costs):
+        assert c == sum(w for b, w in enumerate(link_costs) if (mask >> b) & 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(0, 1e6, allow_nan=False, allow_infinity=False), max_size=10))
+def test_subsets_by_cost_keys_never_decrease_on_float_costs(link_costs):
+    _assert_each_subset_once_cheapest_first(link_costs)
 
 
 def test_oracle_tie_break_is_lexicographic():
