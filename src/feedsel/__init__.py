@@ -11,16 +11,7 @@ from .model import (
     cost_of,
     full_pattern,
 )
-from .graphs import (
-    BipartiteGraph,
-    Condensation,
-    closed_loop_bipartite,
-    condense,
-    is_line_dag,
-    max_matching,
-    min_cost_perfect_matching,
-    state_bipartite,
-)
+from .graphs import Condensation, condense
 from .sfm import SfmVerdict, check_condition_a, check_condition_b, check_no_sfm
 from .solvers import (
     BudgetExceededError,
@@ -55,7 +46,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "INF",
-    "BipartiteGraph",
     "BudgetExceededError",
     "Condensation",
     "CostMatrix",
@@ -71,7 +61,6 @@ __all__ = [
     "check_condition_a",
     "check_condition_b",
     "check_no_sfm",
-    "closed_loop_bipartite",
     "condense",
     "cost_of",
     "dp_cover",
@@ -81,12 +70,9 @@ __all__ = [
     "full_pattern",
     "greedy_set_cover",
     "greedy_single_input",
-    "is_line_dag",
     "load_setcover",
     "load_system",
-    "max_matching",
     "min_cost_condition_b",
-    "min_cost_perfect_matching",
     "parse_setcover",
     "parse_system",
     "random_line_system",
@@ -95,6 +81,5 @@ __all__ = [
     "reduce_set_cover",
     "selected_sets",
     "solve_dp",
-    "state_bipartite",
     "two_stage",
 ]

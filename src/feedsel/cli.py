@@ -320,10 +320,18 @@ def run(argv=None) -> int:
         return args.handler(args)
     except (ValueError, OSError, RuntimeError) as exc:
         # SchemaError, DimensionError, PreconditionError and
-        # BudgetExceededError are ValueErrors, so input errors exit 2.
+        # BudgetExceededError are ValueErrors, so input errors exit 2, and
+        # so does RecursionError, a RuntimeError.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory; the input is too large", file=sys.stderr)
         return 2
 
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

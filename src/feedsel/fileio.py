@@ -4,8 +4,9 @@ System files carry exactly the fields ``n``, ``m``, ``p``, the three edge
 lists as arrays of 1-based ``[i, j]`` pairs, and ``cost`` as an m x p array
 whose forbidden entries are the literal string ``"inf"``. Set-cover files
 carry ``universe_size``, ``sets`` and ``weights``. Parsers reject missing
-fields, malformed entries and dimension mismatches; duplicate edges are
-collapsed with a warning.
+fields, malformed entries, dimension mismatches and systems with more than
+``MAX_SYSTEM_VERTICES`` vertices; duplicate edges are collapsed with a
+warning.
 """
 
 from __future__ import annotations
@@ -19,6 +20,12 @@ from .model import INF, CostMatrix, DimensionError, SetCoverInstance, Structured
 
 SYSTEM_FIELDS = ("n", "m", "p", "a_edges", "b_edges", "c_edges", "cost")
 SETCOVER_FIELDS = ("universe_size", "sets", "weights")
+
+# Largest n + m + p a system file may declare. The solvers allocate lists
+# over every vertex, so a few bytes declaring a huge n would exhaust
+# memory; the cap lies far above the few thousand vertices of a
+# 1000-SCC chain.
+MAX_SYSTEM_VERTICES = 100_000
 
 
 class SchemaError(ValueError):
@@ -78,6 +85,10 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
     n = _int_field(data, "n")
     m = _int_field(data, "m")
     p = _int_field(data, "p")
+    if n + m + p > MAX_SYSTEM_VERTICES:
+        raise SchemaError(
+            f"system too large: n + m + p = {n + m + p} exceeds {MAX_SYSTEM_VERTICES}"
+        )
     try:
         system, warnings = StructuredSystem.from_lists(
             n, m, p,

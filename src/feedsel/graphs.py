@@ -1,20 +1,19 @@
 """Graph machinery: the closed-loop index, SCC condensation, bipartite matchings.
 
 ``ClosedLoopIndex`` alone knows how states, inputs and outputs are numbered
-as vertices. Bipartite graphs use 0-based positional indices into their
-left/right vertex lists.
+as vertices. A bipartite graph is a list of adjacency rows: row l holds the
+0-based right vertices joined to left vertex l, in increasing order.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .model import CostMatrix, DimensionError, Edge, FeedbackPattern, INF, StructuredSystem
+from .model import DimensionError, Edge, INF, StructuredSystem
 
 VertexEdge = tuple[int, int]
 
@@ -44,7 +43,8 @@ class ClosedLoopIndex:
     v' of every vertex (left) with the vertices (right), 0-based in the
     same order: v' - w is an edge when w -> v is, and every input and
     output is also paired with itself. A feedback link (i, j) adds the
-    edge y_j -> u_i. The base lists are built on first use and kept, so
+    edge y_j -> u_i; bipartite rows are sorted when the links come in
+    lexicographic order. The base lists are built on first use and kept, so
     one index serves every pattern checked on its system; each pattern's
     lists copy only the rows its feedback edges change and share the
     others with the base, so callers must not mutate them.
@@ -107,6 +107,8 @@ class ClosedLoopIndex:
             adj[head - 1].append(tail - 1)
         for v in range(self.system.n, self.vertex_count):
             adj[v].append(v)
+        for row in adj:
+            row.sort()
         return adj
 
     def successors(self, links: Iterable[Edge] = ()) -> list[list[int]]:
@@ -201,32 +203,15 @@ class Condensation:
     def scc_count(self) -> int:
         return len(self.sccs)
 
-    @cached_property
-    def scc_index(self) -> dict[int, int]:
-        """Map from state to the 1-based index of its SCC."""
-        return {state: k for k, states in enumerate(self.sccs, start=1) for state in states}
-
-    @cached_property
-    def _has_incoming(self) -> frozenset[int]:
-        return frozenset(target for _, target in self.dag_edges)
-
-    @cached_property
-    def _has_outgoing(self) -> frozenset[int]:
-        return frozenset(source for source, _ in self.dag_edges)
-
-    def non_top_linked(self, k: int) -> bool:
-        """True when SCC k has no incoming edge from another SCC."""
-        return k not in self._has_incoming
-
-    def non_bottom_linked(self, k: int) -> bool:
-        """True when SCC k has no outgoing edge to another SCC."""
-        return k not in self._has_outgoing
-
     def non_top_linked_sccs(self) -> list[int]:
-        return [k for k in range(1, self.scc_count + 1) if self.non_top_linked(k)]
+        """SCCs without an incoming edge from another SCC, in order."""
+        targets = {target for _, target in self.dag_edges}
+        return [k for k in range(1, self.scc_count + 1) if k not in targets]
 
     def non_bottom_linked_sccs(self) -> list[int]:
-        return [k for k in range(1, self.scc_count + 1) if self.non_bottom_linked(k)]
+        """SCCs without an outgoing edge to another SCC, in order."""
+        sources = {source for source, _ in self.dag_edges}
+        return [k for k in range(1, self.scc_count + 1) if k not in sources]
 
 
 def condense(system: StructuredSystem) -> Condensation:
@@ -320,26 +305,19 @@ def missing_path_links(condensation: Condensation) -> list[tuple[int, int]]:
 class BipartiteGraph:
     """Bipartite graph over labelled left/right vertex lists.
 
-    Edges are 0-based (left index, right index) pairs; ``edge_costs`` maps
-    a subset of the edges to costs (edges without an entry cost 0).
+    Edges are 0-based (left index, right index) pairs; ``adjacency``
+    gives them as sorted rows.
     """
 
     left: tuple[str, ...]
     right: tuple[str, ...]
     edges: frozenset[tuple[int, int]]
-    edge_costs: dict[tuple[int, int], float] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "edges", frozenset(self.edges))
         for l, r in self.edges:
             if not (0 <= l < len(self.left) and 0 <= r < len(self.right)):
                 raise DimensionError(f"edge ({l}, {r}) out of range")
-        if self.edge_costs is not None:
-            for edge, cost in self.edge_costs.items():
-                if edge not in self.edges:
-                    raise DimensionError(f"cost given for non-edge {edge}")
-                if not (cost >= 0):
-                    raise ValueError(f"edge cost for {edge} must be >= 0 or inf")
 
     @cached_property
     def adjacency(self) -> list[list[int]]:
@@ -347,11 +325,6 @@ class BipartiteGraph:
         for l, r in sorted(self.edges):
             adj[l].append(r)
         return adj
-
-    def cost(self, edge: tuple[int, int]) -> float:
-        if self.edge_costs is None:
-            return 0
-        return self.edge_costs.get(edge, 0)
 
 
 def state_bipartite(system: StructuredSystem) -> BipartiteGraph:
@@ -361,33 +334,6 @@ def state_bipartite(system: StructuredSystem) -> BipartiteGraph:
         left=tuple(f"x'{i}" for i in range(1, n + 1)),
         right=tuple(f"x{i}" for i in range(1, n + 1)),
         edges=frozenset((i - 1, j - 1) for i, j in system.a_edges),
-    )
-
-
-def closed_loop_bipartite(
-    system: StructuredSystem,
-    pattern: FeedbackPattern,
-    feedback_costs: Optional[CostMatrix] = None,
-) -> BipartiteGraph:
-    """Closed-loop bipartite graph; feedback edges may carry costs.
-
-    When a cost matrix is given, each feedback edge u'_i - y_j costs the
-    matrix entry (i, j) and every other edge costs 0.
-    """
-    index = ClosedLoopIndex(system)
-    links = index.check_links(pattern.links)
-    costs = None
-    if feedback_costs is not None:
-        costs = {
-            edge: feedback_costs.cost(i, j)
-            for edge, (i, j) in zip(index.matching_edges(links), links)
-        }
-    names = index.labels[1:]
-    return BipartiteGraph(
-        left=tuple(f"{name[0]}'{name[1:]}" for name in names),
-        right=names,
-        edges=frozenset((l, r) for l, row in enumerate(index.adjacency(links)) for r in row),
-        edge_costs=costs,
     )
 
 
@@ -466,41 +412,32 @@ def hopcroft_karp(
     return size, match_l, match_r
 
 
-def max_matching(graph: BipartiteGraph) -> dict[int, int]:
-    """A maximum-cardinality matching as a left-index -> right-index map."""
-    _, match_l, _ = hopcroft_karp(graph.adjacency, len(graph.right))
-    return {l: r for l, r in enumerate(match_l) if r != -1}
-
-
 def min_cost_perfect_matching(
-    graph: BipartiteGraph, stats: Optional[dict] = None
-) -> Optional[tuple[dict[int, int], float]]:
+    rows: Sequence[Sequence[tuple[int, float]]], stats: Optional[dict] = None
+) -> Optional[tuple[list[int], float]]:
     """Minimum-cost perfect matching, or None when no perfect matching exists.
+
+    ``rows[l]`` lists the edges of left vertex l as (right vertex, cost)
+    pairs sorted by right vertex; both sides have ``len(rows)`` vertices
+    and every cost is finite (an absent edge is left out). Returns the
+    right vertex matched to each left vertex and the total cost, summed in
+    left order.
 
     Sparse successive shortest paths (Jonker & Volgenant 1987). Left
     potentials start at the row minima, right ones at 0; a Hopcroft-Karp
     matching on the edges at their row minimum (on closed-loop graphs, the
     zero-cost edges) is then optimal for its size, and each of the d units
     it lacks is added along a shortest augmenting path found by Dijkstra on
-    the reduced costs. Infinite-cost edges are never inserted; O(E sqrt(V)
-    + d E log V). Adjacency is scanned in sorted order and heap ties break
-    by vertex index, so adding a constant to every cost changes nothing.
-    Both sides must have equal size. When given, ``stats["augmentations"]``
-    receives the number of shortest paths run.
+    the reduced costs; O(E sqrt(V) + d E log V). Ties follow the sorted
+    rows, which are scanned in order, and heap ties break by vertex index,
+    so adding a constant to every cost changes nothing. When given,
+    ``stats["augmentations"]`` receives the number of shortest paths run.
     """
-    n_left, n_right = len(graph.left), len(graph.right)
-    if n_left != n_right:
-        raise DimensionError(f"perfect matching needs equal sides, got {n_left} vs {n_right}")
-    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(n_left)]
-    for l, row in enumerate(graph.adjacency):
-        for r in row:
-            c = graph.cost((l, r))
-            if not math.isinf(c):
-                adjacency[l].append((r, c))
-    u = [min((c for _, c in row), default=0) for row in adjacency]
-    v = [0] * n_right
+    n = len(rows)
+    u = [min((c for _, c in row), default=0) for row in rows]
+    v = [0] * n
     _, match_l, match_r = hopcroft_karp(
-        [[r for r, c in row if c == ul] for row, ul in zip(adjacency, u)], n_right
+        [[r for r, c in row if c == ul] for row, ul in zip(rows, u)], n
     )
     stats = {} if stats is None else stats
     stats["augmentations"] = 0
@@ -516,7 +453,7 @@ def min_cost_perfect_matching(
         l, dl = source, 0
         while True:
             base = dl - u[l]
-            for r, c in adjacency[l]:
+            for r, c in rows[l]:
                 d = base + c - v[r]
                 if r not in settled and d < dist.get(r, INF):
                     dist[r] = d
@@ -541,5 +478,5 @@ def min_cost_perfect_matching(
             l = reached_from[r]
             match_r[r] = l
             match_l[l], r = r, match_l[l]
-    total = sum(graph.cost((l, r)) for l, r in enumerate(match_l))
-    return dict(enumerate(match_l)), total
+    total = sum(c for row, matched in zip(rows, match_l) for r, c in row if r == matched)
+    return match_l, total

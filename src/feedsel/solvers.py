@@ -44,7 +44,6 @@ from typing import Iterator, Optional
 from .graphs import (
     ClosedLoopIndex,
     Condensation,
-    closed_loop_bipartite,
     condense,
     hopcroft_karp,
     min_cost_perfect_matching,
@@ -255,19 +254,25 @@ def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:
 def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solution:
     """Cheapest pattern that spans every state with disjoint cycles.
 
-    Builds the closed-loop bipartite graph over all admissible links,
-    charges each feedback edge its link cost and everything else 0, and
-    extracts the pattern from a minimum-cost perfect matching. When the
-    state bipartite graph has a perfect matching, the zero-cost warm start
-    is already perfect, so the stage costs 0 and runs no shortest path.
-    The certificates record the number of shortest augmenting paths run as
-    ``augmentations``.
+    Matches on the closed-loop bipartite rows of ``ClosedLoopIndex`` with
+    every admissible link, charging each feedback edge its link cost and
+    every other edge 0, and extracts the pattern from a minimum-cost
+    perfect matching. When the state bipartite graph has a perfect
+    matching, the zero-cost warm start is already perfect, so the stage
+    costs 0 and runs no shortest path. The certificates record the number
+    of shortest augmenting paths run as ``augmentations``.
     """
     costs.require_matches(system)
+    index = ClosedLoopIndex(system)
     links = costs.finite_links()
-    graph = closed_loop_bipartite(system, FeedbackPattern(frozenset(links)), feedback_costs=costs)
+    edges = index.matching_edges(links)
+    # The base rows are sorted and the links lexicographic, so appending
+    # each feedback edge keeps every row sorted.
+    rows = [[(r, 0) for r in row] for row in index.adjacency()]
+    for (l, r), (i, j) in zip(edges, links):
+        rows[l].append((r, costs.cost(i, j)))
     stats: dict = {}
-    result = min_cost_perfect_matching(graph, stats)
+    result = min_cost_perfect_matching(rows, stats)
     if result is None:
         return _infeasible(
             "matching",
@@ -275,18 +280,22 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
             "(arbitrary pole placement impossible)",
             {"augmentations": stats["augmentations"]},
         )
-    matching, total = result
-    link_at = dict(zip(ClosedLoopIndex(system).matching_edges(links), links))
-    pattern = FeedbackPattern(frozenset(link_at[e] for e in matching.items() if e in link_at))
+    match_left, total = result
+    pattern = FeedbackPattern(
+        frozenset(link for (l, r), link in zip(edges, links) if match_left[l] == r)
+    )
     cost = cost_of(pattern, costs)
     if cost != total:
         raise AssertionError(f"matching cost {total} != pattern cost {cost}")
+    names = index.labels[1:]
     return Solution(
         pattern=pattern,
         cost=cost,
         method="matching",
         certificates={
-            "matching": sorted((graph.left[l], graph.right[r]) for l, r in matching.items()),
+            "matching": sorted(
+                (f"{names[l][0]}'{names[l][1:]}", names[r]) for l, r in enumerate(match_left)
+            ),
             "matching_cost": total,
             "augmentations": stats["augmentations"],
         },

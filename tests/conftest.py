@@ -15,7 +15,7 @@ from itertools import combinations, permutations
 
 import pytest
 
-from feedsel import CostMatrix, FeedbackPattern, SetCoverInstance, StructuredSystem
+from feedsel import CostMatrix, FeedbackPattern, SetCoverInstance, StructuredSystem, full_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -322,9 +322,31 @@ def dense_min_cost_assignment(cost: list[list[float]]) -> tuple[list[int], float
     return columns, total
 
 
-def dense_cost_rows(graph) -> list[list[float]]:
-    """The square cost matrix of a BipartiteGraph, inf where there is no edge."""
-    rows = [[math.inf] * len(graph.right) for _ in graph.left]
-    for l, r in graph.edges:
-        rows[l][r] = graph.cost((l, r))
-    return rows
+def dense_cost_rows(rows) -> list[list[float]]:
+    """The square cost matrix of (right vertex, cost) rows, inf where there is no edge."""
+    dense = [[math.inf] * len(rows) for _ in rows]
+    for l, row in enumerate(rows):
+        for r, c in row:
+            dense[l][r] = c
+    return dense
+
+
+def closed_loop_cost_rows(
+    system: StructuredSystem, costs: CostMatrix
+) -> list[list[tuple[int, float]]]:
+    """Closed-loop bipartite cost rows over every admissible link.
+
+    Built from ``reference_successors``, not ``ClosedLoopIndex``: row v - 1
+    holds (w - 1, cost) for each edge w -> v, plus (v - 1, 0) on inputs and
+    outputs. A feedback edge y_j -> u_i costs link (i, j), every other edge
+    0, and each row is sorted by right vertex.
+    """
+    n, m = system.n, system.m
+    rows: list[list[tuple[int, float]]] = [[] for _ in range(n + m + system.p)]
+    for tail, heads in enumerate(reference_successors(system, full_pattern(costs))):
+        for head in heads:
+            cost = costs.cost(head - n, tail - n - m) if tail > n + m else 0
+            rows[head - 1].append((tail - 1, cost))
+    for v in range(n, len(rows)):
+        rows[v].append((v, 0))
+    return [sorted(row) for row in rows]

@@ -24,8 +24,6 @@ from feedsel import (
     reduce_set_cover,
     selected_sets,
     solve_dp,
-    state_bipartite,
-    max_matching,
     two_stage,
 )
 from feedsel.generators import (
@@ -33,6 +31,7 @@ from feedsel.generators import (
     random_single_input_system,
     random_system,
 )
+from feedsel.graphs import hopcroft_karp, state_bipartite
 from tests.conftest import (
     brute_force_set_cover,
     covering_edge_set,
@@ -104,7 +103,7 @@ def test_criterion_2_reduction_round_trip():
     expected_c = frozenset({(1, 1), (1, 2), (2, 2), (2, 3), (3, 3), (3, 4), (3, 5)})
     if system.c_edges != expected_c:
         failures.append("output sensing differs from the covered sets")
-    if len(max_matching(state_bipartite(system))) != system.n:
+    if hopcroft_karp(state_bipartite(system).adjacency, system.n)[0] != system.n:
         failures.append("state bipartite graph lost its perfect matching")
 
     unit = SetCoverInstance(universe_size=5, sets=base.sets, weights=(1, 1, 1))

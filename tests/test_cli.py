@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,8 +7,9 @@ from pathlib import Path
 import pytest
 
 from feedsel import CostMatrix, StructuredSystem, cost_of, parse_system
+from feedsel import cli
 from feedsel.cli import parse_feedback_arg, run
-from feedsel.fileio import emit_setcover, emit_system
+from feedsel.fileio import SchemaError, emit_setcover, emit_system
 from tests.conftest import fig1_cover_instance, section5_system
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -403,3 +405,52 @@ def test_duplicate_edges_warn_on_stderr(capsys, tmp_path):
     code, _, err = invoke(capsys, "solve-dp", str(path))
     assert code == 0
     assert "duplicate" in err
+
+
+def test_python_dash_m_runs_the_cli(capsys):
+    env = {**os.environ, "PYTHONPATH": str(DATA.parent / "src")}
+    for module in ("feedsel", "feedsel.cli"):
+        result = subprocess.run(
+            [sys.executable, "-m", module, "solve-exact", "/nonexistent.json"],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 2, module
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    section5 = str(DATA / "section5.json")
+    result = subprocess.run(
+        [sys.executable, "-m", "feedsel", "solve-dp", section5],
+        capture_output=True, text=True, env=env,
+    )
+    code, out, _ = invoke(capsys, "solve-dp", section5)
+    assert result.returncode == code == 0
+    assert result.stdout == out
+
+
+def test_oversized_system_is_a_one_line_input_error(capsys, tmp_path):
+    text = (
+        '{"n": 200000000, "m": 1, "p": 1, "a_edges": [], "b_edges": [],'
+        ' "c_edges": [], "cost": [[1]]}'
+    )
+    # The cap rejects the file before any per-vertex list is allocated.
+    with pytest.raises(SchemaError, match="system too large"):
+        parse_system(text)
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    for argv in (["solve-dp"], ["solve-exact"], ["check-sfm", "--feedback", "1:1"]):
+        code, out, err = invoke(capsys, *argv, str(path))
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: system too large") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_resource_exhaustion_is_a_one_line_error(capsys, monkeypatch, error):
+    def exhausted(system, costs):
+        raise error()
+
+    monkeypatch.setattr(cli, "solve_dp", exhausted)
+    code, out, err = invoke(capsys, "solve-dp", str(DATA / "section5.json"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

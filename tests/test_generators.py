@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from feedsel import check_no_sfm, condense, full_pattern, is_line_dag, max_matching, state_bipartite
+from feedsel import check_no_sfm, condense, full_pattern
 from feedsel.generators import (
     random_line_system,
     random_single_input_system,
     random_system,
 )
+from feedsel.graphs import hopcroft_karp, is_line_dag, state_bipartite
 
 
 def _has_matching(system):
-    return len(max_matching(state_bipartite(system))) == system.n
+    return hopcroft_karp(state_bipartite(system).adjacency, system.n)[0] == system.n
 
 
 def test_line_generator_is_seed_deterministic():

@@ -7,30 +7,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedsel import (
-    BipartiteGraph,
     Condensation,
     CostMatrix,
     DimensionError,
     FeedbackPattern,
     StructuredSystem,
-    closed_loop_bipartite,
     condense,
-    full_pattern,
-    is_line_dag,
-    max_matching,
-    min_cost_perfect_matching,
     reduce_set_cover,
-    state_bipartite,
 )
 from feedsel.graphs import (
+    BipartiteGraph,
     ClosedLoopIndex,
     hopcroft_karp,
+    is_line_dag,
+    min_cost_perfect_matching,
     missing_path_links,
+    state_bipartite,
     strongly_connected_components,
 )
 from feedsel.generators import random_line_system
 from tests.conftest import (
     brute_force_min_cost_perfect_matching,
+    closed_loop_cost_rows,
     dense_cost_rows,
     dense_min_cost_assignment,
     fig1_cover_instance,
@@ -161,7 +159,7 @@ def test_condense_reference_system(section5):
     assert sorted(cond.dag_edges) == [(1, 2), (2, 3), (3, 4)]
     assert [sorted(s) for s in cond.input_incidence] == [[1, 2], [2], [3], [3, 4]]
     assert [sorted(s) for s in cond.output_incidence] == [[1], [], [2], [3]]
-    assert cond.scc_index[1] == 1 and cond.scc_index[6] == 3 and cond.scc_index[11] == 4
+    assert 1 in cond.sccs[0] and 6 in cond.sccs[2] and 11 in cond.sccs[3]
     assert cond.non_top_linked_sccs() == [1] and cond.non_bottom_linked_sccs() == [4]
 
 
@@ -169,7 +167,7 @@ def test_condense_single_self_loop_vertex():
     system = StructuredSystem(n=1, m=0, p=0, a_edges=frozenset({(1, 1)}))
     cond = condense(system)
     assert cond.scc_count == 1
-    assert cond.non_top_linked(1) and cond.non_bottom_linked(1)
+    assert cond.non_top_linked_sccs() == [1] and cond.non_bottom_linked_sccs() == [1]
 
 
 def test_condense_fig1_has_unique_source():
@@ -293,7 +291,7 @@ def test_strict_line_has_identity_spanning_path():
 def test_state_bipartite_fig1_has_perfect_matching():
     system, _ = fig1_system()
     graph = state_bipartite(system)
-    assert len(max_matching(graph)) == system.n
+    assert hopcroft_karp(graph.adjacency, system.n)[0] == system.n
 
 
 def test_state_bipartite_lower_triangular_has_no_perfect_matching():
@@ -303,12 +301,12 @@ def test_state_bipartite_lower_triangular_has_no_perfect_matching():
         a_edges=frozenset((i, j) for i in range(2, 5) for j in range(1, i)),
     )
     graph = state_bipartite(system)
-    assert len(max_matching(graph)) < system.n
+    assert hopcroft_karp(graph.adjacency, system.n)[0] < system.n
 
 
 def test_state_bipartite_diagonal_matches_everything():
     system = StructuredSystem(n=5, m=0, p=0, a_edges=frozenset((i, i) for i in range(1, 6)))
-    assert len(max_matching(state_bipartite(system))) == 5
+    assert hopcroft_karp(state_bipartite(system).adjacency, 5)[0] == 5
 
 
 def test_closed_loop_bipartite_pads_with_identity_edges():
@@ -318,21 +316,21 @@ def test_closed_loop_bipartite_pads_with_identity_edges():
         b_edges=frozenset({(1, 1)}),
         c_edges=frozenset({(1, 2)}),
     )
-    graph = closed_loop_bipartite(system, FeedbackPattern())
-    assert len(max_matching(graph)) == 4
+    index = ClosedLoopIndex(system)
+    assert hopcroft_karp(index.adjacency(), index.vertex_count)[0] == 4
 
 
 def test_closed_loop_bipartite_reference_full_pattern(section5):
     system, _ = section5
     full = FeedbackPattern(frozenset((i, j) for i in range(1, 5) for j in range(1, 4)))
-    graph = closed_loop_bipartite(system, full)
-    assert len(max_matching(graph)) == system.n + system.m + system.p
+    index = ClosedLoopIndex(system)
+    size, _, _ = hopcroft_karp(index.adjacency(full.sorted_links()), index.vertex_count)
+    assert size == system.n + system.m + system.p
 
 
 def test_closed_loop_bipartite_degenerates_to_state_bipartite():
     system = StructuredSystem(n=3, m=0, p=0, a_edges=frozenset({(1, 2), (2, 3)}))
-    closed = closed_loop_bipartite(system, FeedbackPattern())
-    assert closed.edges == state_bipartite(system).edges
+    assert ClosedLoopIndex(system).adjacency() == state_bipartite(system).adjacency
 
 
 def test_max_matching_complete_3x3():
@@ -341,14 +339,14 @@ def test_max_matching_complete_3x3():
         right=("d", "e", "f"),
         edges=frozenset((l, r) for l in range(3) for r in range(3)),
     )
-    assert len(max_matching(graph)) == 3
+    assert hopcroft_karp(graph.adjacency, len(graph.right))[0] == 3
 
 
 def test_max_matching_star():
     graph = BipartiteGraph(
         left=("hub",), right=("a", "b", "c"), edges=frozenset((0, r) for r in range(3))
     )
-    assert len(max_matching(graph)) == 1
+    assert hopcroft_karp(graph.adjacency, len(graph.right))[0] == 1
 
 
 def test_max_matching_agrees_with_flow_oracle():
@@ -377,41 +375,19 @@ def test_tarjan_agrees_with_closure_on_mixed_graphs():
         assert parts == scc_partition_by_closure(succ, n)
 
 
-def _cost_graph(rows):
-    n = len(rows)
-    edges = set()
-    costs = {}
-    for i in range(n):
-        for j in range(n):
-            if rows[i][j] != math.inf:
-                edges.add((i, j))
-                costs[(i, j)] = rows[i][j]
-    return BipartiteGraph(
-        left=tuple(f"l{i}" for i in range(n)),
-        right=tuple(f"r{j}" for j in range(n)),
-        edges=frozenset(edges),
-        edge_costs=costs,
-    )
+def _cost_rows(matrix):
+    return [[(r, c) for r, c in enumerate(row) if c != math.inf] for row in matrix]
 
 
 def test_min_cost_perfect_matching_prefers_diagonal():
-    result = min_cost_perfect_matching(_cost_graph([[0, 1], [1, 0]]))
+    result = min_cost_perfect_matching(_cost_rows([[0, 1], [1, 0]]))
     assert result is not None
-    matching, total = result
-    assert total == 0 and matching == {0: 0, 1: 1}
+    match_left, total = result
+    assert total == 0 and match_left == [0, 1]
 
 
 def test_min_cost_perfect_matching_infeasible_when_vertex_isolated():
-    graph = BipartiteGraph(
-        left=("a", "b"), right=("c", "d"), edges=frozenset({(0, 0), (1, 0)}), edge_costs={}
-    )
-    assert min_cost_perfect_matching(graph) is None
-
-
-def test_min_cost_perfect_matching_rejects_unbalanced_sides():
-    graph = BipartiteGraph(left=("a",), right=("b", "c"), edges=frozenset({(0, 0)}))
-    with pytest.raises(DimensionError):
-        min_cost_perfect_matching(graph)
+    assert min_cost_perfect_matching([[(0, 0)], [(0, 0)]]) is None
 
 
 def test_min_cost_perfect_matching_agrees_with_permutation_oracle():
@@ -423,7 +399,7 @@ def test_min_cost_perfect_matching_agrees_with_permutation_oracle():
             for _ in range(n)
         ]
         expected = brute_force_min_cost_perfect_matching(rows)
-        result = min_cost_perfect_matching(_cost_graph(rows))
+        result = min_cost_perfect_matching(_cost_rows(rows))
         if expected is None:
             assert result is None
         else:
@@ -436,28 +412,28 @@ def test_min_cost_perfect_matching_shift_invariance():
     for _ in range(20):
         n = 5
         rows = [[rng.randint(0, 40) for _ in range(n)] for _ in range(n)]
-        base = min_cost_perfect_matching(_cost_graph(rows))
+        base = min_cost_perfect_matching(_cost_rows(rows))
         assert base is not None
         delta = rng.randint(1, 9)
         shifted_rows = [[c + delta for c in row] for row in rows]
-        shifted = min_cost_perfect_matching(_cost_graph(shifted_rows))
+        shifted = min_cost_perfect_matching(_cost_rows(shifted_rows))
         assert shifted is not None
         assert shifted[0] == base[0]  # same optimal edge set
         assert shifted[1] == base[1] + n * delta
 
 
-def _assert_agrees_with_dense_reference(graph):
-    expected = dense_min_cost_assignment(dense_cost_rows(graph))
-    result = min_cost_perfect_matching(graph)
+def _assert_agrees_with_dense_reference(rows):
+    expected = dense_min_cost_assignment(dense_cost_rows(rows))
+    result = min_cost_perfect_matching(rows)
     if expected is None:
         assert result is None
         return
     assert result is not None
-    matching, total = result
+    match_left, total = result
     assert total == expected[1]
-    assert sorted(matching) == sorted(matching.values()) == list(range(len(graph.left)))
-    assert all((l, r) in graph.edges for l, r in matching.items())
-    assert total == sum(graph.cost(edge) for edge in matching.items())
+    assert list(range(len(match_left))) == sorted(match_left) == list(range(len(rows)))
+    assert all(r in dict(rows[l]) for l, r in enumerate(match_left))
+    assert total == sum(dict(rows[l])[r] for l, r in enumerate(match_left))
 
 
 _square_costs = st.integers(1, 7).flatmap(
@@ -476,7 +452,7 @@ _square_costs = st.integers(1, 7).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(rows=_square_costs)
 def test_min_cost_matching_agrees_with_dense_reference_on_square_costs(rows):
-    _assert_agrees_with_dense_reference(_cost_graph(rows))
+    _assert_agrees_with_dense_reference(_cost_rows(rows))
 
 
 @settings(max_examples=150, deadline=None)
@@ -503,5 +479,4 @@ def test_min_cost_matching_agrees_with_dense_reference_on_closed_loop_graphs(
     for i, j, value in overrides:
         rows[i][j] = value  # zero-cost ties and forbidden links
     costs = CostMatrix.from_rows(rows)
-    graph = closed_loop_bipartite(system, full_pattern(costs), feedback_costs=costs)
-    _assert_agrees_with_dense_reference(graph)
+    _assert_agrees_with_dense_reference(closed_loop_cost_rows(system, costs))

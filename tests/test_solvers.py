@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -16,27 +17,24 @@ from feedsel import (
     SetCoverInstance,
     StructuredSystem,
     check_no_sfm,
-    closed_loop_bipartite,
     condense,
     cost_of,
     dp_cover,
     exact_oracle,
-    full_pattern,
     greedy_set_cover,
     greedy_single_input,
-    is_line_dag,
-    max_matching,
     min_cost_condition_b,
     reduce_set_cover,
     selected_sets,
     solve_dp,
     solvers,
-    state_bipartite,
     two_stage,
 )
 from feedsel.generators import random_line_system
+from feedsel.graphs import hopcroft_karp, is_line_dag, state_bipartite
 from tests.conftest import (
     brute_force_set_cover,
+    closed_loop_cost_rows,
     covering_edge_set,
     dense_cost_rows,
     dense_min_cost_assignment,
@@ -314,7 +312,7 @@ def test_condition_b_augmentations_equal_state_deficiency(section5):
             cost_range=(1, 100),
             perfect_matching=rng.random() < 0.3,
         )
-        deficiency = system.n - len(max_matching(state_bipartite(system)))
+        deficiency = system.n - hopcroft_karp(state_bipartite(system).adjacency, system.n)[0]
         solution = min_cost_condition_b(system, costs)
         assert solution.feasible
         assert solution.certificates["augmentations"] == deficiency
@@ -325,9 +323,52 @@ def test_condition_b_cost_equals_dense_reference_on_acceptance_suites():
         (40_000 + i, False) for i in range(200)
     ]:
         system, costs = _line_instance(seed, perfect_matching)
-        graph = closed_loop_bipartite(system, full_pattern(costs), feedback_costs=costs)
-        _, expected = dense_min_cost_assignment(dense_cost_rows(graph))
+        rows = closed_loop_cost_rows(system, costs)
+        _, expected = dense_min_cost_assignment(dense_cost_rows(rows))
         assert min_cost_condition_b(system, costs).cost == expected, seed
+
+
+# SHA-256 of the cycle-stage results on the acceptance suites, captured
+# before the stage moved from the labelled bipartite graph to index rows.
+CYCLE_STAGE_DIGEST = "f82d8b71032935677234eabbf6474c7260a72aade74d55df161ca780bc05f97f"
+
+
+def test_condition_b_patterns_and_certificates_match_golden_digest():
+    records = []
+    for seed, perfect_matching in [(30_000 + i, True) for i in range(200)] + [
+        (40_000 + i, False) for i in range(200)
+    ]:
+        solution = min_cost_condition_b(*_line_instance(seed, perfect_matching))
+        certificates = solution.certificates
+        records.append(
+            (
+                seed,
+                solution.pattern.sorted_links(),
+                certificates["matching"],
+                certificates["matching_cost"],
+                certificates["augmentations"],
+            )
+        )
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == CYCLE_STAGE_DIGEST
+
+
+def test_condition_b_golden_result_without_state_matching():
+    system, costs = _line_instance(40_001, perfect_matching=False)
+    assert (system.n, system.m, system.p) == (4, 2, 4)
+    solution = min_cost_condition_b(system, costs)
+    assert solution.pattern.sorted_links() == [(1, 2)]
+    assert solution.cost == 62
+    assert solution.method == "matching"
+    assert solution.reason is None
+    assert solution.certificates == {
+        "matching": [
+            ("u'1", "y2"), ("u'2", "u2"),
+            ("x'1", "x2"), ("x'2", "x4"), ("x'3", "u1"), ("x'4", "x3"),
+            ("y'1", "y1"), ("y'2", "x1"), ("y'3", "y3"), ("y'4", "y4"),
+        ],
+        "matching_cost": 62,
+        "augmentations": 1,
+    }
 
 
 def test_two_stage_collapses_to_dp_with_state_matching(section5):
