@@ -4,15 +4,18 @@ System files carry exactly the fields ``n``, ``m``, ``p``, the three edge
 lists as arrays of 1-based ``[i, j]`` pairs, and ``cost`` as an m x p array
 whose forbidden entries are the literal string ``"inf"``. Set-cover files
 carry ``universe_size``, ``sets`` and ``weights``. Parsers reject missing
-fields, malformed entries, dimension mismatches and systems with more than
-``MAX_SYSTEM_VERTICES`` vertices; duplicate edges are collapsed with a
-warning.
+fields, malformed entries (integer costs beyond the float range among
+them), dimension mismatches, systems with more than
+``MAX_SYSTEM_VERTICES`` vertices, and set-cover instances whose reduced
+system would have more (``universe_size + 2`` plus the set count);
+duplicate edges are collapsed with a warning.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import sys
 from pathlib import Path
 from typing import Any
 
@@ -70,8 +73,10 @@ def _cost_entry(value: Any, i: int, j: int) -> float:
         raise SchemaError(f"cost entry ({i}, {j}): unknown literal {value!r}; use \"inf\"")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"cost entry ({i}, {j}) must be a number or \"inf\", got {value!r}")
-    if math.isnan(value) or value < 0:
+    if not value >= 0:
         raise SchemaError(f"cost entry ({i}, {j}) must be >= 0, got {value!r}")
+    if isinstance(value, int) and value > sys.float_info.max:
+        raise SchemaError(f"cost entry ({i}, {j}) is an integer beyond the float range")
     return value
 
 
@@ -146,6 +151,12 @@ def parse_setcover(text: str) -> SetCoverInstance:
     raw_weights = data["weights"]
     if not isinstance(raw_sets, list) or not all(isinstance(s, list) for s in raw_sets):
         raise SchemaError("field 'sets' must be an array of integer arrays")
+    vertices = universe_size + 2 + len(raw_sets)
+    if vertices > MAX_SYSTEM_VERTICES:
+        raise SchemaError(
+            f"set cover too large: its reduced system has n + m + p = {vertices}, "
+            f"which exceeds {MAX_SYSTEM_VERTICES}"
+        )
     if not isinstance(raw_weights, list):
         raise SchemaError("field 'weights' must be an array of numbers")
     weights = []

@@ -233,7 +233,7 @@ class SetCoverInstance:
         if frozenset().union(*sets) != universe:
             raise ValueError("the sets do not cover the universe; no cover exists")
         for idx, w in enumerate(weights, start=1):
-            if not (w >= 0) or math.isinf(w):
+            if not 0 <= w <= sys.float_info.max:
                 raise ValueError(f"weight {idx} must be finite and >= 0, got {w!r}")
 
     @property

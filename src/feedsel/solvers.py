@@ -26,12 +26,12 @@ Five routes to a pattern:
 ``reduce_set_cover`` maps a weighted set cover instance to an equivalent
 feedback-selection instance and doubles as a hard-instance generator.
 
-Deterministic tie-breaking throughout: stage argmins prefer smaller total,
-then smaller first-actuated stage, then lexicographically smaller
-(input, output); the oracle sums pattern costs cheapest link first and
-resolves equal-cost optima by lexicographic pattern comparison; the
-cycle-stage matching scans adjacency in sorted order and breaks heap ties
-by vertex index.
+Deterministic tie-breaking throughout: the chain DP's stage argmins
+prefer the smaller total, then the smaller first-actuated stage, then the
+smaller input, then the cheaper link, then the smaller output; the oracle
+sums pattern costs cheapest link first and resolves equal-cost optima by
+lexicographic pattern comparison; the cycle-stage matching scans adjacency
+in sorted order and breaks heap ties by vertex index.
 """
 
 from __future__ import annotations
@@ -139,79 +139,58 @@ def _require_line_order(condensation: Condensation) -> None:
 def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
     """Cheapest pattern putting every SCC of a chain in a feedback cycle.
 
-    Walks the SCC chain left to right. Stage k asks: which admissible link
-    (i, j) with u_i actuating an SCC at or before k and y_j sensing one at
-    or after k should cover SCC k? Such a link also covers everything back
-    to the first SCC u_i actuates, so the recurrence charges its cost plus
-    the best table entry just before that point. The final stage's
-    backtrack yields the selected pattern.
+    An admissible link (i, j) closes a cycle through exactly the SCCs from
+    the first one u_i actuates to the last one y_j senses: an interval of
+    the chain. Stage k covers SCCs 1..k as cheaply as possible, with the
+    cheapest link whose interval contains k on top of the stage just
+    before that interval starts. The sweep walks k left to right; a link
+    enters one heap, keyed by that sum, at its interval's start and is
+    dropped once the interval has ended, so the heap top is stage k's
+    argmin. An empty heap names the first SCC no link covers, and every
+    later stage stays unreachable. Backtracking from the last stage yields
+    the selected pattern.
     """
     _require_line_order(condensation)
     _check_incidence_ranges(condensation, costs)
     ell = condensation.scc_count
-    m = costs.m
 
-    # First chain position each input actuates; inputs actuating nothing
-    # can never participate.
-    first_stage: dict[int, int] = {}
-    for k, incidence in enumerate(condensation.input_incidence, start=1):
-        for i in incidence:
-            first_stage.setdefault(i, k)
-
-    # best_link[i][k] = cheapest (cost, output) over outputs sensing SCCs
-    # k..l, built by a backward sweep; row k = l+1 is the empty sentinel.
-    sentinel = (INF, 0)
-    best_link: dict[int, list[tuple[float, int]]] = {
-        i: [sentinel] * (ell + 2) for i in first_stage
-    }
-    for k in range(ell, 0, -1):
-        outputs_here = sorted(condensation.output_incidence[k - 1])
-        for i, row in best_link.items():
-            best = row[k + 1]
-            cost_row = costs.rows[i - 1]
-            for j in outputs_here:
-                candidate = (cost_row[j - 1], j)
-                if candidate < best:
-                    best = candidate
-            row[k] = best
-
-    by_stage: dict[int, list[int]] = {}
-    for i, k in first_stage.items():
-        by_stage.setdefault(k, []).append(i)
+    # Last chain position each output senses; outputs sensing nothing, like
+    # inputs actuating nothing, close no cycle.
+    last_stage: dict[int, int] = {}
+    for k, incidence in enumerate(condensation.output_incidence, start=1):
+        for j in incidence:
+            last_stage[j] = k
 
     stage_costs: list[float] = [0] + [INF] * ell
     choices: list[Optional[tuple[int, int, int]]] = [None] * (ell + 1)
-    active: list[int] = []
-    for k in range(1, ell + 1):
-        active.extend(sorted(by_stage.get(k, ())))
-        best_key: Optional[tuple[float, int, int, int]] = None
-        for i in active:
-            value, j = best_link[i][k]
-            prior = stage_costs[first_stage[i] - 1]
-            if math.isinf(value) or math.isinf(prior):
-                continue
-            key = (value + prior, first_stage[i], i, j)
-            if best_key is None or key < best_key:
-                best_key = key
-        if best_key is not None:
-            total, t_i, i, j = best_key
-            stage_costs[k] = total
-            choices[k] = (i, j, t_i - 1)
+    # The link cost sits before the output in the key, so each input keeps
+    # its (cost, output) argmin even when float rounding ties two totals.
+    heap: list[tuple[float, int, int, float, int, int]] = []
+    actuated: set[int] = set()
+    for k, inputs in enumerate(condensation.input_incidence, start=1):
+        prior = stage_costs[k - 1]
+        for i in inputs - actuated:
+            row = costs.rows[i - 1]
+            for j, last in last_stage.items():
+                cost = row[j - 1]
+                if last >= k and cost != INF:
+                    heapq.heappush(heap, (cost + prior, k, i, cost, j, last))
+        actuated |= inputs
+        while heap and heap[0][5] < k:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        total, start, i, _, j, _ = heap[0]
+        stage_costs[k] = total
+        choices[k] = (i, j, start - 1)
 
     table = DpTable(stage_costs=tuple(stage_costs), choices=tuple(choices))
 
     if math.isinf(stage_costs[ell]):
-        blocked = next(
-            (
-                k
-                for k in range(1, ell + 1)
-                if all(math.isinf(best_link[i][k][0]) for i in active if first_stage[i] <= k)
-            ),
-            ell,
-        )
         return _infeasible(
             "dp",
-            f"SCC coverage unachievable: no admissible feedback link covers SCC {blocked}",
+            "SCC coverage unachievable: no admissible feedback link covers "
+            f"SCC {stage_costs.index(INF)}",
             {"dp_table": table},
         )
 

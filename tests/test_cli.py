@@ -391,6 +391,36 @@ def test_cost_overflow_is_a_one_line_input_error(capsys, tmp_path):
     assert err.startswith("error: ") and "overflow" in err and err.count("\n") == 1
 
 
+def test_integer_costs_beyond_float_range_are_one_line_input_errors(capsys, tmp_path):
+    # json writes 10**400 as the integer literal 1 followed by 400 zeros.
+    document = json.loads(emit_system(*section5_system()))
+    document["cost"][0][2] = 10**400
+    system_path = tmp_path / "huge-cost.json"
+    system_path.write_text(json.dumps(document))
+    cover_path = tmp_path / "huge-weight.json"
+    cover_path.write_text(
+        json.dumps({"universe_size": 2, "sets": [[1], [2]], "weights": [1, 10**400]})
+    )
+    for argv, named in (
+        (["solve-dp", str(system_path)], "cost entry (1, 3)"),
+        (["check-sfm", str(system_path), "--feedback", "1:1"], "cost entry (1, 3)"),
+        (["gen-setcover", str(cover_path)], "weight 2"),
+    ):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
+
+
+def test_oversized_set_cover_is_a_one_line_input_error(capsys, tmp_path):
+    path = tmp_path / "huge-cover.json"
+    path.write_text('{"universe_size":200000000,"sets":[[1]],"weights":[1]}')
+    code, out, err = invoke(capsys, "gen-setcover", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: set cover too large") and err.count("\n") == 1
+
+
 def test_solve_greedy_precondition_is_usage_error(capsys, section5_file):
     code, _, err = invoke(capsys, "solve-greedy", section5_file)
     assert code == 2

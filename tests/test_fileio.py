@@ -101,6 +101,42 @@ def test_setcover_rejects_uncoverable():
         parse_setcover(json.dumps({"universe_size": 3, "sets": [[1]], "weights": [1]}))
 
 
+def test_setcover_size_cap_matches_the_reduced_system_cap(monkeypatch):
+    from feedsel import fileio
+
+    cap = fileio.MAX_SYSTEM_VERTICES
+    # The reduction has universe_size + 1 states, one input and one output
+    # per set. At the cap the file passes the size check and fails only
+    # because its one set covers nothing beyond element 1.
+    at_cap = {"universe_size": cap - 3, "sets": [[1]], "weights": [1]}
+    with pytest.raises(SchemaError, match="cover the universe"):
+        parse_setcover(json.dumps(at_cap))
+    over_cap = {"universe_size": cap - 3, "sets": [[1], [1]], "weights": [1, 1]}
+
+    def no_allocation(**fields):
+        raise AssertionError("the instance was built before the size check")
+
+    monkeypatch.setattr(fileio, "SetCoverInstance", no_allocation)
+    with pytest.raises(SchemaError, match=f"set cover too large: .* = {cap + 1}, "):
+        parse_setcover(json.dumps(over_cap))
+
+
+def test_parse_rejects_integer_cost_beyond_float_range():
+    document = json.loads(emit_system(*section5_system()))
+    document["cost"][1][2] = 10**400
+    with pytest.raises(SchemaError, match=r"cost entry \(2, 3\) is an integer beyond"):
+        parse_system(json.dumps(document))
+    document["cost"][1][2] = -(10**400)
+    with pytest.raises(SchemaError, match=r"cost entry \(2, 3\) must be >= 0"):
+        parse_system(json.dumps(document))
+
+
+def test_setcover_rejects_integer_weight_beyond_float_range():
+    document = {"universe_size": 2, "sets": [[1], [2]], "weights": [1, 10**400]}
+    with pytest.raises(SchemaError, match="weight 2 must be finite"):
+        parse_setcover(json.dumps(document))
+
+
 edges_strategy = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=10)
 
 

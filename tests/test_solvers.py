@@ -4,7 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedsel import (
@@ -210,27 +210,94 @@ def _first_stage_map(condensation):
     return first
 
 
-def test_dp_stage_recurrence_invariant():
-    rng = random.Random(5)
-    for _ in range(15):
-        system, costs = random_line_system(
-            rng, scc_count=rng.randint(2, 4), n_inputs=3, n_outputs=3
+# Costs whose sums differ only by float rounding (0.1 + 0.2 vs 0.3), are
+# absorbed by a large cost (1e16 + 0.1 == 1e16), or forbid links outright.
+TIE_HEAVY_COSTS = (0, 0.1, 0.2, 0.3, 2.5, 1e16, INF)
+
+
+@st.composite
+def small_chains(draw):
+    """A chain of at most 8 SCCs with up to 4 inputs and 4 outputs.
+
+    Inputs may actuate and outputs sense any SCCs, or none; costs come
+    from ``TIE_HEAVY_COSTS``, so links are forbidden and sums tie up to
+    float rounding often.
+    """
+    ell = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 4))
+    inputs = st.frozensets(st.integers(1, m), max_size=2)
+    outputs = st.frozensets(st.integers(1, p), max_size=2)
+    condensation = Condensation(
+        sccs=tuple(frozenset({k}) for k in range(1, ell + 1)),
+        dag_edges=frozenset((k, k + 1) for k in range(1, ell)),
+        input_incidence=tuple(draw(inputs) for _ in range(ell)),
+        output_incidence=tuple(draw(outputs) for _ in range(ell)),
+    )
+    value = st.sampled_from(TIE_HEAVY_COSTS)
+    costs = CostMatrix.from_rows([[draw(value) for _ in range(p)] for _ in range(m)])
+    return condensation, costs
+
+
+# Stage 1 costs 1e16, so at stage 2 both links of u2 total 1e16 after
+# rounding; the cheaper link must win the tie, not the smaller output.
+ROUNDING_TIE_CHAIN = (
+    Condensation(
+        sccs=(frozenset({1}), frozenset({2})),
+        dag_edges=frozenset({(1, 2)}),
+        input_incidence=(frozenset({1}), frozenset({2})),
+        output_incidence=(frozenset({1}), frozenset({2, 3})),
+    ),
+    CostMatrix.from_rows([[1e16, INF, INF], [INF, 0.1, 0]]),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_chains())
+@example(ROUNDING_TIE_CHAIN)
+def test_dp_stage_recurrence_invariant(chain):
+    condensation, costs = chain
+    solution = dp_cover(condensation, costs)
+    table = solution.certificates["dp_table"]
+    first = _first_stage_map(condensation)
+    # Plain O(l * L) recurrence: each stage takes its cheapest covering link
+    # on top of the stage just before the link's first actuated SCC, ties
+    # going to the earlier first stage, then input, link cost and output.
+    reference = [0]
+    reference_choices = [None]
+    for k in range(1, condensation.scc_count + 1):
+        edges = covering_edge_set(condensation, costs, k)
+        best = min(
+            (
+                (costs.cost(i, j) + reference[first[i] - 1], first[i], i, costs.cost(i, j), j)
+                for i, j in edges
+            ),
+            default=(INF,),
         )
-        condensation = condense(system)
-        solution = dp_cover(condensation, costs)
-        table = solution.certificates["dp_table"]
-        first = _first_stage_map(condensation)
-        for k in range(1, condensation.scc_count + 1):
-            edges = covering_edge_set(condensation, costs, k)
-            for i, j in edges:
-                bound = costs.cost(i, j) + table.stage_costs[first[i] - 1]
-                assert table.stage_costs[k] <= bound
-            choice = table.choices[k]
-            if choice is not None:
-                i, j, predecessor = choice
-                assert (i, j) in edges
-                assert predecessor == first[i] - 1
-                assert table.stage_costs[k] == costs.cost(i, j) + table.stage_costs[predecessor]
+        reference.append(best[0])
+        reference_choices.append(None if best[0] == INF else (best[2], best[4], best[1] - 1))
+        for i, j in edges:
+            bound = costs.cost(i, j) + table.stage_costs[first[i] - 1]
+            assert table.stage_costs[k] <= bound
+        choice = table.choices[k]
+        if choice is not None:
+            i, j, predecessor = choice
+            assert (i, j) in edges
+            assert predecessor == first[i] - 1
+            assert table.stage_costs[k] == costs.cost(i, j) + table.stage_costs[predecessor]
+    assert table.stage_costs == tuple(reference)
+    assert table.choices == tuple(reference_choices)
+    blocked = next(
+        (
+            k
+            for k in range(1, condensation.scc_count + 1)
+            if not covering_edge_set(condensation, costs, k)
+        ),
+        None,
+    )
+    assert solution.feasible == (blocked is None)
+    if blocked is not None:
+        assert solution.reason.endswith(f"covers SCC {blocked}")
 
 
 def test_dp_scaling_leaves_choices_invariant():
@@ -253,6 +320,49 @@ def test_dp_scaling_leaves_choices_invariant():
                 lam * w for w in base_table.stage_costs
             )
             assert scaled.pattern == base.pattern
+
+
+def _dp_record(seed, system, costs):
+    solution = dp_cover(condense(system), costs)
+    table = solution.certificates["dp_table"]
+    return (
+        seed,
+        table.stage_costs,
+        table.choices,
+        solution.pattern.sorted_links(),
+        solution.cost,
+        solution.reason,
+    )
+
+
+# SHA-256 of the chain DP's tables, patterns and verdicts on the
+# acceptance suites (drawn and tie-heavy costs) and two 1000-SCC chains,
+# captured before the DP became an interval sweep.
+DP_DIGEST = "a6f9ce7eee897086097b5f10b700837ff0d27e1d520ae27732a9843d66ed81e4"
+
+
+def test_dp_tables_and_patterns_match_golden_digest():
+    records = []
+    for seed, perfect_matching in [(30_000 + i, True) for i in range(200)] + [
+        (40_000 + i, False) for i in range(200)
+    ]:
+        system, costs = _line_instance(seed, perfect_matching)
+        records.append(_dp_record(seed, system, costs))
+        rng = random.Random(seed + 100_000)
+        inf_share = rng.random()
+        redrawn = CostMatrix.from_rows(
+            [
+                [INF if rng.random() < inf_share else rng.choice(TIE_HEAVY_COSTS) for _ in row]
+                for row in costs.rows
+            ]
+        )
+        records.append(_dp_record(seed, system, redrawn))
+    for seed in (50_000, 50_001):
+        system, costs = random_line_system(
+            seed, scc_count=1000, scc_size_range=(1, 1), n_inputs=50, n_outputs=50
+        )
+        records.append(_dp_record(seed, system, costs))
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == DP_DIGEST
 
 
 # ---------------------------------------------------------------------------
