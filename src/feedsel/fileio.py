@@ -4,11 +4,11 @@ System files carry exactly the fields ``n``, ``m``, ``p``, the three edge
 lists as arrays of 1-based ``[i, j]`` pairs, and ``cost`` as an m x p array
 whose forbidden entries are the literal string ``"inf"``. Set-cover files
 carry ``universe_size``, ``sets`` and ``weights``. Parsers reject missing
-fields, malformed entries (integer costs beyond the float range among
-them), dimension mismatches, systems with more than
-``MAX_SYSTEM_VERTICES`` vertices, and set-cover instances whose reduced
-system would have more (``universe_size + 2`` plus the set count);
-duplicate edges are collapsed with a warning.
+fields, malformed entries (integer costs beyond the float range and set
+elements that are not integers among them), dimension mismatches, systems
+with more than ``MAX_SYSTEM_VERTICES`` vertices, and set-cover instances
+whose reduced system would have more (``universe_size + 2`` plus the set
+count); duplicate edges are collapsed with a warning.
 """
 
 from __future__ import annotations
@@ -151,6 +151,10 @@ def parse_setcover(text: str) -> SetCoverInstance:
     raw_weights = data["weights"]
     if not isinstance(raw_sets, list) or not all(isinstance(s, list) for s in raw_sets):
         raise SchemaError("field 'sets' must be an array of integer arrays")
+    for idx, s in enumerate(raw_sets, start=1):
+        for e in s:
+            if isinstance(e, bool) or not isinstance(e, int):
+                raise SchemaError(f"set {idx}: element {e!r} is not an integer")
     vertices = universe_size + 2 + len(raw_sets)
     if vertices > MAX_SYSTEM_VERTICES:
         raise SchemaError(

@@ -14,14 +14,14 @@ Five routes to a pattern:
   systems with one source SCC; logarithmic approximation factor.
 * ``exact_oracle``: exhaustive enumeration over admissible links, used to
   validate the others at small sizes. Patterns are generated lazily,
-  cheapest first, from a heap, so a scan ends just past the optimum
-  without generating the costlier patterns. Both feasibility conditions are
-  monotone in the link set, so the full link set decides whether any
-  pattern passes each: when it fails coverage the oracle answers without
-  enumerating, and when it fails cycle spanning only the coverage
-  optimum is scanned for, as a certificate. Each pattern's coverage test
-  is a few bit operations on open-loop reachability tables
-  (``sfm.CoverageKernel``).
+  cheapest first, from a heap, and one pass finds both the coverage
+  optimum and the optimum, ending just past the optimum without generating
+  the costlier patterns. Both feasibility conditions are monotone in the
+  link set, so the full link set decides whether any pattern passes each:
+  when it fails coverage the oracle answers without enumerating, and when
+  it fails cycle spanning the pass ends just past the coverage optimum.
+  Each pattern's coverage test is a few bit operations on open-loop
+  reachability tables (``sfm.CoverageKernel``).
 
 ``reduce_set_cover`` maps a weighted set cover instance to an equivalent
 feedback-selection instance and doubles as a hard-instance generator.
@@ -45,10 +45,8 @@ from .graphs import (
     ClosedLoopIndex,
     Condensation,
     condense,
-    hopcroft_karp,
     min_cost_perfect_matching,
     missing_path_links,
-    state_bipartite,
 )
 from .model import (
     INF,
@@ -210,9 +208,9 @@ def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
 
 
 def _has_state_perfect_matching(system: StructuredSystem) -> bool:
-    graph = state_bipartite(system)
-    size, _, _ = hopcroft_karp(graph.adjacency, system.n)
-    return size == system.n
+    # Without links, row u'_i holds only u_i and y_j lies only in row y'_j, so
+    # a perfect matching pairs states with states and the rest with themselves.
+    return _has_cycle_family(ClosedLoopIndex(system), [])
 
 
 def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:
@@ -288,9 +286,7 @@ def two_stage(system: StructuredSystem, costs: CostMatrix) -> Solution:
     at most twice the optimum; it is feasible whenever both stages are.
     """
     costs.require_matches(system)
-    condensation = condense(system)
-    _require_line_order(condensation)
-    stage_a = dp_cover(condensation, costs)
+    stage_a = dp_cover(condense(system), costs)
     stage_b = min_cost_condition_b(system, costs)
     certificates = {"stage_a": stage_a, "stage_b": stage_b}
     if not stage_a.feasible:
@@ -488,14 +484,16 @@ def exact_oracle(
 ) -> Solution:
     """Exhaustive minimum over all patterns of admissible links.
 
-    Takes subsets lazily in ascending cost order (``_subsets_by_cost``)
-    and stops at the first one costlier than the first feasible one, which
-    is therefore optimal. Costs are summed cheapest link first, and
-    equal-cost ties go to the lexicographically smallest pattern. The
-    certificates expose the coverage-only optimum (condition (a) alone)
-    for validating the chain dynamic program. Refuses instances with more
-    than ``budget`` admissible links, and any with more than
-    ``MAX_ORACLE_LINKS``.
+    Takes subsets lazily in ascending cost order (``_subsets_by_cost``), in
+    one pass: the first to pass condition (a) is the coverage-only optimum,
+    which the certificates expose for validating the chain dynamic
+    program, and the first to pass both is the optimum. Condition (b) is
+    tested only on masks that pass (a) and could still win. The pass stops
+    at the first subset costlier than the optimum, or than the coverage
+    optimum when no pattern passes (b). Costs are summed cheapest link
+    first, and equal-cost ties go to the lexicographically smallest
+    pattern. Refuses instances with more than ``budget`` admissible links,
+    and any with more than ``MAX_ORACLE_LINKS``.
     """
     costs.require_matches(system)
     links = costs.finite_links()
@@ -521,44 +519,34 @@ def exact_oracle(
     base_b_ok = _has_cycle_family(index, [])
     full_b_ok = base_b_ok or _has_cycle_family(index, links)
 
-    def mask_links(mask: int) -> list[Edge]:
-        return [links[b] for b in range(n_links) if (mask >> b) & 1]
-
     kernel = CoverageKernel(index)
-    cond_a_memo: dict[int, bool] = {}
-
-    def cond_a_ok(mask: int) -> bool:
-        hit = cond_a_memo.get(mask)
-        if hit is None:
-            hit = cond_a_memo[mask] = not kernel.uncovered_states(mask_links(mask))
-        return hit
-
     link_costs = [costs.cost(i, j) for i, j in links]
+    # The cheapest patterns passing (a), and (a) and (b), as link lists;
+    # each list is sorted, since the links are lexicographic and the bits
+    # ascend. No pattern cheaper than the first to pass (a) passes both.
+    cover: Optional[list[Edge]] = None
+    best: Optional[list[Edge]] = None
+    cover_cost = best_cost = INF
+    for c, mask in _subsets_by_cost(link_costs):
+        if c > (best_cost if full_b_ok else cover_cost):
+            break
+        chosen = [links[b] for b in range(n_links) if mask >> b & 1]
+        if kernel.uncovered_states(chosen):
+            continue
+        if cover is None or c == cover_cost and chosen < cover:
+            cover_cost, cover = c, chosen
+        # With a state perfect matching every pattern passes (b).
+        if full_b_ok and (best is None or chosen < best) and (
+            base_b_ok or _has_cycle_family(index, chosen)
+        ):
+            best_cost, best = c, chosen
 
-    def scan(feasible) -> FeedbackPattern:
-        # Some mask passes: the full link set passes each test scanned for.
-        best_cost: Optional[float] = None
-        best_links: list[Edge] = []
-        for c, mask in _subsets_by_cost(link_costs):
-            if best_cost is not None and c > best_cost:
-                break
-            if not feasible(mask):
-                continue
-            chosen = sorted(mask_links(mask))
-            if best_cost is None or chosen < best_links:
-                best_cost, best_links = c, chosen
-        return FeedbackPattern(frozenset(best_links))
-
-    coverage_only = scan(cond_a_ok)
+    coverage_only = FeedbackPattern(frozenset(cover))
     certificates["condition_a_cost"] = cost_of(coverage_only, costs)
     certificates["condition_a_pattern"] = coverage_only
-    if not full_b_ok:
+    if best is None:
         return _infeasible("exact", _NO_FEASIBLE_PATTERN, certificates)
-    # With a state perfect matching every pattern passes (b), so the
-    # coverage optimum is the optimum.
-    pattern = coverage_only if base_b_ok else scan(
-        lambda mask: cond_a_ok(mask) and _has_cycle_family(index, mask_links(mask))
-    )
+    pattern = FeedbackPattern(frozenset(best))
     return Solution(
         pattern=pattern,
         cost=cost_of(pattern, costs),

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedsel import CostMatrix, StructuredSystem, cost_of, parse_system
 from feedsel import cli
@@ -326,7 +331,8 @@ def test_malformed_file_is_usage_error(capsys, tmp_path):
     assert "missing required field" in err
 
 
-def test_non_line_system_is_reported(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["solve-dp", "solve-two-stage"])
+def test_non_line_system_is_reported(capsys, tmp_path, command):
     from feedsel import CostMatrix, StructuredSystem
 
     system = StructuredSystem(
@@ -337,7 +343,7 @@ def test_non_line_system_is_reported(capsys, tmp_path):
     )
     path = tmp_path / "twin.json"
     path.write_text(emit_system(system, CostMatrix.from_rows([[1]])))
-    code, _, err = invoke(capsys, "solve-dp", str(path))
+    code, _, err = invoke(capsys, command, str(path))
     assert code == 2
     assert "line spanning path" in err
 
@@ -421,6 +427,14 @@ def test_oversized_set_cover_is_a_one_line_input_error(capsys, tmp_path):
     assert err.startswith("error: set cover too large") and err.count("\n") == 1
 
 
+def test_non_integer_set_element_is_a_one_line_input_error(capsys, tmp_path):
+    path = tmp_path / "nested-cover.json"
+    path.write_text('{"universe_size": 2, "sets": [[1], [[2]]], "weights": [1, 1]}')
+    assert invoke(capsys, "gen-setcover", str(path)) == (
+        2, "", "error: set 2: element [2] is not an integer\n"
+    )
+
+
 def test_solve_greedy_precondition_is_usage_error(capsys, section5_file):
     code, _, err = invoke(capsys, "solve-greedy", section5_file)
     assert code == 2
@@ -484,3 +498,128 @@ def test_resource_exhaustion_is_a_one_line_error(capsys, monkeypatch, error):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every subcommand, malformed inputs, in-process
+
+# Small JSON values of every type; integers stay small or lie far beyond
+# the size cap and the float range, so no case allocates much.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 8)
+    | st.sampled_from([2**63, 10**400, -(10**400)])
+    | st.floats()
+    | st.text(max_size=4)
+    | st.just("inf"),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def fuzzed_document(draw, document):
+    """``document`` as JSON text after at most one malformation."""
+    how = draw(st.sampled_from(["none", "replace", "drop", "entry", "whole", "truncate"]))
+    field_name = draw(st.sampled_from(sorted(document)))
+    if how == "replace":
+        document[field_name] = draw(JSON_VALUES)
+    elif how == "drop":
+        del document[field_name]
+    elif how == "entry" and isinstance(document[field_name], list) and document[field_name]:
+        entries = document[field_name]
+        index = draw(st.integers(0, len(entries) - 1))
+        if isinstance(entries[index], list) and entries[index] and draw(st.booleans()):
+            entries = entries[index]
+            index = draw(st.integers(0, len(entries) - 1))
+        entries[index] = draw(JSON_VALUES)
+    elif how == "whole":
+        document = draw(JSON_VALUES)
+    text = json.dumps(document)
+    if how == "truncate":
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@st.composite
+def system_documents(draw):
+    n, m, p = draw(st.integers(1, 3)), draw(st.integers(0, 2)), draw(st.integers(0, 2))
+
+    def pairs(rows, cols):
+        if not rows or not cols:
+            return []
+        pair = st.tuples(st.integers(1, rows), st.integers(1, cols)).map(list)
+        return draw(st.lists(pair, max_size=4))
+
+    cost = st.sampled_from([0, 1, 2.5, "inf"])
+    return draw(fuzzed_document({
+        "n": n, "m": m, "p": p,
+        "a_edges": pairs(n, n), "b_edges": pairs(n, m), "c_edges": pairs(p, n),
+        "cost": [[draw(cost) for _ in range(p)] for _ in range(m)],
+    }))
+
+
+@st.composite
+def cover_documents(draw):
+    universe = draw(st.integers(1, 4))
+    element = st.integers(1, universe)
+    sets = draw(st.lists(st.lists(element, min_size=1, max_size=3), min_size=1, max_size=3))
+    sets.append(list(range(1, universe + 1)))
+    weights = [draw(st.sampled_from([0, 1, 2.5])) for _ in sets]
+    return draw(fuzzed_document({"universe_size": universe, "sets": sets, "weights": weights}))
+
+
+FEEDBACK_ARGS = (
+    st.text(alphabet="0123456789:,; -x", max_size=8)
+    | st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 4)), max_size=3).map(
+        lambda links: ",".join(f"{i}:{j}" for i, j in links)
+    )
+    | st.just("1:99999999999999999999")
+)
+
+
+def _gen_line_argv(draw):
+    small = st.integers(-1, 4).map(str)
+    argv = ["gen-line", "--seed", str(draw(st.integers(0, 2**40)))]
+    for option, count in (("--sccs", 1), ("--scc-size", 2), ("--inputs", 1),
+                          ("--outputs", 1), ("--cost", 2)):
+        if draw(st.booleans()):
+            argv += [option, *(draw(small) for _ in range(count))]
+    return argv + draw(st.sampled_from([[], ["--pm"], ["--no-pm"]]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzzed_inputs_exit_0_1_or_2_with_one_error_line(data):
+    draw = data.draw
+    command = draw(st.sampled_from([
+        "check-sfm", "solve-dp", "solve-two-stage", "solve-greedy", "solve-exact",
+        "export-dot", "gen-setcover", "gen-line",
+    ]))
+    with tempfile.TemporaryDirectory() as tmp:
+        if command == "gen-line":
+            argv = _gen_line_argv(draw)
+        else:
+            path = Path(tmp) / "input.json"
+            path.write_text(draw(cover_documents() if command == "gen-setcover" else system_documents()))
+            argv = [command, str(path)]
+            if command in ("check-sfm", "export-dot"):
+                argv.append(f"--feedback={draw(FEEDBACK_ARGS)}")
+            if command == "export-dot" and draw(st.booleans()):
+                argv.append("--condensation")
+            if command == "solve-exact":
+                argv.append(f"--budget={draw(st.integers(-2, 24))}")
+            if command.startswith(("check", "solve")):
+                argv.append(f"--format={draw(st.sampled_from(['text', 'structured']))}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+    assert code in (0, 1, 2), argv
+    lines = err.getvalue().splitlines()
+    # Duplicate-edge warnings may come before the one error line.
+    warnings = [line for line in lines if line.startswith(f"warning: {argv[1]}: ")]
+    if code == 2:
+        assert len(lines) == len(warnings) + 1 and lines[-1].startswith("error: "), (argv, lines)
+    else:
+        assert lines == warnings, (argv, lines)

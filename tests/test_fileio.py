@@ -137,6 +137,15 @@ def test_setcover_rejects_integer_weight_beyond_float_range():
         parse_setcover(json.dumps(document))
 
 
+@pytest.mark.parametrize("element", ["[2]", "1e400", "true", "2.7"])
+def test_setcover_rejects_non_integer_elements(element):
+    # Before the check these raised TypeError or OverflowError, or were
+    # read as 1 and 2.
+    text = f'{{"universe_size": 2, "sets": [[1], [2, {element}]], "weights": [1, 1]}}'
+    with pytest.raises(SchemaError, match=r"^set 2: element .* is not an integer$"):
+        parse_setcover(text)
+
+
 edges_strategy = st.sets(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=10)
 
 

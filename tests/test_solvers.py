@@ -172,6 +172,27 @@ def test_solve_dp_tags_condition_a_only_without_matching():
     assert solution.cost == 7
 
 
+def test_state_matching_check_equals_hopcroft_karp_on_the_state_graph():
+    from feedsel.generators import random_system
+
+    rng = random.Random(606)
+    systems = [
+        random_system(rng, n=rng.randint(1, 8), m=rng.randint(0, 3), p=rng.randint(0, 3),
+                      a_density=rng.random())[0]
+        for _ in range(80)
+    ] + [
+        random_line_system(rng, scc_count=rng.randint(1, 5), perfect_matching=perfect_matching)[0]
+        for perfect_matching in (True, False)
+        for _ in range(20)
+    ]
+    verdicts = []
+    for system in systems:
+        expected = hopcroft_karp(state_bipartite(system).adjacency, system.n)[0] == system.n
+        assert solvers._has_state_perfect_matching(system) == expected
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
+
+
 def test_solve_dp_handles_shortcut_dag_end_to_end():
     # Three chained self-loop states plus a skip edge: not a strict chain,
     # but the spanning path makes the stage recurrence applicable as-is.
@@ -827,6 +848,119 @@ def test_oracle_agrees_with_public_checker_enumeration():
         else:
             assert oracle.cost == naive[0]
             assert oracle.pattern == naive[1]
+
+
+def _tie_heavy_costs(rng, m, p):
+    inf_share = rng.random()
+    return CostMatrix.from_rows(
+        [[INF if rng.random() < inf_share else rng.choice(TIE_HEAVY_COSTS) for _ in range(p)]
+         for _ in range(m)]
+    )
+
+
+def _oracle_suite():
+    """Seeded oracle instances of at most 9 admissible links.
+
+    Random systems with tie-heavy costs, line systems with and without a
+    state perfect matching (drawn and tie-heavy costs), and set-cover
+    reductions with weights in {1, 2, 2.5, 3}.
+    """
+    from feedsel.generators import random_system
+
+    rng = random.Random(7070)
+    # The last 80 have sparse A and dense B and C, which often leaves cycle
+    # spanning to the links, or out of reach while coverage is not.
+    for a_density, bc_density in [(0.35, 0.3)] * 120 + [(0.2, 0.7)] * 80:
+        m, p = rng.randint(1, 3), rng.randint(1, 3)
+        system, _ = random_system(
+            rng, n=rng.randint(2, 5), m=m, p=p,
+            a_density=a_density, b_density=bc_density, c_density=bc_density,
+        )
+        yield system, _tie_heavy_costs(rng, m, p)
+    for perfect_matching in (True, False):
+        for _ in range(40):
+            system, costs = random_line_system(
+                rng,
+                scc_count=rng.randint(2, 4),
+                n_inputs=rng.randint(1, 3),
+                n_outputs=rng.randint(1, 3),
+                perfect_matching=perfect_matching,
+            )
+            yield system, costs
+            yield system, _tie_heavy_costs(rng, costs.m, costs.p)
+    for _ in range(60):
+        universe = rng.randint(2, 6)
+        sets = [
+            frozenset(rng.sample(range(1, universe + 1), rng.randint(1, universe)))
+            for _ in range(rng.randint(2, 7))
+        ]
+        sets[rng.randrange(len(sets))] |= frozenset(range(1, universe + 1)).difference(*sets)
+        weights = tuple(rng.choice((1, 2, 2.5, 3)) for _ in sets)
+        yield reduce_set_cover(SetCoverInstance(universe, tuple(sets), weights))
+
+
+# SHA-256 of the oracle's optimum, verdict and coverage certificate on
+# ``_oracle_suite``, captured while the oracle still scanned twice.
+ORACLE_DIGEST = "09c98f03bcf665b2e3e97d65e97c10126d30680eea73d4a12ffed29d4648085b"
+
+
+def test_oracle_answers_match_golden_digest():
+    records = []
+    for system, costs in _oracle_suite():
+        solution = exact_oracle(system, costs)
+        certificates = solution.certificates
+        records.append((
+            solution.cost,
+            solution.pattern.sorted_links(),
+            solution.reason,
+            certificates["condition_a_cost"],
+            certificates["condition_a_pattern"].sorted_links(),
+        ))
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == ORACLE_DIGEST
+
+
+@st.composite
+def tiny_systems(draw):
+    """A system with n <= 4, m <= 2, p <= 3 and costs in {0, 1, 2, 3, inf}."""
+    n, m, p = draw(st.integers(1, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+
+    def edges(rows, cols):
+        return draw(st.frozensets(st.tuples(st.integers(1, rows), st.integers(1, cols))))
+
+    system = StructuredSystem(
+        n=n, m=m, p=p, a_edges=edges(n, n), b_edges=edges(n, m), c_edges=edges(p, n)
+    )
+    value = st.sampled_from((0, 1, 2, 3, INF))
+    return system, CostMatrix.from_rows([[draw(value) for _ in range(p)] for _ in range(m)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(tiny_systems())
+def test_oracle_both_answers_equal_naive_enumeration(instance):
+    from tests.conftest import naive_pattern_optimum
+
+    system, costs = instance
+    oracle = exact_oracle(system, costs)
+    coverage = naive_pattern_optimum(system, costs, lambda s, k: check_no_sfm(s, k).condition_a_ok)
+    optimum = naive_pattern_optimum(system, costs, lambda s, k: check_no_sfm(s, k).feasible)
+    certificate = (oracle.certificates["condition_a_cost"], oracle.certificates["condition_a_pattern"])
+    assert certificate == (coverage or (INF, FeedbackPattern()))
+    assert (oracle.cost, oracle.pattern) == (optimum or (INF, FeedbackPattern()))
+
+
+def test_oracle_enumerates_once_without_state_matching(monkeypatch):
+    system, costs = random_line_system(5, scc_count=3, perfect_matching=False)
+    assert not solvers._has_state_perfect_matching(system)
+    subsets_by_cost = solvers._subsets_by_cost
+    calls = []
+
+    def counted(link_costs):
+        calls.append(link_costs)
+        return subsets_by_cost(link_costs)
+
+    monkeypatch.setattr(solvers, "_subsets_by_cost", counted)
+    assert exact_oracle(system, costs).feasible
+    assert len(calls) == 1
 
 
 def test_dp_matches_public_checker_condition_a_optimum():
