@@ -15,7 +15,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dot import condensation_to_dot, system_to_dot
@@ -37,52 +36,6 @@ from .solvers import (
     solve_dp,
     two_stage,
 )
-
-
-@dataclass
-class RunReport:
-    """One solve outcome, printable as text or JSON."""
-
-    method: str
-    feasible: bool
-    links: list[tuple[int, int]]
-    cost: float
-    elapsed: float
-    reason: str | None = None
-    certificates: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        payload = {
-            "method": self.method,
-            "feasible": self.feasible,
-            "links": [list(link) for link in self.links],
-            "cost": _json_cost(self.cost),
-            "elapsed_sec": self.elapsed,
-        }
-        if self.reason:
-            payload["reason"] = self.reason
-        if self.certificates:
-            payload["certificates"] = _jsonable(self.certificates)
-        return payload
-
-    def to_text(self) -> str:
-        lines = [
-            f"method:   {self.method}",
-            f"feasible: {'yes' if self.feasible else 'no'}",
-            f"links:    {' '.join(f'(u{i},y{j})' for i, j in self.links) or '-'}",
-            f"cost:     {_text_cost(self.cost)}",
-        ]
-        if self.reason:
-            lines.append(f"reason:   {self.reason}")
-        table = self.certificates.get("dp_table")
-        if isinstance(table, DpTable):
-            stages = " ".join(_text_cost(w) for w in table.stage_costs)
-            lines.append(f"stages:   [{stages}]")
-        trace = self.certificates.get("trace")
-        if trace:
-            steps = "; ".join(f"y{j} covers {new} new at {w}" for j, new, w in trace)
-            lines.append(f"greedy:   {steps}")
-        return "\n".join(lines) + "\n"
 
 
 def _json_cost(value: float):
@@ -153,20 +106,37 @@ def _load(path: str):
     return system, costs
 
 
+def _report_text(solution: Solution) -> str:
+    links = solution.pattern.sorted_links()
+    lines = [
+        f"method:   {solution.method}",
+        f"feasible: {'yes' if solution.feasible else 'no'}",
+        f"links:    {' '.join(f'(u{i},y{j})' for i, j in links) or '-'}",
+        f"cost:     {_text_cost(solution.cost)}",
+    ]
+    if solution.reason:
+        lines.append(f"reason:   {solution.reason}")
+    table = solution.certificates.get("dp_table")
+    if isinstance(table, DpTable):
+        stages = " ".join(_text_cost(w) for w in table.stage_costs)
+        lines.append(f"stages:   [{stages}]")
+    trace = solution.certificates.get("trace")
+    if trace:
+        steps = "; ".join(f"y{j} covers {new} new at {w}" for j, new, w in trace)
+        lines.append(f"greedy:   {steps}")
+    return "\n".join(lines) + "\n"
+
+
 def _print_report(solution: Solution, elapsed: float, fmt: str) -> int:
-    report = RunReport(
-        method=solution.method,
-        feasible=solution.feasible,
-        links=solution.pattern.sorted_links(),
-        cost=solution.cost,
-        elapsed=elapsed,
-        reason=solution.reason,
-        certificates=solution.certificates,
-    )
     if fmt == "structured":
-        print(json.dumps(report.to_dict(), indent=2))
+        payload = {**_jsonable(solution), "elapsed_sec": elapsed}
+        if solution.reason:
+            payload["reason"] = solution.reason
+        if solution.certificates:
+            payload["certificates"] = _jsonable(solution.certificates)
+        print(json.dumps(payload, indent=2))
     else:
-        sys.stdout.write(report.to_text())
+        sys.stdout.write(_report_text(solution))
     return 0 if solution.feasible else 1
 
 

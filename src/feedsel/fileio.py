@@ -2,13 +2,16 @@
 
 System files carry exactly the fields ``n``, ``m``, ``p``, the three edge
 lists as arrays of 1-based ``[i, j]`` pairs, and ``cost`` as an m x p array
-whose forbidden entries are the literal string ``"inf"``. Set-cover files
-carry ``universe_size``, ``sets`` and ``weights``. Parsers reject missing
-fields, malformed entries (integer costs beyond the float range and set
-elements that are not integers among them), dimension mismatches, systems
-with more than ``MAX_SYSTEM_VERTICES`` vertices, and set-cover instances
-whose reduced system would have more (``universe_size + 2`` plus the set
-count); duplicate edges are collapsed with a warning.
+of finite numbers whose forbidden entries are the literal string ``"inf"``.
+Set-cover files carry ``universe_size``, ``sets`` and ``weights``. Parsers
+reject missing fields, malformed entries (non-finite numeric costs, integer
+costs beyond the float range and set elements that are not integers among
+them), dimension mismatches, systems with more than ``MAX_SYSTEM_VERTICES``
+vertices, and set-cover instances whose reduced system would have more
+(``universe_size + 2`` plus the set count); duplicate edges are collapsed
+with a warning. Parsers check only what JSON can get wrong; the model
+constructors check index ranges and cost signs, freeze each edge set and
+cost row once, and their errors surface as ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -50,20 +53,18 @@ def _int_field(data: dict, name: str) -> int:
     return value
 
 
-def _edge_list(data: dict, name: str) -> list[tuple[int, int]]:
+def _edge_list(data: dict, name: str) -> list[list[int]]:
     value = data[name]
     if not isinstance(value, list):
         raise SchemaError(f"field '{name}' must be an array of [i, j] pairs")
-    edges = []
     for entry in value:
         if (
-            not isinstance(entry, (list, tuple))
+            not isinstance(entry, list)
             or len(entry) != 2
             or any(isinstance(x, bool) or not isinstance(x, int) for x in entry)
         ):
             raise SchemaError(f"field '{name}': entry {entry!r} is not an integer pair")
-        edges.append((entry[0], entry[1]))
-    return edges
+    return value
 
 
 def _cost_entry(value: Any, i: int, j: int) -> float:
@@ -73,8 +74,10 @@ def _cost_entry(value: Any, i: int, j: int) -> float:
         raise SchemaError(f"cost entry ({i}, {j}): unknown literal {value!r}; use \"inf\"")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"cost entry ({i}, {j}) must be a number or \"inf\", got {value!r}")
-    if not value >= 0:
-        raise SchemaError(f"cost entry ({i}, {j}) must be >= 0, got {value!r}")
+    if value == INF:
+        raise SchemaError(
+            f"cost entry ({i}, {j}) is not finite, got {value!r}; use \"inf\" to forbid a link"
+        )
     if isinstance(value, int) and value > sys.float_info.max:
         raise SchemaError(f"cost entry ({i}, {j}) is an integer beyond the float range")
     return value
@@ -94,15 +97,16 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
         raise SchemaError(
             f"system too large: n + m + p = {n + m + p} exceeds {MAX_SYSTEM_VERTICES}"
         )
+    edges = {name: _edge_list(data, name) for name in ("a_edges", "b_edges", "c_edges")}
     try:
-        system, warnings = StructuredSystem.from_lists(
-            n, m, p,
-            _edge_list(data, "a_edges"),
-            _edge_list(data, "b_edges"),
-            _edge_list(data, "c_edges"),
-        )
+        system = StructuredSystem(n, m, p, **edges)
     except DimensionError as exc:
         raise SchemaError(str(exc)) from exc
+    warnings = [
+        f"{name}: {len(pairs) - len(getattr(system, name))} duplicate entries collapsed"
+        for name, pairs in edges.items()
+        if len(getattr(system, name)) < len(pairs)
+    ]
 
     raw_cost = data["cost"]
     if not isinstance(raw_cost, list) or len(raw_cost) != m:
@@ -113,7 +117,7 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
             raise SchemaError(f"cost row {i} must have {p} entries")
         rows.append([_cost_entry(value, i, j) for j, value in enumerate(row, start=1)])
     try:
-        costs = CostMatrix.from_rows(rows)
+        costs = CostMatrix(rows)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     return system, costs, warnings

@@ -12,10 +12,21 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from .fileio import MAX_SYSTEM_VERTICES
 from .graphs import condense, is_line_dag
 from .model import CostMatrix, FeedbackPattern, StructuredSystem, full_pattern
 from .sfm import check_no_sfm
 from .solvers import _has_state_perfect_matching
+
+# Draws a generator makes before it gives up on its structural promises.
+MAX_TRIES = 200
+# Chance of each extra state edge inside an SCC, and of a second edge
+# between consecutive SCCs, in line systems.
+EXTRA_EDGE_PROB = 0.25
+# Single-input systems: SCCs per branch, states per SCC, and link costs.
+BRANCH_LENGTH_RANGE = (1, 2)
+SINGLE_INPUT_SCC_SIZE_RANGE = (1, 2)
+SINGLE_INPUT_COST_RANGE = (1, 100)
 
 
 def _rng(seed) -> random.Random:
@@ -31,8 +42,6 @@ def random_line_system(
     n_outputs: int = 3,
     cost_range: tuple[int, int] = (1, 100),
     perfect_matching: bool = True,
-    extra_edge_prob: float = 0.25,
-    max_tries: int = 200,
 ) -> tuple[StructuredSystem, CostMatrix]:
     """Random system whose SCC DAG is exactly a chain C_1 -> ... -> C_scc_count.
 
@@ -42,6 +51,10 @@ def random_line_system(
     removes the perfect matching; one spoke gets an input and an output so
     feedback can repair the deficit. All generated instances are feasible
     under the full pattern, and costs are integers in ``cost_range``.
+
+    Raises ``ValueError`` before drawing anything when the largest system
+    the arguments allow, or its cost matrix, would exceed
+    ``fileio.MAX_SYSTEM_VERTICES``, the cap that ``parse_system`` enforces.
     """
     rng = _rng(seed)
     if scc_count < 1 or n_inputs < 1 or n_outputs < 1:
@@ -51,7 +64,14 @@ def random_line_system(
         raise ValueError(f"scc_size_range needs 1 <= lo <= hi, got {scc_size_range}")
     if not 0 <= cost_range[0] <= cost_range[1]:
         raise ValueError(f"cost_range needs 0 <= lo <= hi, got {cost_range}")
-    for _ in range(max_tries):
+    # Without a perfect matching one SCC becomes a hub of at most 3 states.
+    largest = (scc_count - 1) * hi + (hi if perfect_matching else 3) + n_inputs + n_outputs
+    if max(largest, n_inputs * n_outputs) > MAX_SYSTEM_VERTICES:
+        raise ValueError(
+            f"instance too large: n + m + p up to {largest} and {n_inputs * n_outputs} cost "
+            f"entries; neither may exceed {MAX_SYSTEM_VERTICES}"
+        )
+    for _ in range(MAX_TRIES):
         sizes = [rng.randint(lo, hi) for _ in range(scc_count)]
         victim = rng.randrange(scc_count) if not perfect_matching else -1
         if victim >= 0:
@@ -87,13 +107,13 @@ def random_line_system(
                 a_edges.add((head, tail))
             for tail in states:
                 for head in states:
-                    if tail != head and rng.random() < extra_edge_prob:
+                    if tail != head and rng.random() < EXTRA_EDGE_PROB:
                         a_edges.add((head, tail))
         for k in range(scc_count - 1):
             tail = rng.choice(scc_states[k])
             head = rng.choice(scc_states[k + 1])
             a_edges.add((head, tail))
-            if rng.random() < extra_edge_prob:
+            if rng.random() < EXTRA_EDGE_PROB:
                 a_edges.add((rng.choice(scc_states[k + 1]), rng.choice(scc_states[k])))
 
         b_edges: set[tuple[int, int]] = set()
@@ -131,18 +151,13 @@ def random_line_system(
         if not check_no_sfm(system, full_pattern(costs)).feasible:
             continue
         return system, costs
-    raise RuntimeError(f"no admissible instance found in {max_tries} draws")
+    raise RuntimeError(f"no admissible instance found in {MAX_TRIES} draws")
 
 
 def random_single_input_system(
     seed,
     *,
     n_branches: int = 3,
-    branch_length_range: tuple[int, int] = (1, 2),
-    scc_size_range: tuple[int, int] = (1, 2),
-    n_outputs: Optional[int] = None,
-    cost_range: tuple[int, int] = (1, 100),
-    max_tries: int = 200,
 ) -> tuple[StructuredSystem, CostMatrix]:
     """Random single-input system with one source SCC and ``n_branches`` sinks.
 
@@ -154,12 +169,12 @@ def random_single_input_system(
     rng = _rng(seed)
     if n_branches < 1:
         raise ValueError("need at least one branch")
-    for _ in range(max_tries):
-        lo, hi = scc_size_range
+    for _ in range(MAX_TRIES):
+        lo, hi = SINGLE_INPUT_SCC_SIZE_RANGE
         scc_sizes = [rng.randint(lo, hi)]  # root first
         branch_sccs: list[list[int]] = []
         for _ in range(n_branches):
-            length = rng.randint(*branch_length_range)
+            length = rng.randint(*BRANCH_LENGTH_RANGE)
             ids = []
             for _ in range(length):
                 scc_sizes.append(rng.randint(lo, hi))
@@ -191,7 +206,7 @@ def random_single_input_system(
                 previous = scc_id
 
         b_edges = {(rng.choice(scc_states[0]), 1)}
-        p = n_outputs if n_outputs is not None else n_branches + rng.randint(0, 2)
+        p = n_branches + rng.randint(0, 2)
         c_edges: set[tuple[int, int]] = set()
         for j in range(1, p + 1):
             for state in rng.sample(labels, min(len(labels), rng.randint(1, 2))):
@@ -207,7 +222,7 @@ def random_single_input_system(
             a_edges=frozenset(a_edges), b_edges=frozenset(b_edges), c_edges=frozenset(c_edges),
         )
         costs = CostMatrix.from_rows(
-            [[rng.randint(cost_range[0], cost_range[1]) for _ in range(p)]]
+            [[rng.randint(*SINGLE_INPUT_COST_RANGE) for _ in range(p)]]
         )
 
         condensation = condense(system)
@@ -218,7 +233,7 @@ def random_single_input_system(
         if not check_no_sfm(system, full_pattern(costs)).feasible:
             continue
         return system, costs
-    raise RuntimeError(f"no admissible instance found in {max_tries} draws")
+    raise RuntimeError(f"no admissible instance found in {MAX_TRIES} draws")
 
 
 def random_system(

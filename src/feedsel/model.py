@@ -38,9 +38,11 @@ class StructuredSystem:
     b_edges: (i, j) means input j actuates state i (edge u_j -> x_i).
     c_edges: (i, j) means output i senses state j (edge x_j -> y_i).
 
-    Construction checks the counts and every index against them, and
-    raises ``DimensionError`` naming each problem, so every instance is
-    valid. Instances are immutable and safe to share between threads.
+    Each edge field takes any iterable of integer pairs and is frozen into
+    a set here, once, so repeated pairs collapse. Construction checks the
+    counts and every index against them, and raises ``DimensionError``
+    naming each problem, so every instance is valid. Instances are
+    immutable and safe to share between threads.
     """
 
     n: int
@@ -73,52 +75,28 @@ class StructuredSystem:
         if problems:
             raise DimensionError("; ".join(problems))
 
-    @classmethod
-    def from_lists(
-        cls,
-        n: int,
-        m: int,
-        p: int,
-        a_edges: Iterable[Iterable[int]],
-        b_edges: Iterable[Iterable[int]],
-        c_edges: Iterable[Iterable[int]],
-    ) -> tuple["StructuredSystem", list[str]]:
-        """Build a system from raw edge lists, collapsing duplicates.
-
-        Returns the system together with a list of warnings (one per edge
-        family that contained duplicates). Duplicates are not an error:
-        patterns are sets, so repeated entries carry no extra information.
-        """
-        warnings = []
-        cleaned = {}
-        for name, raw in (("a_edges", a_edges), ("b_edges", b_edges), ("c_edges", c_edges)):
-            pairs = [(int(a), int(b)) for a, b in raw]
-            dedup = frozenset(pairs)
-            if len(dedup) < len(pairs):
-                warnings.append(f"{name}: {len(pairs) - len(dedup)} duplicate entries collapsed")
-            cleaned[name] = dedup
-        return cls(n=n, m=m, p=p, **cleaned), warnings
-
 
 @dataclass(frozen=True)
 class CostMatrix:
     """m x p matrix of nonnegative feedback-link costs; inf marks a forbidden link.
 
-    The finite entries must sum to a finite float, so that no pattern of
-    admissible links, and no path length in the solvers, overflows to inf.
+    Construction freezes the rows into tuples and is the one place that
+    checks the entries: each must be >= 0 (NaN is not), and the finite
+    entries must sum to a finite float, so that no pattern of admissible
+    links, and no path length in the solvers, overflows to inf.
     """
 
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(entry for entry in row) for row in self.rows)
+        rows = tuple(tuple(row) for row in self.rows)
         widths = {len(row) for row in rows}
         if len(widths) > 1:
             raise DimensionError(f"cost matrix is ragged: row widths {sorted(widths)}")
         for i, row in enumerate(rows, start=1):
             for j, entry in enumerate(row, start=1):
                 if not (entry >= 0):
-                    raise ValueError(f"cost entry ({i}, {j}) must be >= 0 or inf, got {entry!r}")
+                    raise ValueError(f"cost entry ({i}, {j}) must be >= 0, got {entry!r}")
         if sum(entry for row in rows for entry in row if entry != INF) > sys.float_info.max:
             raise ValueError(
                 "the finite cost entries sum beyond the largest float, "
@@ -128,7 +106,7 @@ class CostMatrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[float]]) -> "CostMatrix":
-        return cls(tuple(tuple(row) for row in rows))
+        return cls(rows)
 
     @property
     def m(self) -> int:

@@ -1,7 +1,12 @@
 import contextlib
+import copy
+import hashlib
 import io
 import json
+import math
 import os
+import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -11,10 +16,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from feedsel import CostMatrix, StructuredSystem, cost_of, parse_system
+from feedsel import (
+    CostMatrix, SetCoverInstance, StructuredSystem, cost_of, parse_system, reduce_set_cover,
+)
 from feedsel import cli
 from feedsel.cli import parse_feedback_arg, run
 from feedsel.fileio import SchemaError, emit_setcover, emit_system
+from feedsel.generators import random_line_system, random_single_input_system
 from tests.conftest import fig1_cover_instance, section5_system
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -418,6 +426,43 @@ def test_integer_costs_beyond_float_range_are_one_line_input_errors(capsys, tmp_
         assert err.startswith(f"error: {named}") and err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("1e400", 'is not finite, got inf; use "inf" to forbid a link'),
+        ("Infinity", 'is not finite, got inf; use "inf" to forbid a link'),
+        ("-Infinity", "must be >= 0, got -inf"),
+        ("NaN", "must be >= 0, got nan"),
+    ],
+)
+def test_non_finite_numeric_costs_are_one_line_input_errors(capsys, tmp_path, literal, message):
+    # Only the string "inf" forbids a link; a number that reads as inf is an error.
+    document = json.loads(emit_system(*section5_system()))
+    document["cost"][0][2] = "PLACEHOLDER"
+    path = tmp_path / "non-finite.json"
+    path.write_text(json.dumps(document).replace('"PLACEHOLDER"', literal))
+    assert invoke(capsys, "solve-dp", str(path)) == (2, "", f"error: cost entry (1, 3) {message}\n")
+
+
+@pytest.mark.parametrize(
+    "sizes",
+    [
+        ["--sccs", "100001", "--scc-size", "1", "1", "--inputs", "1", "--outputs", "1"],
+        ["--sccs", "49999", "--scc-size", "2", "2", "--inputs", "1", "--outputs", "1", "--no-pm"],
+        ["--inputs", "400", "--outputs", "400"],
+    ],
+)
+def test_gen_line_beyond_the_size_cap_is_a_one_line_input_error(capsys, sizes):
+    # The generator refuses before it draws. Without the check the first two
+    # would write files of 100 003 and 100 001 vertices (the --no-pm hub SCC
+    # has 3 states), which parse_system rejects, and the last would draw a
+    # 160 000-entry cost matrix.
+    code, out, err = invoke(capsys, "gen-line", "--seed", "1", *sizes)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: instance too large") and err.count("\n") == 1, err
+
+
 def test_oversized_set_cover_is_a_one_line_input_error(capsys, tmp_path):
     path = tmp_path / "huge-cover.json"
     path.write_text('{"universe_size":200000000,"sets":[[1]],"weights":[1]}')
@@ -623,3 +668,128 @@ def test_fuzzed_inputs_exit_0_1_or_2_with_one_error_line(data):
         assert len(lines) == len(warnings) + 1 and lines[-1].startswith("error: "), (argv, lines)
     else:
         assert lines == warnings, (argv, lines)
+
+
+# ---------------------------------------------------------------------------
+# golden digest: exit code, stdout and stderr of every subcommand
+
+CLI_DIGEST = "40321574a02d0339271bdb7ab75163651244632122be9958380c4272657e1efe"
+
+# Values a single fault puts in place of a field or an entry. Non-finite
+# floats are left out: the JSON spellings Infinity and NaN are not part of
+# the file format.
+FAULT_VALUES = (
+    None, True, -1, 0, 3, 2.5, -2.5, 2**63, 10**400, "x", "inf", "",
+    [], [1], [0, 1], [1, 1, 1], [1, "a"], [[1, 2]], {}, {"n": 1},
+)
+
+
+def _single_fault(rng: random.Random, document: dict, name: str, how: str | None = None) -> str:
+    """``document`` as JSON text with one fault in or at field ``name``."""
+    document = copy.deepcopy(document)
+    how = how or rng.choice(["replace", "drop", "entry", "nested", "duplicate", "truncate"])
+    entries = document[name]
+    if how == "replace":
+        document[name] = rng.choice(FAULT_VALUES)
+    elif how == "drop":
+        del document[name]
+    elif how in ("entry", "nested", "duplicate") and isinstance(entries, list) and entries:
+        index = rng.randrange(len(entries))
+        if how == "duplicate":
+            entries.append(copy.deepcopy(entries[index]))
+        elif how == "nested" and isinstance(entries[index], list) and entries[index]:
+            entries[index][rng.randrange(len(entries[index]))] = rng.choice(FAULT_VALUES)
+        else:
+            entries[index] = rng.choice(FAULT_VALUES)
+    text = json.dumps(document)
+    if how == "truncate":
+        text = text[: rng.randrange(len(text))]
+    return text
+
+
+def _golden_system_files(directory: Path) -> list[tuple[Path, str]]:
+    """40 generated system files, each with its full link set as feedback."""
+    made = []
+    for seed in range(24):
+        made.append(random_line_system(
+            seed, scc_count=1 + seed % 5, n_inputs=1 + seed % 3, n_outputs=1 + seed % 4,
+            perfect_matching=seed % 2 == 0,
+        ))
+    for seed, (system, costs) in enumerate(made[:6]):
+        # Forbid some links, so that some of these become infeasible.
+        rows = [list(row) for row in costs.rows]
+        rng = random.Random(seed)
+        for i, row in enumerate(rows):
+            for j in range(len(row)):
+                if rng.random() < 0.6:
+                    rows[i][j] = math.inf
+        made.append((system, CostMatrix.from_rows(rows)))
+    for seed in range(6):
+        made.append(random_single_input_system(seed, n_branches=1 + seed % 4))
+    for seed in range(4):
+        rng = random.Random(seed)
+        universe = rng.randint(2, 6)
+        sets = [frozenset(rng.sample(range(1, universe + 1), rng.randint(1, universe)))
+                for _ in range(rng.randint(2, 7))]
+        sets.append(frozenset(range(1, universe + 1)))
+        weights = tuple(rng.choice([1, 2, 2.5, 7]) for _ in sets)
+        made.append(reduce_set_cover(SetCoverInstance(universe, tuple(sets), weights)))
+    files = []
+    for k, (system, costs) in enumerate(made):
+        path = directory / f"generated-{k}.json"
+        path.write_text(emit_system(system, costs))
+        files.append((path, ",".join(f"{i}:{j}" for i, j in costs.finite_links())))
+    return files
+
+
+def _system_argvs(path: Path, feedback: str) -> list[list[str]]:
+    path = str(path)
+    argvs = [["export-dot", path, f"--feedback={feedback}"], ["export-dot", path, "--condensation"]]
+    for fmt in ("--format=text", "--format=structured"):
+        argvs += [["check-sfm", path, f"--feedback={links}", fmt] for links in ("", feedback)]
+        argvs += [
+            [command, path, fmt]
+            for command in ("solve-dp", "solve-two-stage", "solve-greedy", "solve-exact")
+        ]
+    return argvs
+
+
+def test_cli_outputs_match_golden_digest(tmp_path):
+    argvs = _system_argvs(DATA / "section5.json", "2:3,1:1")
+    argvs.append(["gen-setcover", str(DATA / "fig1_cover.json")])
+    fig1_system = tmp_path / "fig1-system.json"
+    assert run(["gen-setcover", str(DATA / "fig1_cover.json"), "-o", str(fig1_system)]) == 0
+    argvs += _system_argvs(fig1_system, "1:1,1:3")
+    for path, feedback in _golden_system_files(tmp_path):
+        argvs += _system_argvs(path, feedback)
+    argvs += [
+        ["gen-line", "--seed", "1"],
+        ["gen-line", "--seed", "2", "--no-pm"],
+        ["gen-line", "--seed", "3", "--sccs", "6", "--scc-size", "2", "4", "--cost", "0", "9"],
+    ]
+    rng = random.Random(20261018)
+    system_documents = [json.loads(p.read_text()) for p in (DATA / "section5.json", fig1_system)]
+    cover_document = json.loads((DATA / "fig1_cover.json").read_text())
+    for k in range(240):
+        # Every other fault lands in the cost matrix, which has the most
+        # checks, and most of those in one entry.
+        document = system_documents[k % 3 == 0]
+        name = "cost" if k % 2 else rng.choice(sorted(document))
+        how = "nested" if k % 4 == 1 else None
+        path = tmp_path / f"faulty-system-{k}.json"
+        path.write_text(_single_fault(rng, document, name, how))
+        argvs += _system_argvs(path, "2:3,1:1")
+    for k in range(60):
+        path = tmp_path / f"faulty-cover-{k}.json"
+        path.write_text(_single_fault(rng, cover_document, rng.choice(sorted(cover_document))))
+        argvs.append(["gen-setcover", str(path)])
+
+    records = []
+    for argv in argvs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        stdout = re.sub(r'"elapsed_sec": [^,\n]*', '"elapsed_sec": _', out.getvalue())
+        record = repr((argv, code, stdout, err.getvalue()))
+        records.append(record.replace(str(tmp_path), "<tmp>").replace(str(DATA), "<data>"))
+    assert hashlib.sha256("\n".join(records).encode()).hexdigest() == CLI_DIGEST

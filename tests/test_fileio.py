@@ -90,6 +90,16 @@ def test_parse_warns_on_duplicate_edges():
     assert system == section5_system()[0]
 
 
+def test_parse_collapses_duplicates_with_warning():
+    document = {
+        "n": 2, "m": 1, "p": 1, "a_edges": [[1, 1], [1, 1], [2, 1]], "b_edges": [[1, 1]],
+        "c_edges": [], "cost": [[1]],
+    }
+    system, _, warnings = parse_system(json.dumps(document))
+    assert system.a_edges == frozenset({(1, 1), (2, 1)})
+    assert warnings == ["a_edges: 1 duplicate entries collapsed"]
+
+
 def test_setcover_roundtrip():
     instance = fig1_cover_instance()
     parsed = parse_setcover(emit_setcover(instance))

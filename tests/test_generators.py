@@ -1,8 +1,10 @@
+import hashlib
+import math
 import random
 
 import pytest
 
-from feedsel import check_no_sfm, condense, full_pattern
+from feedsel import CostMatrix, check_no_sfm, condense, emit_system, full_pattern
 from feedsel.generators import (
     random_line_system,
     random_single_input_system,
@@ -86,3 +88,39 @@ def test_random_system_respects_dimensions():
 def test_line_generator_rejects_bad_ranges_up_front(kwargs, argument):
     with pytest.raises(ValueError, match=argument):
         random_line_system(1, **kwargs)
+
+
+GENERATED_DIGEST = "7b91e7ed6cdba31c0bff98a09c6fcc3d5e608e8300c5cdeec34416807d3932e9"
+
+# The instance classes of perfbench/workloads.py, whose files must not change.
+PERFBENCH_LINE_CLASSES = [
+    *(dict(scc_count=k, scc_size_range=(1, 1), n_inputs=50, n_outputs=50) for k in (250, 500, 1000)),
+    *(dict(scc_count=k, scc_size_range=(2, 2), n_inputs=20, n_outputs=20, perfect_matching=False)
+      for k in (150, 300, 600)),
+    dict(scc_count=4, scc_size_range=(2, 2), n_inputs=3, n_outputs=4, perfect_matching=False),
+    dict(scc_count=6, scc_size_range=(2, 2), n_inputs=3, n_outputs=4),
+]
+
+
+def test_generated_instances_match_golden_digest():
+    texts = []
+    for seed in range(30):
+        texts.append(emit_system(*random_line_system(
+            seed, scc_count=1 + seed % 6, n_inputs=1 + seed % 3, n_outputs=1 + seed % 4,
+            scc_size_range=((1, 3), (2, 4), (1, 1))[seed % 3],
+            cost_range=((1, 100), (0, 9))[seed % 4 == 0],
+            perfect_matching=seed % 2 == 1,
+        )))
+    for seed, kwargs in enumerate(PERFBENCH_LINE_CLASSES):
+        texts.append(emit_system(*random_line_system(2**63 + seed, **kwargs)))
+    rng = random.Random(31)
+    for _ in range(12):
+        texts.append(emit_system(*random_single_input_system(rng, n_branches=rng.randint(1, 6))))
+    for seed in range(8):
+        system, pattern = random_system(seed, n=2 + seed, m=1 + seed % 3, p=1 + seed % 4)
+        costs = CostMatrix.from_rows(
+            [[1 if (i, j) in pattern else math.inf for j in range(1, system.p + 1)]
+             for i in range(1, system.m + 1)]
+        )
+        texts.append(emit_system(system, costs))
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == GENERATED_DIGEST

@@ -90,14 +90,6 @@ def test_construction_lists_every_problem_in_sorted_order():
     )
 
 
-def test_from_lists_collapses_duplicates_with_warning():
-    system, warnings = StructuredSystem.from_lists(
-        2, 1, 1, [(1, 1), (1, 1), (2, 1)], [(1, 1)], []
-    )
-    assert system.a_edges == frozenset({(1, 1), (2, 1)})
-    assert warnings and "a_edges" in warnings[0]
-
-
 def test_set_cover_instance_rejects_empty_set():
     with pytest.raises(ValueError):
         SetCoverInstance(universe_size=2, sets=(frozenset(),), weights=(1,))
