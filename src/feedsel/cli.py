@@ -33,6 +33,7 @@ from .solvers import (
     Solution,
     exact_oracle,
     greedy_single_input,
+    reduce_set_cover,
     solve_dp,
     two_stage,
 )
@@ -63,11 +64,8 @@ def _jsonable(obj):
         }
     if isinstance(obj, FeedbackPattern):
         return [list(link) for link in obj.sorted_links()]
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        items = list(obj)
-        if isinstance(obj, (set, frozenset)):
-            items = sorted(items, key=str)
-        return [_jsonable(v) for v in items]
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, float):
         return _json_cost(obj)
     if isinstance(obj, (int, str, bool)) or obj is None:
@@ -176,8 +174,6 @@ def _solver_command(solver):
 
 
 def _cmd_gen_setcover(args) -> int:
-    from .solvers import reduce_set_cover
-
     instance = load_setcover(args.cover)
     system, costs = reduce_set_cover(instance)
     _emit(emit_system(system, costs), args.output)

@@ -13,12 +13,12 @@ from .model import FeedbackPattern, StructuredSystem
 SHAPES = {"x": "circle", "u": "box", "y": "diamond"}
 
 
-def system_to_dot(system: StructuredSystem, pattern: FeedbackPattern, name: str = "system") -> str:
+def system_to_dot(system: StructuredSystem, pattern: FeedbackPattern) -> str:
     """The closed-loop digraph of ``system`` with the feedback edges of ``pattern``."""
     index = ClosedLoopIndex(system)
     feedback = index.feedback_edges(index.check_links(pattern.links))
     label = index.labels
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+    lines = ["digraph system {", "  rankdir=LR;"]
     lines += [f"  {v} [shape={SHAPES[v[0]]}];" for v in label[1:]]
     lines += [f"  {label[tail]} -> {label[head]};" for tail, head in sorted(index.edges())]
     lines += [f"  {label[t]} -> {label[h]} [style=dashed];" for t, h in sorted(feedback)]
@@ -26,8 +26,8 @@ def system_to_dot(system: StructuredSystem, pattern: FeedbackPattern, name: str 
     return "\n".join(lines) + "\n"
 
 
-def condensation_to_dot(condensation: Condensation, name: str = "condensation") -> str:
-    lines = [f"digraph {name} {{", "  rankdir=LR;"]
+def condensation_to_dot(condensation: Condensation) -> str:
+    lines = ["digraph condensation {", "  rankdir=LR;"]
     for k in range(1, condensation.scc_count + 1):
         states = ",".join(f"x{s}" for s in sorted(condensation.sccs[k - 1]))
         inputs = ",".join(f"u{i}" for i in sorted(condensation.input_incidence[k - 1]))

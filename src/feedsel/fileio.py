@@ -3,15 +3,17 @@
 System files carry exactly the fields ``n``, ``m``, ``p``, the three edge
 lists as arrays of 1-based ``[i, j]`` pairs, and ``cost`` as an m x p array
 of finite numbers whose forbidden entries are the literal string ``"inf"``.
-Set-cover files carry ``universe_size``, ``sets`` and ``weights``. Parsers
-reject missing fields, malformed entries (non-finite numeric costs, integer
-costs beyond the float range and set elements that are not integers among
-them), dimension mismatches, systems with more than ``MAX_SYSTEM_VERTICES``
-vertices, and set-cover instances whose reduced system would have more
-(``universe_size + 2`` plus the set count); duplicate edges are collapsed
-with a warning. Parsers check only what JSON can get wrong; the model
-constructors check index ranges and cost signs, freeze each edge set and
-cost row once, and their errors surface as ``SchemaError``.
+Set-cover files carry ``universe_size``, ``sets`` and ``weights``.
+Duplicate edges are collapsed with a warning.
+
+Each value is checked once, by its owner. The parsers check the document
+shape (required fields, arrays where arrays belong, cost row lengths, an
+integer ``universe_size``), the size caps (``MAX_SYSTEM_VERTICES`` on
+n + m + p, and on a set cover's reduced system), and what only JSON can
+produce: cost strings other than ``"inf"``, numbers that read as infinity
+and integers beyond the float range. The model constructor that stores a
+value checks everything else about it (types, ranges, signs) without
+coercing, and its errors surface as ``SchemaError``.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .model import INF, CostMatrix, DimensionError, SetCoverInstance, StructuredSystem
+from .model import INF, CostMatrix, SetCoverInstance, StructuredSystem
 
 SYSTEM_FIELDS = ("n", "m", "p", "a_edges", "b_edges", "c_edges", "cost")
 SETCOVER_FIELDS = ("universe_size", "sets", "weights")
@@ -38,42 +40,26 @@ class SchemaError(ValueError):
     """The document does not conform to the file schema."""
 
 
-def _require_fields(data: Any, fields: tuple[str, ...], kind: str) -> None:
+def _document(text: str, fields: tuple[str, ...], kind: str) -> dict:
+    """The JSON object in ``text``, which must hold every name in ``fields``."""
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SchemaError(f"{kind} document must be a JSON object")
     missing = [name for name in fields if name not in data]
     if missing:
         raise SchemaError(f"missing required field(s): {', '.join(missing)}")
+    return data
 
 
-def _int_field(data: dict, name: str) -> int:
-    value = data[name]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"field '{name}' must be an integer, got {value!r}")
-    return value
-
-
-def _edge_list(data: dict, name: str) -> list[list[int]]:
-    value = data[name]
-    if not isinstance(value, list):
-        raise SchemaError(f"field '{name}' must be an array of [i, j] pairs")
-    for entry in value:
-        if (
-            not isinstance(entry, list)
-            or len(entry) != 2
-            or any(isinstance(x, bool) or not isinstance(x, int) for x in entry)
-        ):
-            raise SchemaError(f"field '{name}': entry {entry!r} is not an integer pair")
-    return value
-
-
-def _cost_entry(value: Any, i: int, j: int) -> float:
+def _cost_entry(value: Any, i: int, j: int) -> Any:
+    """``value`` with the literal "inf" read as ``INF``; the model checks the rest."""
     if isinstance(value, str):
         if value.lower() == "inf":
             return INF
         raise SchemaError(f"cost entry ({i}, {j}): unknown literal {value!r}; use \"inf\"")
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"cost entry ({i}, {j}) must be a number or \"inf\", got {value!r}")
     if value == INF:
         raise SchemaError(
             f"cost entry ({i}, {j}) is not finite, got {value!r}; use \"inf\" to forbid a link"
@@ -85,23 +71,21 @@ def _cost_entry(value: Any, i: int, j: int) -> float:
 
 def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
     """Parse a system document; returns (system, costs, warnings)."""
+    data = _document(text, SYSTEM_FIELDS, "system")
+    edges = {name: data[name] for name in ("a_edges", "b_edges", "c_edges")}
+    for name, value in edges.items():
+        if not isinstance(value, list):
+            raise SchemaError(f"field '{name}' must be an array of [i, j] pairs")
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    _require_fields(data, SYSTEM_FIELDS, "system")
-    n = _int_field(data, "n")
-    m = _int_field(data, "m")
-    p = _int_field(data, "p")
+        system = StructuredSystem(data["n"], data["m"], data["p"], **edges)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+    # The constructor does no per-vertex work, so nothing is allocated per vertex yet.
+    n, m, p = system.n, system.m, system.p
     if n + m + p > MAX_SYSTEM_VERTICES:
         raise SchemaError(
             f"system too large: n + m + p = {n + m + p} exceeds {MAX_SYSTEM_VERTICES}"
         )
-    edges = {name: _edge_list(data, name) for name in ("a_edges", "b_edges", "c_edges")}
-    try:
-        system = StructuredSystem(n, m, p, **edges)
-    except DimensionError as exc:
-        raise SchemaError(str(exc)) from exc
     warnings = [
         f"{name}: {len(pairs) - len(getattr(system, name))} duplicate entries collapsed"
         for name, pairs in edges.items()
@@ -145,20 +129,15 @@ def load_system(path) -> tuple[StructuredSystem, CostMatrix, list[str]]:
 
 
 def parse_setcover(text: str) -> SetCoverInstance:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"not valid JSON: {exc}") from exc
-    _require_fields(data, SETCOVER_FIELDS, "set cover")
-    universe_size = _int_field(data, "universe_size")
+    data = _document(text, SETCOVER_FIELDS, "set cover")
+    universe_size = data["universe_size"]
+    if isinstance(universe_size, bool) or not isinstance(universe_size, int):
+        raise SchemaError(f"field 'universe_size' must be an integer, got {universe_size!r}")
     raw_sets = data["sets"]
     raw_weights = data["weights"]
     if not isinstance(raw_sets, list) or not all(isinstance(s, list) for s in raw_sets):
         raise SchemaError("field 'sets' must be an array of integer arrays")
-    for idx, s in enumerate(raw_sets, start=1):
-        for e in s:
-            if isinstance(e, bool) or not isinstance(e, int):
-                raise SchemaError(f"set {idx}: element {e!r} is not an integer")
+    # The cap comes before construction, which builds the universe.
     vertices = universe_size + 2 + len(raw_sets)
     if vertices > MAX_SYSTEM_VERTICES:
         raise SchemaError(
@@ -167,17 +146,8 @@ def parse_setcover(text: str) -> SetCoverInstance:
         )
     if not isinstance(raw_weights, list):
         raise SchemaError("field 'weights' must be an array of numbers")
-    weights = []
-    for idx, w in enumerate(raw_weights, start=1):
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise SchemaError(f"weight {idx} must be a number, got {w!r}")
-        weights.append(w)
     try:
-        return SetCoverInstance(
-            universe_size=universe_size,
-            sets=tuple(frozenset(s) for s in raw_sets),
-            weights=tuple(weights),
-        )
+        return SetCoverInstance(universe_size=universe_size, sets=raw_sets, weights=raw_weights)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
 

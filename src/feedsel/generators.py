@@ -245,9 +245,8 @@ def random_system(
     a_density: float = 0.25,
     b_density: float = 0.3,
     c_density: float = 0.3,
-    link_density: float = 0.3,
 ) -> tuple[StructuredSystem, FeedbackPattern]:
-    """Unconstrained random system plus a random feedback pattern."""
+    """Unconstrained random system plus a random feedback pattern of link density 0.3."""
     rng = _rng(seed)
     a_edges = {
         (i, j)
@@ -271,7 +270,7 @@ def random_system(
         (i, j)
         for i in range(1, m + 1)
         for j in range(1, p + 1)
-        if rng.random() < link_density
+        if rng.random() < 0.3
     }
     system = StructuredSystem(
         n=n, m=m, p=p,

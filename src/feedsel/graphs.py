@@ -120,21 +120,19 @@ class ClosedLoopIndex:
         return _overlay(self._adjacency, self.matching_edges(links))
 
 
-def strongly_connected_components(
-    succ: Sequence[Sequence[int]], n_vertices: int
-) -> list[list[int]]:
+def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     """Tarjan's algorithm, iterative so deep chains don't hit the recursion limit.
 
-    ``succ`` is indexed by vertex id 1..n_vertices (entry 0 unused).
+    ``succ`` is indexed by vertex id 1..len(succ) - 1 (entry 0 unused).
     """
-    index = [0] * (n_vertices + 1)
-    low = [0] * (n_vertices + 1)
-    on_stack = [False] * (n_vertices + 1)
+    index = [0] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
     stack: list[int] = []
     sccs: list[list[int]] = []
     counter = 1
 
-    for root in range(1, n_vertices + 1):
+    for root in range(1, len(succ)):
         if index[root]:
             continue
         index[root] = low[root] = counter
@@ -172,10 +170,10 @@ def strongly_connected_components(
     return sccs
 
 
-def scc_ids(succ: Sequence[Sequence[int]], n_vertices: int) -> list[int]:
+def scc_ids(succ: Sequence[Sequence[int]]) -> list[int]:
     """Component id per vertex (entry 0 unused); ids are arbitrary but consistent."""
-    ids = [0] * (n_vertices + 1)
-    for cid, component in enumerate(strongly_connected_components(succ, n_vertices)):
+    ids = [0] * len(succ)
+    for cid, component in enumerate(strongly_connected_components(succ)):
         for v in component:
             ids[v] = cid
     return ids
@@ -225,7 +223,7 @@ def condense(system: StructuredSystem) -> Condensation:
     succ: list[list[int]] = [[] for _ in range(n + 1)]
     for i, j in system.a_edges:
         succ[j].append(i)
-    components = strongly_connected_components(succ, n)
+    components = strongly_connected_components(succ)
 
     comp_of = [0] * (n + 1)
     for cid, component in enumerate(components):

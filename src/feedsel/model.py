@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 INF = math.inf
 
@@ -26,8 +26,28 @@ class PreconditionError(ValueError):
     """A solver was invoked on an instance outside its supported class."""
 
 
-def _edge_set(edges: Iterable[Iterable[int]]) -> frozenset[Edge]:
-    return frozenset((int(a), int(b)) for a, b in edges)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _edge_set(
+    name: str, edges: Iterable, rows: int | None = None, cols: int = 0
+) -> tuple[frozenset[Edge], list[Edge]]:
+    """Frozen ``edges`` and, sorted, those outside 1..rows x 1..cols (unless rows is None)."""
+    frozen: set[Edge] = set()
+    outside: set[Edge] = set()
+    for entry in edges:
+        i, j = entry if isinstance(entry, (tuple, list)) and len(entry) == 2 else (None, None)
+        if not (_is_int(i) and _is_int(j)):
+            raise ValueError(f"field '{name}': entry {entry!r} is not an integer pair")
+        if rows is not None and not (1 <= i <= rows and 1 <= j <= cols):
+            outside.add((i, j))
+        frozen.add((i, j))
+    return frozenset(frozen), sorted(outside)
 
 
 @dataclass(frozen=True)
@@ -38,11 +58,13 @@ class StructuredSystem:
     b_edges: (i, j) means input j actuates state i (edge u_j -> x_i).
     c_edges: (i, j) means output i senses state j (edge x_j -> y_i).
 
-    Each edge field takes any iterable of integer pairs and is frozen into
-    a set here, once, so repeated pairs collapse. Construction checks the
-    counts and every index against them, and raises ``DimensionError``
-    naming each problem, so every instance is valid. Instances are
-    immutable and safe to share between threads.
+    Construction is the one owner of the checks on these values (parsers
+    check only document shape), and never coerces: a count that is not an
+    int, or an edge that is not a pair of ints, raises ``ValueError``. Each edge field takes any iterable of pairs; one loop
+    checks each pair, checks its range and freezes the field into a set,
+    so repeated pairs collapse. The range problems raise one
+    ``DimensionError`` naming each. Instances are immutable and safe to
+    share between threads.
     """
 
     n: int
@@ -53,25 +75,22 @@ class StructuredSystem:
     c_edges: frozenset[Edge] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "a_edges", _edge_set(self.a_edges))
-        object.__setattr__(self, "b_edges", _edge_set(self.b_edges))
-        object.__setattr__(self, "c_edges", _edge_set(self.c_edges))
+        n, m, p = self.n, self.m, self.p
+        for name, value in (("n", n), ("m", m), ("p", p)):
+            if not _is_int(value):
+                raise ValueError(f"field '{name}' must be an integer, got {value!r}")
         problems: list[str] = []
-        if self.n < 1:
-            problems.append(f"state count n must be >= 1, got {self.n}")
-        if self.m < 0 or self.p < 0:
-            problems.append(f"input/output counts must be >= 0, got m={self.m}, p={self.p}")
-        ranges = (
-            ("a_edges", self.a_edges, self.n, self.n),
-            ("b_edges", self.b_edges, self.n, self.m),
-            ("c_edges", self.c_edges, self.p, self.n),
-        )
-        for name, edges, rows, cols in ranges:
-            for i, j in sorted(e for e in edges if not (1 <= e[0] <= rows and 1 <= e[1] <= cols)):
-                problems.append(
-                    f"{name}: entry ({i}, {j}) out of range for "
-                    f"(n, m, p) = ({self.n}, {self.m}, {self.p})"
-                )
+        if n < 1:
+            problems.append(f"state count n must be >= 1, got {n}")
+        if m < 0 or p < 0:
+            problems.append(f"input/output counts must be >= 0, got m={m}, p={p}")
+        for name, rows, cols in (("a_edges", n, n), ("b_edges", n, m), ("c_edges", p, n)):
+            edges, outside = _edge_set(name, getattr(self, name), rows, cols)
+            object.__setattr__(self, name, edges)
+            problems += [
+                f"{name}: entry ({i}, {j}) out of range for (n, m, p) = ({n}, {m}, {p})"
+                for i, j in outside
+            ]
         if problems:
             raise DimensionError("; ".join(problems))
 
@@ -80,8 +99,9 @@ class StructuredSystem:
 class CostMatrix:
     """m x p matrix of nonnegative feedback-link costs; inf marks a forbidden link.
 
-    Construction freezes the rows into tuples and is the one place that
-    checks the entries: each must be >= 0 (NaN is not), and the finite
+    Construction freezes the rows into tuples and is the one owner of the
+    entry checks past JSON's own forms, never coercing: each entry must be
+    an int or float, not a bool, and >= 0 (NaN is not), and the finite
     entries must sum to a finite float, so that no pattern of admissible
     links, and no path length in the solvers, overflows to inf.
     """
@@ -95,6 +115,10 @@ class CostMatrix:
             raise DimensionError(f"cost matrix is ragged: row widths {sorted(widths)}")
         for i, row in enumerate(rows, start=1):
             for j, entry in enumerate(row, start=1):
+                if not _is_number(entry):
+                    raise ValueError(
+                        f"cost entry ({i}, {j}) must be a number or \"inf\", got {entry!r}"
+                    )
                 if not (entry >= 0):
                     raise ValueError(f"cost entry ({i}, {j}) must be >= 0, got {entry!r}")
         if sum(entry for row in rows for entry in row if entry != INF) > sys.float_info.max:
@@ -131,12 +155,9 @@ class CostMatrix:
             if not math.isinf(self.rows[i - 1][j - 1])
         ]
 
-    def matches(self, system: StructuredSystem) -> bool:
-        # An empty matrix cannot carry a column count, so m == 0 matches any p.
-        return self.m == system.m and (self.m == 0 or self.p == system.p)
-
     def require_matches(self, system: StructuredSystem) -> None:
-        if not self.matches(system):
+        # An empty matrix cannot carry a column count, so m == 0 matches any p.
+        if self.m != system.m or (self.m and self.p != system.p):
             raise DimensionError(
                 f"cost matrix is {self.m}x{self.p} but system has m={system.m}, p={system.p}"
             )
@@ -149,7 +170,7 @@ class FeedbackPattern:
     links: frozenset[Edge] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "links", _edge_set(self.links))
+        object.__setattr__(self, "links", _edge_set("links", self.links)[0])
 
     @classmethod
     def of(cls, *links: Edge) -> "FeedbackPattern":
@@ -181,12 +202,21 @@ def cost_of(pattern: FeedbackPattern, costs: CostMatrix) -> float:
     return total
 
 
+def _set_elements(idx: int, elements: Iterable) -> Iterator[int]:
+    for e in elements:
+        if not _is_int(e):
+            raise ValueError(f"set {idx}: element {e!r} is not an integer")
+        yield e
+
+
 @dataclass(frozen=True)
 class SetCoverInstance:
     """A weighted set cover instance: universe {1..N}, candidate sets, weights.
 
     The union of the candidate sets must equal the universe, so a cover
     always exists; choosing one of minimum total weight is the problem.
+    Construction alone checks set elements (ints) and weights (finite ints
+    or floats >= 0), and never coerces: a bool or other type raises.
     """
 
     universe_size: int
@@ -194,8 +224,11 @@ class SetCoverInstance:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        sets = tuple(frozenset(int(e) for e in s) for s in self.sets)
+        sets = tuple(frozenset(_set_elements(idx, s)) for idx, s in enumerate(self.sets, 1))
         weights = tuple(self.weights)
+        for idx, w in enumerate(weights, start=1):
+            if not _is_number(w):
+                raise ValueError(f"weight {idx} must be a number, got {w!r}")
         object.__setattr__(self, "sets", sets)
         object.__setattr__(self, "weights", weights)
         if self.universe_size < 1:
@@ -218,18 +251,21 @@ class SetCoverInstance:
     def set_count(self) -> int:
         return len(self.sets)
 
+    def _chosen(self, selected: Iterable[int]) -> set[int]:
+        """The distinct 1-based set indices in ``selected``, each checked in range."""
+        chosen = set(selected)
+        for idx in chosen:
+            if not 1 <= idx <= self.set_count:
+                raise DimensionError(f"set index {idx} out of range 1..{self.set_count}")
+        return chosen
+
     def cover_weight(self, selected: Iterable[int]) -> float:
         """Total weight of the 1-based set indices in ``selected``."""
         total: float = 0
-        for idx in set(selected):
-            if not 1 <= idx <= self.set_count:
-                raise DimensionError(f"set index {idx} out of range 1..{self.set_count}")
+        for idx in self._chosen(selected):
             total += self.weights[idx - 1]
         return total
 
     def is_cover(self, selected: Iterable[int]) -> bool:
-        chosen = set(selected)
-        covered: set[int] = set()
-        for idx in chosen:
-            covered |= self.sets[idx - 1]
+        covered = frozenset().union(*(self.sets[idx - 1] for idx in self._chosen(selected)))
         return covered == set(range(1, self.universe_size + 1))

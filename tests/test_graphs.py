@@ -371,7 +371,7 @@ def test_tarjan_agrees_with_closure_on_mixed_graphs():
             for w in range(1, n + 1):
                 if rng.random() < 0.3:
                     succ[v].append(w)
-        parts = {frozenset(c) for c in strongly_connected_components(succ, n)}
+        parts = {frozenset(c) for c in strongly_connected_components(succ)}
         assert parts == scc_partition_by_closure(succ, n)
 
 

@@ -106,10 +106,50 @@ def test_set_cover_weight_and_cover_check(fig1_cover):
     assert not fig1_cover.is_cover([1, 2])
 
 
+def test_set_cover_index_checks_are_shared():
+    instance = SetCoverInstance(universe_size=2, sets=(frozenset({1}), frozenset({2})), weights=(1, 1))
+    for method in (instance.is_cover, instance.cover_weight):
+        with pytest.raises(DimensionError, match=r"^set index 0 out of range 1\.\.2$"):
+            method([0, 1])
+
+
+def _system(**fields):
+    return StructuredSystem(**{"n": 2, "m": 1, "p": 1, **fields})
+
+
+def _cover(sets=((1,), (2,)), weights=(1, 1)):
+    return SetCoverInstance(universe_size=2, sets=sets, weights=weights)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _system(a_edges={(1.7, 2.9)}), "field 'a_edges': entry (1.7, 2.9) is not an integer pair"),
+    (lambda: _system(b_edges={(True, 1)}), "field 'b_edges': entry (True, 1) is not an integer pair"),
+    (lambda: _system(c_edges={("1", 2)}), "field 'c_edges': entry ('1', 2) is not an integer pair"),
+    (lambda: _system(a_edges=[(1, 2, 3)]), "field 'a_edges': entry (1, 2, 3) is not an integer pair"),
+    (lambda: _system(n=2.5), "field 'n' must be an integer, got 2.5"),
+    (lambda: _system(n=2.0), "field 'n' must be an integer, got 2.0"),
+    (lambda: _system(m=True), "field 'm' must be an integer, got True"),
+    (lambda: _system(p=False), "field 'p' must be an integer, got False"),
+    (lambda: FeedbackPattern({(1.9, 1.2)}), "field 'links': entry (1.9, 1.2) is not an integer pair"),
+    (lambda: FeedbackPattern({(1, True)}), "field 'links': entry (1, True) is not an integer pair"),
+    (lambda: _cover(sets=((1.5,), (1, 2))), "set 1: element 1.5 is not an integer"),
+    (lambda: _cover(sets=((1,), (True, 2))), "set 2: element True is not an integer"),
+    (lambda: _cover(weights=(1, "2")), "weight 2 must be a number, got '2'"),
+    (lambda: _cover(weights=(True, 1)), "weight 1 must be a number, got True"),
+    (lambda: CostMatrix([["3"]]), 'cost entry (1, 1) must be a number or "inf", got \'3\''),
+    (lambda: CostMatrix([[True, 2]]), 'cost entry (1, 1) must be a number or "inf", got True'),
+])
+def test_constructors_reject_values_they_would_coerce(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert excinfo.type is ValueError
+    assert str(excinfo.value) == message
+
+
 def test_inputless_system_is_representable_and_unsolvable():
     system = StructuredSystem(n=2, m=0, p=1, a_edges=frozenset({(1, 1), (2, 1)}), c_edges=frozenset({(1, 2)}))
     costs = CostMatrix.from_rows([])
-    assert costs.matches(system)
+    costs.require_matches(system)
     from feedsel import solve_dp
 
     assert not solve_dp(system, costs).feasible
