@@ -215,8 +215,9 @@ class SetCoverInstance:
 
     The union of the candidate sets must equal the universe, so a cover
     always exists; choosing one of minimum total weight is the problem.
-    Construction alone checks set elements (ints) and weights (finite ints
-    or floats >= 0), and never coerces: a bool or other type raises.
+    Construction alone checks the universe size and set elements (ints)
+    and weights (finite ints or floats >= 0), and never coerces: a bool or
+    other type raises.
     """
 
     universe_size: int
@@ -224,6 +225,8 @@ class SetCoverInstance:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
+        if not _is_int(self.universe_size):
+            raise ValueError(f"field 'universe_size' must be an integer, got {self.universe_size!r}")
         sets = tuple(frozenset(_set_elements(idx, s)) for idx, s in enumerate(self.sets, 1))
         weights = tuple(self.weights)
         for idx, w in enumerate(weights, start=1):

@@ -162,8 +162,10 @@ def check_condition_b(system: StructuredSystem, pattern: FeedbackPattern) -> boo
 
 
 def check_no_sfm(system: StructuredSystem, pattern: FeedbackPattern) -> SfmVerdict:
-    """Run both feasibility conditions and return the combined verdict."""
+    """Run both feasibility conditions on one index and return the combined verdict."""
+    index = ClosedLoopIndex(system)
+    links = index.check_links(pattern.links)
     return SfmVerdict(
-        uncovered_states=check_condition_a(system, pattern),
-        condition_b_ok=check_condition_b(system, pattern),
+        uncovered_states=_uncovered_states(index, links),
+        condition_b_ok=_has_cycle_family(index, links),
     )

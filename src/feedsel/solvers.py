@@ -13,15 +13,21 @@ Five routes to a pattern:
 * ``greedy_single_input``: weighted-set-cover greedy for single-input
   systems with one source SCC; logarithmic approximation factor.
 * ``exact_oracle``: exhaustive enumeration over admissible links, used to
-  validate the others at small sizes. Patterns are generated lazily,
-  cheapest first, from a heap, and one pass finds both the coverage
-  optimum and the optimum, ending just past the optimum without generating
-  the costlier patterns. Both feasibility conditions are monotone in the
-  link set, so the full link set decides whether any pattern passes each:
-  when it fails coverage the oracle answers without enumerating, and when
-  it fails cycle spanning the pass ends just past the coverage optimum.
-  Each pattern's coverage test is a few bit operations on open-loop
-  reachability tables (``sfm.CoverageKernel``).
+  validate the others at small sizes. Patterns are generated lazily from a
+  heap, best-first by a lower bound on the cheapest pattern passing
+  coverage in each subtree of the enumeration, and one pass finds both
+  the coverage optimum and the optimum, ending at the first key past the
+  optimum. The bound comes from two hitting constraints per state, read
+  off the open-loop reachability tables (``sfm.CoverageKernel``); a
+  subtree that cannot meet them is never generated. With a zero bound the
+  scan is the plain cheapest-first enumeration, and a pattern passing
+  coverage is always keyed by its own cost, so the bound changes which
+  patterns are visited, not the answers or their ties. Both feasibility
+  conditions are monotone in the link set, so the full link set decides
+  whether any pattern passes each: when it fails coverage the oracle
+  answers without enumerating, and when it fails cycle spanning the pass
+  ends just past the coverage optimum. Each pattern's coverage test is a
+  few bit operations on the same tables.
 
 ``reduce_set_cover`` maps a weighted set cover instance to an equivalent
 feedback-selection instance and doubles as a hard-instance generator.
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Optional
 
@@ -68,8 +75,13 @@ class BudgetExceededError(ValueError):
 
 _NO_FEASIBLE_PATTERN = "no feasible pattern exists (optimal cost is infinite)"
 
-# Hard cap on the oracle's admissible links, whatever the budget: a
-# feasible instance may still cost a scan of all 2^k patterns.
+# Hard cap on the oracle's admissible links, whatever the budget. The
+# coverage bound prunes optima that coverage makes costly: on 12-element
+# set covers whose last element only a weight-1000 set holds, k=20 and
+# k=24 take 13-34 ms at 16 MB peak RSS (7 s and 92 MB at k=20 without the
+# bound; CPython 3.11.7, 2-vCPU Intel Xeon). An optimum made costly by
+# cycle spanning alone is not bounded, and may still cost a scan of most
+# of the 2^k patterns.
 MAX_ORACLE_LINKS = 24
 
 
@@ -453,30 +465,98 @@ def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution
 # exhaustive oracle
 
 
-def _subsets_by_cost(link_costs: list[float]) -> Iterator[tuple[float, int]]:
-    """Yield (cost, mask) for every link subset, cheapest first.
+def _subsets_by_cost(
+    link_costs: list[float], hits: list[int]
+) -> Iterator[tuple[float, float, int]]:
+    """Yield (key, cost, mask) for link subsets, best-first by a lower bound.
 
-    Bit b of the mask selects link b. Best-first enumeration over the
-    links sorted by (cost, index): a subset whose costliest sorted link is
-    at position t has two children, one adding link t+1 and one swapping t
-    for t+1. Every nonempty subset has exactly one parent and costs no
-    less than it, so popping a heap yields the subsets in cost order. Each
-    pop pushes at most two entries, so the heap grows with the subsets
-    yielded, not with 2^k. A subset's cost is its link costs summed
-    cheapest first (``base`` is the sum without its costliest link), which
-    float rounding keeps monotone along every parent-child step.
+    Bit b of the mask selects link b, and bit h of ``hits[b]`` says that
+    link b meets constraint h. A subset *qualifies* when it meets every
+    constraint some link meets; the keys bound the qualifying subsets'
+    costs from below, and each qualifying subset comes out keyed by its
+    own cost.
+
+    Best-first enumeration over the links sorted by (cost, index): a
+    subset whose costliest sorted link is at position t has two children,
+    one adding link t+1 and one swapping t for t+1. Every nonempty subset
+    has exactly one parent, so the subtree of (mask, t) holds the subsets
+    (mask - link t) | Y for every nonempty Y of positions >= t. Its key is
+    the larger of its parent's key and base + max(cost[t], bound), where
+    ``base`` is the cost of mask - link t and ``bound`` is a lower bound
+    on what positions >= t must add to meet the constraints mask - link t
+    leaves unmet; a subtree whose constraints no such Y meets is never
+    pushed. Keys never decrease from parent to child, so popping a heap
+    yields them in ascending order. Each pop pushes at most two entries, so
+    the heap grows with the subsets yielded, not with 2^k. A subset's cost
+    is its link costs summed cheapest first, which float rounding keeps
+    monotone along every parent-child step.
+
+    With no constraints every bound is 0, every key is the subset's cost,
+    and every subset comes out once, cheapest first, equal costs by mask.
     """
     order = sorted(range(len(link_costs)), key=lambda b: (link_costs[b], b))
     cost = [link_costs[b] for b in order]
     bit = [1 << b for b in order]
-    yield 0, 0
-    heap = [(cost[0], bit[0], 0, 0)] if order else []
+    hit = [hits[b] for b in order]
+    k = len(order)
+    reach = [0] * (k + 1)  # constraints met by some link at position >= t
+    for t in reversed(range(k)):
+        reach[t] = reach[t + 1] | hit[t]
+    required = reach[0]
+
+    def bound(unmet: int, t: int) -> float:
+        # A qualifying Y holds, for each unmet constraint, a link at
+        # position >= t meeting it, and the first such link is the cheapest.
+        # So Y holds a link costing at least A, the cost at the first
+        # position by which every unmet constraint is met. Float addition
+        # is monotone, so base + A never exceeds the subset's float cost,
+        # and A needs no margin.
+        # Y also meets all `count` constraints at no less than `ratio` per
+        # constraint met, so in real arithmetic it costs at least
+        # B = count * ratio. B's division and product may round up and the
+        # subset's cost, a float sum, may round down; scaling B by
+        # 1 - 1e-12 covers both, since base sums at most 23 links no
+        # costlier than cost[t] <= B. Ratios below the normal range carry
+        # no such relative error bound, so they give B = 0.
+        if not unmet:
+            return 0
+        if unmet & ~reach[t]:
+            return INF
+        count = unmet.bit_count()
+        left, ratio, b = unmet, INF, t
+        while left or cost[b] / count < ratio:
+            gained = (hit[b] & unmet).bit_count()
+            if gained:
+                ratio = min(ratio, cost[b] / gained)
+            if left:
+                left &= ~hit[b]
+                if not left:
+                    least = cost[b]
+            b += 1
+            if b == k:
+                break
+        if ratio < sys.float_info.min:
+            return least
+        return max(least, count * ratio * (1 - 1e-12))
+
+    yield 0, 0, 0
+    heap: list[tuple[float, int, int, float, float, int]] = []
+
+    def push(parent_key: float, mask: int, t: int, base: float, met: int) -> None:
+        # (mask, t) with base = cost and met = constraints of mask - link t
+        extra = bound(required & ~met, t)
+        if extra != INF:
+            key = max(parent_key, base + max(cost[t], extra))
+            heapq.heappush(heap, (key, mask, t, base, base + cost[t], met))
+
+    if k:
+        push(0, bit[0], 0, 0, 0)
     while heap:
-        c, mask, t, base = heapq.heappop(heap)
-        yield c, mask
-        if t + 1 < len(order):
-            heapq.heappush(heap, (c + cost[t + 1], mask | bit[t + 1], t + 1, c))
-            heapq.heappush(heap, (base + cost[t + 1], (mask ^ bit[t]) | bit[t + 1], t + 1, base))
+        key, mask, t, base, c, met = heapq.heappop(heap)
+        yield key, c, mask
+        if t + 1 < k:
+            push(key, mask | bit[t + 1], t + 1, c, met | hit[t])
+            push(key, (mask ^ bit[t]) | bit[t + 1], t + 1, base, met)
 
 
 def exact_oracle(
@@ -484,16 +564,31 @@ def exact_oracle(
 ) -> Solution:
     """Exhaustive minimum over all patterns of admissible links.
 
-    Takes subsets lazily in ascending cost order (``_subsets_by_cost``), in
-    one pass: the first to pass condition (a) is the coverage-only optimum,
-    which the certificates expose for validating the chain dynamic
-    program, and the first to pass both is the optimum. Condition (b) is
-    tested only on masks that pass (a) and could still win. The pass stops
-    at the first subset costlier than the optimum, or than the coverage
-    optimum when no pattern passes (b). Costs are summed cheapest link
-    first, and equal-cost ties go to the lexicographically smallest
-    pattern. Refuses instances with more than ``budget`` admissible links,
-    and any with more than ``MAX_ORACLE_LINKS``.
+    Takes subsets lazily in ascending key order (``_subsets_by_cost``), in
+    one pass. A closed walk puts x_s in an SCC with a feedback edge, so a
+    pattern passing condition (a) holds, for each state x_s, a link (i, j)
+    with x_s in SQ[j] (the first feedback edge after x_s on that walk) and
+    a link (i, j) with x_s in SR[i] (the last input before x_s). These
+    hitting constraints give each subtree of the enumeration a lower bound:
+    the costliest cheapest link of a constraint left unmet, or the number
+    of unmet constraints times the least cost per constraint a link meets,
+    whichever is larger, with the second scaled down so that float
+    rounding never lifts it above an optimum. Subtrees that cannot meet
+    the constraints are dropped. A pattern passing (a) comes out keyed by
+    its own cost, so the ones passing (a) still arrive in cost order; with
+    a zero bound every key is the cost, and the scan is the plain
+    cheapest-first one, so the bound changes neither answers nor ties.
+
+    The cheapest subset to pass (a) is the coverage-only optimum, which the
+    certificates expose for validating the chain dynamic program, and the
+    cheapest to pass both is the optimum. Condition (b) is tested only on
+    masks that pass (a) and could still win. The pass stops at the first
+    key above the optimum, or above the coverage optimum when no pattern
+    passes (b). Costs are summed cheapest link first, and equal-cost ties
+    go to the lexicographically smallest pattern. A costly optimum that
+    only (b) forces is not bounded and may still cost most of the 2^k
+    patterns. Refuses instances with more than ``budget`` admissible
+    links, and any with more than ``MAX_ORACLE_LINKS``.
     """
     costs.require_matches(system)
     links = costs.finite_links()
@@ -521,22 +616,25 @@ def exact_oracle(
 
     kernel = CoverageKernel(index)
     link_costs = [costs.cost(i, j) for i, j in links]
+    # The hitting constraints of (a): bit s when x_s is in SQ[j], bit n + s
+    # when x_s is in SR[i].
+    hits = [kernel.SQ[j] | kernel.SR[i] << system.n for i, j in links]
     # The cheapest patterns passing (a), and (a) and (b), as link lists;
     # each list is sorted, since the links are lexicographic and the bits
     # ascend. No pattern cheaper than the first to pass (a) passes both.
     cover: Optional[list[Edge]] = None
     best: Optional[list[Edge]] = None
     cover_cost = best_cost = INF
-    for c, mask in _subsets_by_cost(link_costs):
-        if c > (best_cost if full_b_ok else cover_cost):
+    for key, c, mask in _subsets_by_cost(link_costs, hits):
+        if key > (best_cost if full_b_ok else cover_cost):
             break
         chosen = [links[b] for b in range(n_links) if mask >> b & 1]
         if kernel.uncovered_states(chosen):
             continue
-        if cover is None or c == cover_cost and chosen < cover:
+        if cover is None or (c, chosen) < (cover_cost, cover):
             cover_cost, cover = c, chosen
         # With a state perfect matching every pattern passes (b).
-        if full_b_ok and (best is None or chosen < best) and (
+        if full_b_ok and (best is None or (c, chosen) < (best_cost, best)) and (
             base_b_ok or _has_cycle_family(index, chosen)
         ):
             best_cost, best = c, chosen

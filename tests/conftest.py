@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import collections
 import math
+import random
 from itertools import combinations, permutations
 
 import pytest
@@ -46,6 +47,24 @@ def fig1_cover_instance() -> SetCoverInstance:
         sets=(frozenset({1, 2}), frozenset({2, 3}), frozenset({3, 4, 5})),
         weights=(2, 3, 4),
     )
+
+
+def costly_cover(k: int, costly_weights: tuple[float, ...]) -> SetCoverInstance:
+    """A 12-element cover with k sets whose optimum needs a costly set.
+
+    Elements 1..11 lie in k - len(costly_weights) cheap sets of three
+    elements each, with weights 1..9 (seeded by k); element 12 lies only in
+    the costly sets, each of which also holds two cheap elements. So every
+    cover cheaper than the cheapest costly weight fails, and a scan in cost
+    order alone visits most of the 2^k patterns before it finds one.
+    """
+    rng = random.Random(k)
+    cheap = k - len(costly_weights)
+    sets = [frozenset(rng.sample(range(1, 12), 3)) for _ in range(cheap)]
+    sets[0] |= frozenset(range(1, 12)).difference(*sets)
+    weights = tuple(rng.randint(1, 9) for _ in range(cheap)) + tuple(costly_weights)
+    sets += [frozenset({12, *rng.sample(range(1, 12), 2)}) for _ in costly_weights]
+    return SetCoverInstance(universe_size=12, sets=tuple(sets), weights=weights)
 
 
 @pytest.fixture

@@ -136,6 +136,8 @@ def _cover(sets=((1,), (2,)), weights=(1, 1)):
     (lambda: _cover(sets=((1,), (True, 2))), "set 2: element True is not an integer"),
     (lambda: _cover(weights=(1, "2")), "weight 2 must be a number, got '2'"),
     (lambda: _cover(weights=(True, 1)), "weight 1 must be a number, got True"),
+    (lambda: SetCoverInstance(True, ((1,),), (1,)), "field 'universe_size' must be an integer, got True"),
+    (lambda: SetCoverInstance(2.5, ((1, 2),), (1,)), "field 'universe_size' must be an integer, got 2.5"),
     (lambda: CostMatrix([["3"]]), 'cost entry (1, 1) must be a number or "inf", got \'3\''),
     (lambda: CostMatrix([[True, 2]]), 'cost entry (1, 1) must be a number or "inf", got True'),
 ])

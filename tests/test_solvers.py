@@ -1,7 +1,9 @@
 import hashlib
 import math
 import random
+import time
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +25,7 @@ from feedsel import (
     exact_oracle,
     greedy_set_cover,
     greedy_single_input,
+    load_setcover,
     min_cost_condition_b,
     reduce_set_cover,
     selected_sets,
@@ -35,6 +38,7 @@ from feedsel.graphs import hopcroft_karp, is_line_dag, state_bipartite
 from tests.conftest import (
     brute_force_set_cover,
     closed_loop_cost_rows,
+    costly_cover,
     covering_edge_set,
     dense_cost_rows,
     dense_min_cost_assignment,
@@ -792,9 +796,11 @@ def test_oracle_certifies_coverage_when_no_pattern_spans_cycles(monkeypatch):
 
 
 def _assert_each_subset_once_cheapest_first(link_costs):
-    yielded = list(solvers._subsets_by_cost(link_costs))
-    assert sorted(mask for _, mask in yielded) == list(range(2 ** len(link_costs)))
-    keys = [c for c, _ in yielded]
+    # Without constraints every bound is 0 and each key is the subset's cost.
+    yielded = list(solvers._subsets_by_cost(link_costs, [0] * len(link_costs)))
+    assert sorted(mask for _, _, mask in yielded) == list(range(2 ** len(link_costs)))
+    assert all(key == c for key, c, _ in yielded)
+    keys = [key for key, _, _ in yielded]
     assert keys == sorted(keys)
     return yielded
 
@@ -803,7 +809,7 @@ def _assert_each_subset_once_cheapest_first(link_costs):
 @given(st.lists(st.integers(0, 4), max_size=10))
 def test_subsets_by_cost_yields_each_subset_once_cheapest_first(link_costs):
     # Small integer costs give many ties and zeros, and every sum is exact.
-    for c, mask in _assert_each_subset_once_cheapest_first(link_costs):
+    for _, c, mask in _assert_each_subset_once_cheapest_first(link_costs):
         assert c == sum(w for b, w in enumerate(link_costs) if (mask >> b) & 1)
 
 
@@ -811,6 +817,52 @@ def test_subsets_by_cost_yields_each_subset_once_cheapest_first(link_costs):
 @given(st.lists(st.floats(0, 1e6, allow_nan=False, allow_infinity=False), max_size=10))
 def test_subsets_by_cost_keys_never_decrease_on_float_costs(link_costs):
     _assert_each_subset_once_cheapest_first(link_costs)
+
+
+def _cheapest_first_sum(link_costs, mask):
+    total = 0
+    for b in sorted(range(len(link_costs)), key=lambda b: (link_costs[b], b)):
+        if mask >> b & 1:
+            total += link_costs[b]
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(
+        st.one_of(st.sampled_from(TIE_HEAVY_COSTS[:-1]), st.floats(0, 1e6)),
+        st.integers(0, 63),
+    ),
+    max_size=9,
+))
+# Subnormal: 1e-323 / 3 rounds up to 5e-324, so 3 * 5e-324 overstates 1e-323.
+@example([(1e-323, 7), (1e-323, 1)])
+def test_subsets_by_cost_keys_bound_every_qualifying_subset(links):
+    # A subset qualifies when its links meet every constraint some link
+    # meets. Each one must come out keyed by its own cheapest-first cost,
+    # after keys no larger (so no bound exceeds it), and exactly once.
+    link_costs = [c for c, _ in links]
+    hits = [h for _, h in links]
+    yielded = list(solvers._subsets_by_cost(link_costs, hits))
+    keys = [key for key, _, _ in yielded]
+    assert keys == sorted(keys)
+    masks = [mask for _, _, mask in yielded]
+    assert len(set(masks)) == len(masks)
+    by_mask = {mask: (key, c) for key, c, mask in yielded}
+    required = 0
+    for h in hits:
+        required |= h
+    for mask in range(2 ** len(links)):
+        met = 0
+        for b, h in enumerate(hits):
+            if mask >> b & 1:
+                met |= h
+        if met == required:
+            cost = _cheapest_first_sum(link_costs, mask)
+            assert by_mask[mask] == (cost, cost)
+        elif mask in by_mask:
+            key, c = by_mask[mask]
+            assert key >= c == _cheapest_first_sum(link_costs, mask)
 
 
 def test_oracle_tie_break_is_lexicographic():
@@ -954,13 +1006,84 @@ def test_oracle_enumerates_once_without_state_matching(monkeypatch):
     subsets_by_cost = solvers._subsets_by_cost
     calls = []
 
-    def counted(link_costs):
+    def counted(link_costs, hits):
         calls.append(link_costs)
-        return subsets_by_cost(link_costs)
+        return subsets_by_cost(link_costs, hits)
 
     monkeypatch.setattr(solvers, "_subsets_by_cost", counted)
     assert exact_oracle(system, costs).feasible
     assert len(calls) == 1
+
+
+def _cover_optimum_by_element_masks(instance):
+    """Cheapest cover weight, by a DP over the 2^N masks of covered elements."""
+    full = (1 << instance.universe_size) - 1
+    bits = [sum(1 << (e - 1) for e in s) for s in instance.sets]
+    cheapest = [INF] * (full + 1)
+    cheapest[0] = 0
+    for covered in range(full + 1):  # adding a set never shrinks the mask
+        if cheapest[covered] < INF:
+            for b, w in zip(bits, instance.weights):
+                cheapest[covered | b] = min(cheapest[covered | b], cheapest[covered] + w)
+    return cheapest[full]
+
+
+@pytest.mark.parametrize("k", [20, 24])
+@pytest.mark.parametrize("costly_weights", [(1000,), (1000, 1001)])
+def test_oracle_solves_costly_optimum_covers_in_seconds(k, costly_weights):
+    # Every cover without a costly set fails; unbounded, the scan in cost
+    # order visited about half of the 2^k patterns (7 s and 92 MB at k=20).
+    instance = costly_cover(k, costly_weights)
+    system, costs = reduce_set_cover(instance)
+    start = time.perf_counter()
+    solution = exact_oracle(system, costs, budget=24)
+    assert time.perf_counter() - start < 2
+    assert check_no_sfm(system, solution.pattern).feasible
+    assert solution.cost == _cover_optimum_by_element_masks(instance)
+    assert solution.cost >= 1000
+
+
+def test_costly_cover_data_file_is_the_24_set_family():
+    path = Path(__file__).resolve().parent.parent / "data" / "costly_cover_24.json"
+    assert load_setcover(path) == costly_cover(24, (1000,))
+
+
+# Zero-cost sets, sums that tie only up to float rounding, and a weight
+# large enough to make any element it alone covers costly.
+COVER_WEIGHTS = (0, 0.1, 0.2, 0.3, 2.5, 1000)
+
+
+@st.composite
+def tie_heavy_covers(draw):
+    """A set cover of at most 9 sets over at most 5 elements, weights from ``COVER_WEIGHTS``."""
+    universe = draw(st.integers(1, 5))
+    sets = draw(st.lists(st.frozensets(st.integers(1, universe), min_size=1), min_size=1, max_size=9))
+    sets[draw(st.integers(0, len(sets) - 1))] |= frozenset(range(1, universe + 1)).difference(*sets)
+    weights = draw(st.lists(st.sampled_from(COVER_WEIGHTS), min_size=len(sets), max_size=len(sets)))
+    return SetCoverInstance(universe, tuple(sets), tuple(weights))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_covers())
+# {y1, y2} ties {y2} at cost 0.3 and wins it lexicographically.
+@example(SetCoverInstance(2, (frozenset({1}), frozenset({1, 2})), (0, 0.3)))
+def test_oracle_equals_naive_enumeration_on_tie_heavy_set_covers(instance):
+    from tests.conftest import naive_pattern_optimum
+
+    system, costs = reduce_set_cover(instance)
+    verdicts = {}
+
+    def verdict(pattern):
+        if pattern not in verdicts:
+            verdicts[pattern] = check_no_sfm(system, pattern)
+        return verdicts[pattern]
+
+    oracle = exact_oracle(system, costs)
+    coverage = naive_pattern_optimum(system, costs, lambda s, k: verdict(k).condition_a_ok)
+    optimum = naive_pattern_optimum(system, costs, lambda s, k: verdict(k).feasible)
+    certificate = (oracle.certificates["condition_a_cost"], oracle.certificates["condition_a_pattern"])
+    assert certificate == coverage
+    assert (oracle.cost, oracle.pattern) == optimum
 
 
 def test_dp_matches_public_checker_condition_a_optimum():
