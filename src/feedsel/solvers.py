@@ -516,8 +516,11 @@ def _subsets_by_cost(
         # B = count * ratio. B's division and product may round up and the
         # subset's cost, a float sum, may round down; scaling B by
         # 1 - 1e-12 covers both, since base sums at most 23 links no
-        # costlier than cost[t] <= B. Ratios below the normal range carry
-        # no such relative error bound, so they give B = 0.
+        # costlier than cost[t] <= B. The scale goes on before the product,
+        # so B stays below Y's float cost and cannot overflow to inf, which
+        # would read as "no Y meets the constraints". Ratios below the
+        # normal range carry no such relative error bound, so they give
+        # B = 0.
         if not unmet:
             return 0
         if unmet & ~reach[t]:
@@ -537,7 +540,7 @@ def _subsets_by_cost(
                 break
         if ratio < sys.float_info.min:
             return least
-        return max(least, count * ratio * (1 - 1e-12))
+        return max(least, count * (ratio * (1 - 1e-12)))
 
     yield 0, 0, 0
     heap: list[tuple[float, int, int, float, float, int]] = []

@@ -373,6 +373,20 @@ def test_infeasible_solve_exits_one(capsys, tmp_path):
     assert "feasible: no" in out
 
 
+def test_solve_exact_solves_a_cost_at_the_float_limit(capsys, tmp_path):
+    system = StructuredSystem(
+        n=3, m=1, p=1,
+        a_edges=frozenset({(2, 1), (3, 2)}),
+        b_edges=frozenset({(1, 1)}),
+        c_edges=frozenset({(1, 3)}),
+    )
+    path = tmp_path / "chain.json"
+    path.write_text(emit_system(system, CostMatrix.from_rows([[sys.float_info.max]])))
+    code, out, err = invoke(capsys, "solve-exact", str(path), "--format", "structured")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["cost"] == sys.float_info.max
+
+
 def test_solve_exact_budget_refusal_is_usage_error(capsys, section5_file):
     code, _, err = invoke(capsys, "solve-exact", section5_file, "--budget", "3")
     assert code == 2

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 import time
 from itertools import combinations
 from pathlib import Path
@@ -830,13 +831,21 @@ def _cheapest_first_sum(link_costs, mask):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(
     st.tuples(
-        st.one_of(st.sampled_from(TIE_HEAVY_COSTS[:-1]), st.floats(0, 1e6)),
+        st.one_of(
+            st.sampled_from(TIE_HEAVY_COSTS[:-1]),
+            st.floats(0, 1e6),
+            # Any nine of these sum to a finite cost, as CostMatrix requires.
+            st.floats(0, sys.float_info.max / 9),
+        ),
         st.integers(0, 63),
     ),
     max_size=9,
 ))
 # Subnormal: 1e-323 / 3 rounds up to 5e-324, so 3 * 5e-324 overstates 1e-323.
 @example([(1e-323, 7), (1e-323, 1)])
+# Near the float limit: 3 * (max / 3) rounds to inf, which must not read as
+# "no subset meets the constraints".
+@example([(sys.float_info.max, 7)])
 def test_subsets_by_cost_keys_bound_every_qualifying_subset(links):
     # A subset qualifies when its links meet every constraint some link
     # meets. Each one must come out keyed by its own cheapest-first cost,
