@@ -11,9 +11,12 @@ shape (required fields, arrays where arrays belong, cost row lengths, an
 integer ``universe_size``), the size caps (``MAX_SYSTEM_VERTICES`` on
 n + m + p, and on a set cover's reduced system), and what only JSON can
 produce: cost strings other than ``"inf"``, numbers that read as infinity
-and integers beyond the float range. The model constructor that stores a
-value checks everything else about it (types, ranges, signs) without
-coercing, and its errors surface as ``SchemaError``.
+and integers beyond the float range. A cost row of plain ints and floats
+whose maximum lies within the float range holds none of these and is
+passed on whole; only other rows are read entry by entry. The model
+constructor that stores a value checks everything else about it (types,
+ranges, signs) without coercing, and its errors surface as
+``SchemaError``.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from .model import INF, CostMatrix, SetCoverInstance, StructuredSystem
+from .model import INF, CostMatrix, SetCoverInstance, StructuredSystem, _NUMBER_TYPES
 
 SYSTEM_FIELDS = ("n", "m", "p", "a_edges", "b_edges", "c_edges", "cost")
 SETCOVER_FIELDS = ("universe_size", "sets", "weights")
@@ -99,7 +102,14 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
     for i, row in enumerate(raw_cost, start=1):
         if not isinstance(row, list) or len(row) != p:
             raise SchemaError(f"cost row {i} must have {p} entries")
-        rows.append([_cost_entry(value, i, j) for j, value in enumerate(row, start=1)])
+        # _cost_entry returns plain numbers unchanged, except inf and
+        # integers beyond the float range, which put max above the bound.
+        # max skips a NaN after the first entry, which _cost_entry would
+        # pass on too; a NaN first makes max NaN, and the loop reads the row.
+        if _NUMBER_TYPES.issuperset(map(type, row)) and max(row, default=0) <= sys.float_info.max:
+            rows.append(row)
+        else:
+            rows.append([_cost_entry(value, i, j) for j, value in enumerate(row, start=1)])
     try:
         costs = CostMatrix(rows)
     except ValueError as exc:

@@ -44,7 +44,8 @@ class ClosedLoopIndex:
     same order: v' - w is an edge when w -> v is, and every input and
     output is also paired with itself. A feedback link (i, j) adds the
     edge y_j -> u_i; bipartite rows are sorted when the links come in
-    lexicographic order. The base lists are built on first use and kept, so
+    lexicographic order. The base lists are built on first use, straight
+    from the system's edge fields in the order of ``edges()``, and kept, so
     one index serves every pattern checked on its system; each pattern's
     lists copy only the rows its feedback edges change and share the
     others with the base, so callers must not mutate them.
@@ -95,17 +96,30 @@ class ClosedLoopIndex:
 
     @cached_property
     def _successors(self) -> list[list[int]]:
+        s, n = self.system, self.system.n
         succ: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
-        for tail, head in self.edges():
-            succ[tail].append(head)
+        for i, j in s.a_edges:
+            succ[j].append(i)
+        for i, j in s.b_edges:
+            succ[n + j].append(i)
+        outputs = n + s.m
+        for i, j in s.c_edges:
+            succ[j].append(outputs + i)
         return succ
 
     @cached_property
     def _adjacency(self) -> list[list[int]]:
+        s, n = self.system, self.system.n
         adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for tail, head in self.edges():
-            adj[head - 1].append(tail - 1)
-        for v in range(self.system.n, self.vertex_count):
+        for i, j in s.a_edges:
+            adj[i - 1].append(j - 1)
+        inputs = n - 1
+        for i, j in s.b_edges:
+            adj[i - 1].append(inputs + j)
+        outputs = n + s.m - 1
+        for i, j in s.c_edges:
+            adj[outputs + i].append(j - 1)
+        for v in range(n, self.vertex_count):
             adj[v].append(v)
         for row in adj:
             row.sort()
@@ -341,13 +355,25 @@ def hopcroft_karp(
     """Maximum bipartite matching in O(E * sqrt(V)) phases.
 
     Returns (size, match_left, match_right) with -1 marking unmatched
-    vertices. The augmenting DFS is iterative, so long alternating paths
-    are safe.
+    vertices. The first phase is a greedy pass in row order: with every
+    left vertex free, the phase's shortest augmenting paths are single
+    edges and its DFS matches each row to its first free right vertex, so
+    the pass finds the same matching without the BFS layering. The
+    augmenting DFS of the later phases is iterative, so long alternating
+    paths are safe.
     """
     n_left = len(adjacency)
     match_l = [-1] * n_left
     match_r = [-1] * n_right
     dist = [0.0] * n_left
+    size = 0
+    for u, row in enumerate(adjacency):
+        for v in row:
+            if match_r[v] == -1:
+                match_l[u] = v
+                match_r[v] = u
+                size += 1
+                break
 
     def bfs() -> bool:
         queue: deque[int] = deque()
@@ -402,7 +428,6 @@ def hopcroft_karp(
                     entered_via.pop()
         return False
 
-    size = 0
     while bfs():
         for u in range(n_left):
             if match_l[u] == -1 and dfs(u):

@@ -9,8 +9,10 @@ an infinite total means "not achievable with admissible links".
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Iterator
 
 INF = math.inf
@@ -34,13 +36,37 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+_PAIR_TYPES = frozenset({tuple, list})
+_PAIR_LENGTH = frozenset({2})
+_INT_TYPE = frozenset({int})
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def _edge_set(
     name: str, edges: Iterable, rows: int | None = None, cols: int = 0
 ) -> tuple[frozenset[Edge], list[Edge]]:
-    """Frozen ``edges`` and, sorted, those outside 1..rows x 1..cols (unless rows is None)."""
+    """Frozen ``edges`` and, sorted, those outside 1..rows x 1..cols (unless rows is None).
+
+    A field of plain tuples or lists of two plain ints, all in range, is
+    decided whole by builtins: the entry types, lengths and element types
+    are checked before anything is hashed, and the ranges by min and max.
+    Any other field goes through the per-entry loop, which accepts int and
+    list subclasses and names the first offender. Both freeze the pairs
+    through a set, so the frozenset iterates in the same order either way.
+    """
+    entries = list(edges)
+    if _PAIR_TYPES.issuperset(map(type, entries)) and _PAIR_LENGTH.issuperset(map(len, entries)):
+        flat = list(chain.from_iterable(entries))
+        if _INT_TYPE.issuperset(map(type, flat)):
+            firsts, seconds = flat[0::2], flat[1::2]
+            if rows is None or not flat or (
+                1 <= min(firsts) and max(firsts) <= rows
+                and 1 <= min(seconds) and max(seconds) <= cols
+            ):
+                return frozenset(set(map(tuple, entries))), []
     frozen: set[Edge] = set()
     outside: set[Edge] = set()
-    for entry in edges:
+    for entry in entries:
         i, j = entry if isinstance(entry, (tuple, list)) and len(entry) == 2 else (None, None)
         if not (_is_int(i) and _is_int(j)):
             raise ValueError(f"field '{name}': entry {entry!r} is not an integer pair")
@@ -60,11 +86,12 @@ class StructuredSystem:
 
     Construction is the one owner of the checks on these values (parsers
     check only document shape), and never coerces: a count that is not an
-    int, or an edge that is not a pair of ints, raises ``ValueError``. Each edge field takes any iterable of pairs; one loop
-    checks each pair, checks its range and freezes the field into a set,
-    so repeated pairs collapse. The range problems raise one
-    ``DimensionError`` naming each. Instances are immutable and safe to
-    share between threads.
+    int, or an edge that is not a pair of ints, raises ``ValueError``. Each
+    edge field takes any iterable of pairs and is frozen into a set, so
+    repeated pairs collapse; ``_edge_set`` checks a well-formed field whole
+    and falls back to checking each pair only to name a fault. The range
+    problems raise one ``DimensionError`` naming each. Instances are
+    immutable and safe to share between threads.
     """
 
     n: int
@@ -103,25 +130,33 @@ class CostMatrix:
     entry checks past JSON's own forms, never coercing: each entry must be
     an int or float, not a bool, and >= 0 (NaN is not), and the finite
     entries must sum to a finite float, so that no pattern of admissible
-    links, and no path length in the solvers, overflows to inf.
+    links, and no path length in the solvers, overflows to inf. A matrix
+    of plain ints and floats >= 0 is checked whole by builtins; any other
+    goes through the per-entry loop, which accepts int and float
+    subclasses and names the first offending entry.
     """
 
     rows: tuple[tuple[float, ...], ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(row) for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
         widths = {len(row) for row in rows}
         if len(widths) > 1:
             raise DimensionError(f"cost matrix is ragged: row widths {sorted(widths)}")
-        for i, row in enumerate(rows, start=1):
-            for j, entry in enumerate(row, start=1):
-                if not _is_number(entry):
-                    raise ValueError(
-                        f"cost entry ({i}, {j}) must be a number or \"inf\", got {entry!r}"
-                    )
-                if not (entry >= 0):
-                    raise ValueError(f"cost entry ({i}, {j}) must be >= 0, got {entry!r}")
-        if sum(entry for row in rows for entry in row if entry != INF) > sys.float_info.max:
+        entries = list(chain.from_iterable(rows))
+        if not (
+            _NUMBER_TYPES.issuperset(map(type, entries))
+            and all(map(operator.ge, entries, repeat(0)))
+        ):
+            for i, row in enumerate(rows, start=1):
+                for j, entry in enumerate(row, start=1):
+                    if not _is_number(entry):
+                        raise ValueError(
+                            f"cost entry ({i}, {j}) must be a number or \"inf\", got {entry!r}"
+                        )
+                    if not (entry >= 0):
+                        raise ValueError(f"cost entry ({i}, {j}) must be >= 0, got {entry!r}")
+        if sum(filter(INF.__ne__, entries)) > sys.float_info.max:
             raise ValueError(
                 "the finite cost entries sum beyond the largest float, "
                 "so pattern costs would overflow to inf; scale the costs down"

@@ -5,6 +5,11 @@ is recomputed by augmenting max-flow, SCCs by transitive closure, cycle
 spanning by exhaustive subset-and-permutation search, set cover by full
 enumeration, and min-cost matching by a dense O(n^3) assignment. They are
 the ground truth the fast implementations are compared against.
+
+The per-entry references keep the straightforward forms of code the
+library runs faster: the input checks entry by entry, and Hopcroft-Karp
+with a BFS-and-DFS first phase. Their results and messages must match
+exactly.
 """
 
 from __future__ import annotations
@@ -12,11 +17,17 @@ from __future__ import annotations
 import collections
 import math
 import random
+import sys
+from collections import deque
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import strategies as st
 
-from feedsel import CostMatrix, FeedbackPattern, SetCoverInstance, StructuredSystem, full_pattern
+from feedsel import (
+    CostMatrix, DimensionError, FeedbackPattern, SetCoverInstance, StructuredSystem, full_pattern,
+)
+from feedsel.fileio import SchemaError
 
 
 # ---------------------------------------------------------------------------
@@ -369,3 +380,175 @@ def closed_loop_cost_rows(
     for v in range(n, len(rows)):
         rows[v].append((v, 0))
     return [sorted(row) for row in rows]
+
+
+# ---------------------------------------------------------------------------
+# per-entry references
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def reference_edge_set(name: str, edges, rows: int | None = None, cols: int = 0):
+    """``model._edge_set`` entry by entry: (frozen pairs, sorted out-of-range pairs)."""
+    frozen: set[tuple[int, int]] = set()
+    outside: set[tuple[int, int]] = set()
+    for entry in edges:
+        i, j = entry if isinstance(entry, (tuple, list)) and len(entry) == 2 else (None, None)
+        if not (_is_int(i) and _is_int(j)):
+            raise ValueError(f"field '{name}': entry {entry!r} is not an integer pair")
+        if rows is not None and not (1 <= i <= rows and 1 <= j <= cols):
+            outside.add((i, j))
+        frozen.add((i, j))
+    return frozenset(frozen), sorted(outside)
+
+
+def reference_cost_rows(raw_rows) -> tuple[tuple, ...]:
+    """The rows ``CostMatrix`` stores, checked entry by entry, or its error."""
+    rows = tuple(tuple(row) for row in raw_rows)
+    widths = {len(row) for row in rows}
+    if len(widths) > 1:
+        raise DimensionError(f"cost matrix is ragged: row widths {sorted(widths)}")
+    for i, row in enumerate(rows, start=1):
+        for j, entry in enumerate(row, start=1):
+            if not (isinstance(entry, (int, float)) and not isinstance(entry, bool)):
+                raise ValueError(f"cost entry ({i}, {j}) must be a number or \"inf\", got {entry!r}")
+            if not (entry >= 0):
+                raise ValueError(f"cost entry ({i}, {j}) must be >= 0, got {entry!r}")
+    if sum(entry for row in rows for entry in row if entry != math.inf) > sys.float_info.max:
+        raise ValueError(
+            "the finite cost entries sum beyond the largest float, "
+            "so pattern costs would overflow to inf; scale the costs down"
+        )
+    return rows
+
+
+def _reference_cost_entry(value, i: int, j: int):
+    if isinstance(value, str):
+        if value.lower() == "inf":
+            return math.inf
+        raise SchemaError(f"cost entry ({i}, {j}): unknown literal {value!r}; use \"inf\"")
+    if value == math.inf:
+        raise SchemaError(
+            f"cost entry ({i}, {j}) is not finite, got {value!r}; use \"inf\" to forbid a link"
+        )
+    if isinstance(value, int) and value > sys.float_info.max:
+        raise SchemaError(f"cost entry ({i}, {j}) is an integer beyond the float range")
+    return value
+
+
+def reference_parsed_cost_rows(raw_cost) -> tuple[tuple, ...]:
+    """The cost rows ``parse_system`` yields for a well-shaped ``cost`` field, read entry by entry."""
+    rows = [
+        [_reference_cost_entry(value, i, j) for j, value in enumerate(row, start=1)]
+        for i, row in enumerate(raw_cost, start=1)
+    ]
+    try:
+        return reference_cost_rows(rows)
+    except ValueError as exc:
+        raise SchemaError(str(exc)) from exc
+
+
+def reference_hopcroft_karp(adjacency, n_right: int) -> tuple[int, list[int], list[int]]:
+    """Hopcroft-Karp whose first phase is a BFS and DFS phase like every other."""
+    n_left = len(adjacency)
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    dist = [0.0] * n_left
+
+    def bfs() -> bool:
+        queue: deque[int] = deque()
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = math.inf
+        shortest = math.inf
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= shortest:
+                continue
+            for v in adjacency[u]:
+                w = match_r[v]
+                if w == -1:
+                    if shortest == math.inf:
+                        shortest = dist[u] + 1
+                elif dist[w] == math.inf:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return shortest != math.inf
+
+    def dfs(root: int) -> bool:
+        stack = [(root, iter(adjacency[root]))]
+        entered_via: list[int] = []
+        while stack:
+            u, neighbors = stack[-1]
+            descended = False
+            for v in neighbors:
+                w = match_r[v]
+                if w == -1:
+                    match_l[u] = v
+                    match_r[v] = u
+                    stack.pop()
+                    while stack:
+                        pu, _ = stack.pop()
+                        pv = entered_via.pop()
+                        match_l[pu] = pv
+                        match_r[pv] = pu
+                    return True
+                if dist[w] == dist[u] + 1:
+                    stack.append((w, iter(adjacency[w])))
+                    entered_via.append(v)
+                    descended = True
+                    break
+            if not descended:
+                dist[u] = math.inf
+                stack.pop()
+                if entered_via:
+                    entered_via.pop()
+        return False
+
+    size = 0
+    while bfs():
+        for u in range(n_left):
+            if match_l[u] == -1 and dfs(u):
+                size += 1
+    return size, match_l, match_r
+
+
+# ---------------------------------------------------------------------------
+# faulty inputs
+
+# JSON never produces these subclasses; the checks accept them as their bases.
+
+
+class IntSub(int):
+    pass
+
+
+class FloatSub(float):
+    pass
+
+
+class ListSub(list):
+    pass
+
+
+COST_FAULTS = (
+    True, False, "x", "inf", "INF", "Inf", None, [], [1], -1, -2.5, -0.0, math.nan, -math.inf,
+    10**400, -(10**400), 1e308, sys.float_info.max, IntSub(3), FloatSub(2.5), 2**63,
+)
+# Two 1e308 entries sum beyond the largest float, though each is finite.
+_costs = st.one_of(st.integers(0, 100), st.sampled_from([0.0, 2.5, 1e-300, math.inf]))
+
+
+@st.composite
+def faulty_cost_rows(draw):
+    """A rectangular cost matrix with up to two entries replaced by ``COST_FAULTS``."""
+    m, p = draw(st.integers(0, 3)), draw(st.integers(0, 4))
+    rows = [draw(st.lists(_costs, min_size=p, max_size=p)) for _ in range(m)]
+    for _ in range(draw(st.integers(0, 2)) if m and p else 0):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, p - 1))] = draw(st.sampled_from(COST_FAULTS))
+    return rows

@@ -807,3 +807,39 @@ def test_cli_outputs_match_golden_digest(tmp_path):
         record = repr((argv, code, stdout, err.getvalue()))
         records.append(record.replace(str(tmp_path), "<tmp>").replace(str(DATA), "<data>"))
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == CLI_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# golden digest at benchmark size: the fast paths on the systems they serve
+
+BENCH_SIZE_DIGEST = "34e5f1392f4bfb2241a560d5be138bc9d8801e7306a031e01440a2c63d8a42a5"
+
+
+def _masked_run(argv: list[str]) -> tuple[int, str, str, str]:
+    """Exit code, stdout with ``elapsed_sec`` masked, stderr, and the raw stdout of ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    masked = re.sub(r'"elapsed_sec": [^,\n]*', '"elapsed_sec": _', out.getvalue())
+    return code, masked, err.getvalue(), out.getvalue()
+
+
+def test_bench_size_outputs_match_golden_digest(tmp_path):
+    """solve-dp, solve-two-stage and check-sfm on their links, on 250- and 500-SCC chains."""
+    records = []
+    for sccs in (250, 500):
+        for links in ("50", "20"):
+            for pm in ("--pm", "--no-pm"):
+                path = str(tmp_path / f"line-{sccs}-{links}{pm}.json")
+                argv = ["gen-line", "--seed", str(sccs + int(links)), "--sccs", str(sccs),
+                        "--inputs", links, "--outputs", links, pm]
+                assert run([*argv, "-o", path]) == 0
+                for command in ("solve-dp", "solve-two-stage"):
+                    code, out, err, raw = _masked_run([command, path, "--format=structured"])
+                    records.append((argv, command, code, out, err))
+                    if code == 2:
+                        continue
+                    feedback = ",".join(f"{i}:{j}" for i, j in json.loads(raw)["links"])
+                    check = ["check-sfm", path, f"--feedback={feedback}", "--format=structured"]
+                    records.append((command, *_masked_run(check)[:3]))
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == BENCH_SIZE_DIGEST

@@ -2,7 +2,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedsel import (
@@ -14,7 +14,9 @@ from feedsel import (
     parse_setcover,
     parse_system,
 )
-from tests.conftest import fig1_cover_instance, section5_system
+from tests.conftest import (
+    faulty_cost_rows, fig1_cover_instance, reference_parsed_cost_rows, section5_system,
+)
 
 
 def roundtrip(system, costs):
@@ -180,3 +182,23 @@ def test_roundtrip_property(a, b, c, costs):
     parsed_system, parsed_costs = roundtrip(system, matrix)
     assert parsed_system == system
     assert parsed_costs.rows == matrix.rows
+
+
+@settings(max_examples=500, deadline=None)
+@example(rows=[[math.nan, 10**400]])
+@example(rows=[[1, math.nan, 10**400]])
+@example(rows=[[1e308, 1], [1e308, 1]])
+@given(rows=faulty_cost_rows())
+def test_parsed_costs_agree_with_per_entry_reference(rows):
+    document = {"n": 1, "m": len(rows), "p": len(rows[0]) if rows else 0,
+                "a_edges": [], "b_edges": [], "c_edges": [], "cost": rows}
+    text = json.dumps(document)
+    try:
+        fast = parse_system(text)[1].rows
+    except SchemaError as exc:
+        fast = (SchemaError, str(exc))
+    try:
+        slow = reference_parsed_cost_rows(json.loads(text)["cost"])
+    except SchemaError as exc:
+        slow = (SchemaError, str(exc))
+    assert repr(fast) == repr(slow)

@@ -33,8 +33,10 @@ from tests.conftest import (
     dense_min_cost_assignment,
     fig1_cover_instance,
     maxflow_matching_size,
+    reference_hopcroft_karp,
     reference_successors,
     scc_partition_by_closure,
+    section5_system,
 )
 
 
@@ -137,12 +139,37 @@ def test_closed_loop_digraph_reference_cycle(section5):
     assert _reaches(succ, u2, y3) and _reaches(succ, y3, u2)
 
 
-def test_successor_lists_agree_with_fast_builder(section5):
-    system, _ = section5
-    pattern = FeedbackPattern.of((2, 3), (1, 1))
-    fast = ClosedLoopIndex(system).successors(pattern.links)
-    slow = reference_successors(system, pattern)
-    assert [sorted(row) for row in fast] == [sorted(row) for row in slow]
+def _lists_from_edges(index):
+    """The base successor and adjacency lists built from ``index.edges()``."""
+    succ = [[] for _ in range(index.vertex_count + 1)]
+    adj = [[] for _ in range(index.vertex_count)]
+    for tail, head in index.edges():
+        succ[tail].append(head)
+        adj[head - 1].append(tail - 1)
+    for v in range(index.system.n, index.vertex_count):
+        adj[v].append(v)
+    return succ, [sorted(row) for row in adj]
+
+
+def _generated_systems():
+    yield section5_system()
+    yield fig1_system()
+    for seed in range(12):
+        yield random_line_system(
+            seed, scc_count=1 + seed % 6, n_inputs=1 + seed % 4, n_outputs=1 + seed % 3,
+            perfect_matching=seed % 2 == 0,
+        )
+
+
+def test_successor_lists_agree_with_fast_builder():
+    for system, costs in _generated_systems():
+        index = ClosedLoopIndex(system)
+        # Built from the edge fields directly, in the order of edges().
+        assert (index.successors(), index.adjacency()) == _lists_from_edges(index)
+        pattern = FeedbackPattern(frozenset(costs.finite_links()[::2]))
+        fast = index.successors(pattern.links)
+        slow = reference_successors(system, pattern)
+        assert [sorted(row) for row in fast] == [sorted(row) for row in slow]
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +387,26 @@ def test_max_matching_agrees_with_flow_oracle():
         ]
         size, _, _ = hopcroft_karp(adjacency, n_right)
         assert size == maxflow_matching_size(adjacency, n_left, n_right)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_right=st.integers(1, 10),
+    rows=st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=10),
+)
+def test_greedy_first_phase_matches_like_the_bfs_and_dfs_phase(n_right, rows):
+    adjacency = [[v % n_right for v in row] for row in rows]
+    assert hopcroft_karp(adjacency, n_right) == reference_hopcroft_karp(adjacency, n_right)
+
+
+def test_greedy_first_phase_matches_like_the_bfs_and_dfs_phase_on_closed_loops():
+    for system, costs in _generated_systems():
+        index = ClosedLoopIndex(system)
+        links = costs.finite_links()
+        for chosen in (links, links[::2], links[1::3], []):
+            adjacency = index.adjacency(chosen)
+            expected = reference_hopcroft_karp(adjacency, index.vertex_count)
+            assert hopcroft_karp(adjacency, index.vertex_count) == expected
 
 
 def test_tarjan_agrees_with_closure_on_mixed_graphs():

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedsel import (
@@ -12,6 +12,10 @@ from feedsel import (
     SetCoverInstance,
     StructuredSystem,
     cost_of,
+)
+from feedsel.model import _edge_set
+from tests.conftest import (
+    IntSub, ListSub, faulty_cost_rows, reference_cost_rows, reference_edge_set,
 )
 
 
@@ -193,3 +197,67 @@ def test_cost_infinite_iff_forbidden_link_selected(rows, forbidden, links):
     pattern = FeedbackPattern(frozenset(links))
     expect_inf = bool(set(links) & forbidden)
     assert math.isinf(cost_of(pattern, costs)) == expect_inf
+
+
+# ---------------------------------------------------------------------------
+# whole-field input checks against the per-entry references
+
+
+def _outcome(function, *args):
+    """``function(*args)``, or the type and message of the exception it raised."""
+    try:
+        return "ok", function(*args)
+    except Exception as exc:  # the type is part of the outcome
+        return type(exc), str(exc)
+
+
+EDGE_FAULTS = (
+    (True, 1), [1, False], (2.0, 1), [1, 2.0], ("x", 1), [1, "x"], (1, 2, 3), [1], [], [[], 1],
+    [[1, 2]], "ab", None, 5, (None, None), ListSub([1, 2]), (IntSub(1), 2), [2, IntSub(3)],
+    (10**400, 1), (-1, 2), [0, 0],
+)
+_pairs = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda pair: st.sampled_from([pair, list(pair)])
+)
+
+
+@st.composite
+def _faulty_edges(draw):
+    """A list of pairs with up to two of ``EDGE_FAULTS`` put in."""
+    entries = draw(st.lists(_pairs, max_size=8))
+    for _ in range(draw(st.integers(0, 2))):
+        entries.insert(draw(st.integers(0, len(entries))), draw(st.sampled_from(EDGE_FAULTS)))
+    return entries
+
+
+@settings(max_examples=500, deadline=None)
+@example(edges=[[[], 1]], dims=(3, 3))
+@example(edges=[[[], 1]], dims=None)
+@given(
+    edges=_faulty_edges(),
+    dims=st.none() | st.tuples(st.integers(-1, 5), st.integers(0, 5)),
+)
+def test_edge_set_agrees_with_per_entry_reference(edges, dims):
+    rows, cols = dims or (None, 0)
+    fast = _outcome(_edge_set, "a_edges", iter(edges), rows, cols)
+    slow = _outcome(reference_edge_set, "a_edges", edges, rows, cols)
+    assert fast == slow
+    if fast[0] == "ok":
+        assert list(fast[1][0]) == list(slow[1][0])  # the same iteration order
+
+
+def test_edge_set_names_a_nested_list_without_hashing_it():
+    with pytest.raises(ValueError, match=r"^field 'b_edges': entry \[\[\], 1\] is not an integer pair$"):
+        StructuredSystem(n=1, m=1, p=0, b_edges=[[[], 1]])
+
+
+@settings(max_examples=500, deadline=None)
+@example(rows=[[1e308, math.inf], [math.inf, 1e308]], container=list)
+@example(rows=[[math.nan, 10**400]], container=list)
+@example(rows=[[1, 2], [3]], container=tuple)
+@given(rows=faulty_cost_rows(), container=st.sampled_from([list, tuple, ListSub]))
+def test_cost_matrix_agrees_with_per_entry_reference(rows, container):
+    rows = [container(row) for row in rows]
+    fast = _outcome(lambda: CostMatrix(rows).rows)
+    slow = _outcome(reference_cost_rows, rows)
+    assert repr(fast) == repr(slow)  # repr tells -0.0 from 0 and 1 from 1.0
