@@ -4,7 +4,8 @@ Subcommands: check-sfm, solve-dp, solve-two-stage, solve-greedy,
 solve-exact, gen-setcover, gen-line, export-dot. Exit codes: 0 for a
 feasible solve or passing check, 1 for an infeasible outcome, 2 for usage,
 input or precondition errors. ``--format structured`` emits JSON reports
-for machine consumption; generators require an explicit ``--seed``.
+for machine consumption, each exactly ``json.dumps(fields, indent=2)`` of
+its fields; generators require an explicit ``--seed``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import math
 import sys
 import time
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .dot import condensation_to_dot, system_to_dot
@@ -71,6 +74,80 @@ def _jsonable(obj):
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
     return str(obj)
+
+
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+_NUMBERS = frozenset({int, float, bool})
+_ROWS = frozenset({list, tuple})
+
+
+def _scalar(obj) -> str:
+    """One JSON scalar, spelled as ``json.dumps`` spells it."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if math.isinf(obj):
+            return "Infinity" if obj > 0 else "-Infinity"
+        return float.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, with the lists encoded in C.
+
+    Before CPython 3.13, ``indent`` sends json to its pure-Python encoder.
+    Here dicts are walked in Python, and a list of scalars, or of flat
+    numeric rows and nulls, is one call to json's C encoder at the
+    indented separator; any other list is walked item by item. From 3.13
+    on json encodes ``indent`` in C itself, faster than this, so reports
+    use it there (``_indented``); the output is the same on every version.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = "\n" + "  " * (level + 1)
+        fields = (
+            encode_basestring_ascii(key) + ": " + _dumps(value, level + 1)
+            for key, value in obj.items()
+        )
+        return "{" + pad + ("," + pad).join(fields) + "\n" + "  " * level + "}"
+    if not isinstance(obj, (list, tuple)):
+        return _scalar(obj)
+    if not obj:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + "]"
+    if _JSON_SCALARS.issuperset(map(type, obj)):
+        return "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + close
+    # Flat numeric rows and nulls: filter(None, ...) drops the nulls, and
+    # also any falsy entry that is not null, which the count then catches.
+    rows = list(filter(None, obj))
+    if (
+        len(rows) + obj.count(None) == len(obj)
+        and _ROWS.issuperset(map(type, rows))
+        and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))
+    ):
+        # Dump at the rows' separator, then mend the outer separators (the
+        # ones after "]" or "null", as row entries are numbers) and brackets.
+        row_pad = pad + "  "
+        body = json.dumps(obj, separators=("," + row_pad, ": "))[1:-1]
+        body = body.replace("]," + row_pad, "]," + pad).replace("null," + row_pad, "null," + pad)
+        body = body.replace("[", "[" + row_pad).replace("]", pad + "]")
+        return "[" + pad + body + close
+    return "[" + pad + ("," + pad).join(_dumps(value, level + 1) for value in obj) + close
+
+
+_indented = functools.partial(json.dumps, indent=2) if sys.version_info >= (3, 13) else _dumps
 
 
 def parse_feedback_arg(arg: str) -> FeedbackPattern:
@@ -132,7 +209,7 @@ def _print_report(solution: Solution, elapsed: float, fmt: str) -> int:
             payload["reason"] = solution.reason
         if solution.certificates:
             payload["certificates"] = _jsonable(solution.certificates)
-        print(json.dumps(payload, indent=2))
+        print(_indented(payload))
     else:
         sys.stdout.write(_report_text(solution))
     return 0 if solution.feasible else 1
@@ -156,7 +233,7 @@ def _cmd_check_sfm(args) -> int:
             "cost": _json_cost(cost_of(pattern, costs)),
             "elapsed_sec": elapsed,
         }
-        print(json.dumps(payload, indent=2))
+        print(_indented(payload))
     else:
         print(verdict.describe())
     return 0 if verdict.feasible else 1

@@ -156,7 +156,11 @@ class CostMatrix:
                         )
                     if not (entry >= 0):
                         raise ValueError(f"cost entry ({i}, {j}) must be >= 0, got {entry!r}")
-        if sum(filter(INF.__ne__, entries)) > sys.float_info.max:
+        try:
+            overflow = sum(filter(INF.__ne__, entries)) > sys.float_info.max
+        except OverflowError:  # an int beyond the float range meets a float
+            overflow = True
+        if overflow:
             raise ValueError(
                 "the finite cost entries sum beyond the largest float, "
                 "so pattern costs would overflow to inf; scale the costs down"

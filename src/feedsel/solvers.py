@@ -46,6 +46,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .graphs import (
@@ -159,17 +160,27 @@ def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
     argmin. An empty heap names the first SCC no link covers, and every
     later stage stays unreachable. Backtracking from the last stage yields
     the selected pattern.
+
+    Dominance: an input's links all start at the same stage on the same
+    prior stage, so among them the smaller (cost, output) has the smaller
+    key. Walking the outputs by interval end, latest first, a link is
+    pushed only when its (cost, output) beats every link of the same input
+    walked before it, all of which reach at least as far. A skipped link
+    thus has a smaller-keyed twin in the heap for its whole life and could
+    never be the top, so the tables and their ties are those of pushing
+    every link.
     """
     _require_line_order(condensation)
     _check_incidence_ranges(condensation, costs)
     ell = condensation.scc_count
 
-    # Last chain position each output senses; outputs sensing nothing, like
-    # inputs actuating nothing, close no cycle.
+    # Last chain position each output senses, latest first; outputs sensing
+    # nothing, like inputs actuating nothing, close no cycle.
     last_stage: dict[int, int] = {}
     for k, incidence in enumerate(condensation.output_incidence, start=1):
         for j in incidence:
             last_stage[j] = k
+    reach = sorted(last_stage.items(), key=itemgetter(1), reverse=True)
 
     stage_costs: list[float] = [0] + [INF] * ell
     choices: list[Optional[tuple[int, int, int]]] = [None] * (ell + 1)
@@ -181,9 +192,13 @@ def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
         prior = stage_costs[k - 1]
         for i in inputs - actuated:
             row = costs.rows[i - 1]
-            for j, last in last_stage.items():
+            best_cost, best_j = INF, 0  # so forbidden links are never pushed
+            for j, last in reach:
+                if last < k:
+                    break
                 cost = row[j - 1]
-                if last >= k and cost != INF:
+                if cost < best_cost or (cost == best_cost and j < best_j):
+                    best_cost, best_j = cost, j
                     heapq.heappush(heap, (cost + prior, k, i, cost, j, last))
         actuated |= inputs
         while heap and heap[0][5] < k:

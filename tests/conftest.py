@@ -7,14 +7,15 @@ enumeration, and min-cost matching by a dense O(n^3) assignment. They are
 the ground truth the fast implementations are compared against.
 
 The per-entry references keep the straightforward forms of code the
-library runs faster: the input checks entry by entry, and Hopcroft-Karp
-with a BFS-and-DFS first phase. Their results and messages must match
-exactly.
+library runs faster: the input checks entry by entry, Hopcroft-Karp
+with a BFS-and-DFS first phase, and the chain DP's sweep pushing every
+admissible link. Their results and messages must match exactly.
 """
 
 from __future__ import annotations
 
 import collections
+import heapq
 import math
 import random
 import sys
@@ -25,7 +26,8 @@ import pytest
 from hypothesis import strategies as st
 
 from feedsel import (
-    CostMatrix, DimensionError, FeedbackPattern, SetCoverInstance, StructuredSystem, full_pattern,
+    CostMatrix, DimensionError, DpTable, FeedbackPattern, SetCoverInstance, StructuredSystem,
+    full_pattern,
 )
 from feedsel.fileio import SchemaError
 
@@ -250,6 +252,47 @@ def covering_edge_set(condensation, costs, k: int) -> frozenset[tuple[int, int]]
     )
 
 
+def reference_dp_cover(condensation, costs) -> tuple[DpTable, FeedbackPattern]:
+    """The chain DP's stage table and pattern, every admissible link pushed.
+
+    The interval sweep of ``dp_cover`` without its dominance rule: each
+    newly actuated input pushes a heap entry for every output sensing at or
+    after the current stage. The pattern is empty when some SCC stays
+    uncovered.
+    """
+    last_stage: dict[int, int] = {}
+    for k, incidence in enumerate(condensation.output_incidence, start=1):
+        for j in incidence:
+            last_stage[j] = k
+    ell = condensation.scc_count
+    stage_costs: list[float] = [0] + [math.inf] * ell
+    choices: list = [None] * (ell + 1)
+    heap: list = []
+    actuated: set[int] = set()
+    for k, inputs in enumerate(condensation.input_incidence, start=1):
+        prior = stage_costs[k - 1]
+        for i in inputs - actuated:
+            row = costs.rows[i - 1]
+            for j, last in last_stage.items():
+                cost = row[j - 1]
+                if last >= k and cost != math.inf:
+                    heapq.heappush(heap, (cost + prior, k, i, cost, j, last))
+        actuated |= inputs
+        while heap and heap[0][5] < k:
+            heapq.heappop(heap)
+        if not heap:
+            break
+        total, start, i, _, j, _ = heap[0]
+        stage_costs[k] = total
+        choices[k] = (i, j, start - 1)
+    links = set()
+    k = ell if stage_costs[ell] != math.inf else 0
+    while k > 0:
+        i, j, k = choices[k]
+        links.add((i, j))
+    return DpTable(stage_costs=tuple(stage_costs), choices=tuple(choices)), FeedbackPattern(frozenset(links))
+
+
 def naive_pattern_optimum(system, costs, predicate) -> tuple[float, FeedbackPattern] | None:
     """Minimum-cost pattern among all subsets of admissible links.
 
@@ -416,7 +459,11 @@ def reference_cost_rows(raw_rows) -> tuple[tuple, ...]:
                 raise ValueError(f"cost entry ({i}, {j}) must be a number or \"inf\", got {entry!r}")
             if not (entry >= 0):
                 raise ValueError(f"cost entry ({i}, {j}) must be >= 0, got {entry!r}")
-    if sum(entry for row in rows for entry in row if entry != math.inf) > sys.float_info.max:
+    try:
+        overflow = sum(entry for row in rows for entry in row if entry != math.inf) > sys.float_info.max
+    except OverflowError:
+        overflow = True
+    if overflow:
         raise ValueError(
             "the finite cost entries sum beyond the largest float, "
             "so pattern costs would overflow to inf; scale the costs down"

@@ -13,7 +13,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedsel import (
@@ -77,6 +77,41 @@ def test_solve_dp_reference_structured(capsys, section5_file):
     assert payload["links"] == [[2, 3]]
     assert payload["cost"] == 5
     assert payload["certificates"]["dp_table"]["stage_costs"] == [0, 2, 5, 5, 5]
+
+
+_JSON_NUMBERS = (
+    st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400), -0.0])
+    | st.floats(allow_nan=True, allow_infinity=True)
+)
+_JSON_TEXT = st.text(max_size=6) | st.sampled_from(["]", "[", "null", "null,\n  ", "],\n    [", "\u00e9\u2603"])
+_NUMERIC_ROWS = st.lists(st.none() | st.lists(_JSON_NUMBERS, max_size=4), max_size=5)
+_JSON_TREES = st.recursive(
+    st.none() | _JSON_NUMBERS | _JSON_TEXT | _NUMERIC_ROWS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(_JSON_TEXT, children, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@example(["]", "[", "null", ",\n  ", "\u00e9\u2603 \U0001f600"])
+@example({"a]": [[1], "]", None, "[", "null,\n    "], "\u00e9": [None, [2], "null"]})
+@example([None, [], [True, False], [math.nan, math.inf, -math.inf, -0.0, 10**400], None])
+@example([[1, 2], [], None, [3.5]])
+@example([[None], [None, 1], [[1]], [1, [2]]])
+@example({"a": {}, "b": [], "c": [[], {}, [[]], {"d": {"e": []}}, [{}]]})
+@example({"lo": -math.inf, "hi": math.inf, "nan": math.nan, "big": 10**400, "x": [-0.0, [1], True]})
+@example({})
+@example([])
+@example(5)
+@example("]")
+@example(None)
+@example(math.nan)
+@given(_JSON_TREES)
+def test_structured_renderer_is_json_dumps_with_indent_2(tree):
+    assert cli._dumps(tree) == json.dumps(tree, indent=2)
 
 
 def test_shipped_reference_file_matches(capsys):

@@ -254,6 +254,7 @@ def test_edge_set_names_a_nested_list_without_hashing_it():
 @settings(max_examples=500, deadline=None)
 @example(rows=[[1e308, math.inf], [math.inf, 1e308]], container=list)
 @example(rows=[[math.nan, 10**400]], container=list)
+@example(rows=[[10**400, 1.5]], container=list)
 @example(rows=[[1, 2], [3]], container=tuple)
 @given(rows=faulty_cost_rows(), container=st.sampled_from([list, tuple, ListSub]))
 def test_cost_matrix_agrees_with_per_entry_reference(rows, container):

@@ -43,6 +43,7 @@ from tests.conftest import (
     covering_edge_set,
     dense_cost_rows,
     dense_min_cost_assignment,
+    reference_dp_cover,
 )
 from tests.test_acceptance import _line_instance
 
@@ -324,6 +325,42 @@ def test_dp_stage_recurrence_invariant(chain):
     assert solution.feasible == (blocked is None)
     if blocked is not None:
         assert solution.reason.endswith(f"covers SCC {blocked}")
+
+
+@st.composite
+def wide_chains(draw):
+    """A chain of at most 12 SCCs with up to 5 inputs and 8 outputs.
+
+    Several outputs per SCC make many links of one input share an
+    interval end, and costs from ``TIE_HEAVY_COSTS`` with up to 12 extra
+    weights on inf tie often or forbid most links.
+    """
+    ell = draw(st.integers(1, 12))
+    m = draw(st.integers(1, 5))
+    p = draw(st.integers(1, 8))
+    inputs = st.frozensets(st.integers(1, m), max_size=3)
+    outputs = st.frozensets(st.integers(1, p), max_size=4)
+    condensation = Condensation(
+        sccs=tuple(frozenset({k}) for k in range(1, ell + 1)),
+        dag_edges=frozenset((k, k + 1) for k in range(1, ell)),
+        input_incidence=tuple(draw(inputs) for _ in range(ell)),
+        output_incidence=tuple(draw(outputs) for _ in range(ell)),
+    )
+    value = st.sampled_from(TIE_HEAVY_COSTS + (INF,) * draw(st.integers(0, 12)))
+    costs = CostMatrix.from_rows([[draw(value) for _ in range(p)] for _ in range(m)])
+    return condensation, costs
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_chains())
+@example(ROUNDING_TIE_CHAIN)
+def test_dp_skipping_dominated_links_matches_pushing_every_link(chain):
+    condensation, costs = chain
+    solution = dp_cover(condensation, costs)
+    table, pattern = reference_dp_cover(condensation, costs)
+    # repr tells 0 from 0.0, so the stage costs keep their types too
+    assert repr(solution.certificates["dp_table"]) == repr(table)
+    assert solution.pattern == pattern
 
 
 def test_dp_scaling_leaves_choices_invariant():
