@@ -81,36 +81,16 @@ _NUMBERS = frozenset({int, float, bool})
 _ROWS = frozenset({list, tuple})
 
 
-def _scalar(obj) -> str:
-    """One JSON scalar, spelled as ``json.dumps`` spells it."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if math.isinf(obj):
-            return "Infinity" if obj > 0 else "-Infinity"
-        return float.__repr__(obj)
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
 def _dumps(obj, level: int = 0) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, with the lists encoded in C.
 
     Before CPython 3.13, ``indent`` sends json to its pure-Python encoder.
     Here dicts are walked in Python, and a list of scalars, or of flat
     numeric rows and nulls, is one call to json's C encoder at the
-    indented separator; any other list is walked item by item. From 3.13
-    on json encodes ``indent`` in C itself, faster than this, so reports
-    use it there (``_indented``); the output is the same on every version.
+    indented separator; any other list is walked item by item; a scalar
+    is ``json.dumps(obj)``. CPython 3.13 and later encode ``indent`` in C
+    themselves; this helper only calls public json at fixed separators,
+    so its output stays exact there too.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -122,7 +102,7 @@ def _dumps(obj, level: int = 0) -> str:
         )
         return "{" + pad + ("," + pad).join(fields) + "\n" + "  " * level + "}"
     if not isinstance(obj, (list, tuple)):
-        return _scalar(obj)
+        return json.dumps(obj)
     if not obj:
         return "[]"
     pad = "\n" + "  " * (level + 1)
@@ -145,9 +125,6 @@ def _dumps(obj, level: int = 0) -> str:
         body = body.replace("[", "[" + row_pad).replace("]", pad + "]")
         return "[" + pad + body + close
     return "[" + pad + ("," + pad).join(_dumps(value, level + 1) for value in obj) + close
-
-
-_indented = functools.partial(json.dumps, indent=2) if sys.version_info >= (3, 13) else _dumps
 
 
 def parse_feedback_arg(arg: str) -> FeedbackPattern:
@@ -209,7 +186,7 @@ def _print_report(solution: Solution, elapsed: float, fmt: str) -> int:
             payload["reason"] = solution.reason
         if solution.certificates:
             payload["certificates"] = _jsonable(solution.certificates)
-        print(_indented(payload))
+        print(_dumps(payload))
     else:
         sys.stdout.write(_report_text(solution))
     return 0 if solution.feasible else 1
@@ -233,7 +210,7 @@ def _cmd_check_sfm(args) -> int:
             "cost": _json_cost(cost_of(pattern, costs)),
             "elapsed_sec": elapsed,
         }
-        print(_indented(payload))
+        print(_dumps(payload))
     else:
         print(verdict.describe())
     return 0 if verdict.feasible else 1
