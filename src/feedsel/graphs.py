@@ -288,13 +288,6 @@ def condense(system: StructuredSystem) -> Condensation:
     )
 
 
-def is_line_dag(condensation: Condensation) -> bool:
-    """True when the SCC DAG is exactly the path C_1 -> C_2 -> ... -> C_l."""
-    ell = condensation.scc_count
-    expected = frozenset((k, k + 1) for k in range(1, ell))
-    return condensation.dag_edges == expected
-
-
 def missing_path_links(condensation: Condensation) -> list[tuple[int, int]]:
     """Consecutive SCC pairs that are not joined by a DAG edge.
 

@@ -149,6 +149,13 @@ def _has_cycle_family(index: ClosedLoopIndex, links: Sequence[Edge]) -> bool:
     return size == index.vertex_count
 
 
+def _has_state_perfect_matching(system: StructuredSystem) -> bool:
+    """True when the states alone, with no feedback link, have a spanning cycle family."""
+    # Without links, row u'_i holds only u_i and y_j lies only in row y'_j, so
+    # a perfect matching pairs states with states and the rest with themselves.
+    return _has_cycle_family(ClosedLoopIndex(system), [])
+
+
 def check_condition_a(system: StructuredSystem, pattern: FeedbackPattern) -> tuple[int, ...]:
     """States whose closed-loop SCC contains no selected feedback edge (empty = pass)."""
     index = ClosedLoopIndex(system)

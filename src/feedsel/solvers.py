@@ -67,7 +67,13 @@ from .model import (
     StructuredSystem,
     cost_of,
 )
-from .sfm import CoverageKernel, _has_cycle_family, _uncovered_states, check_no_sfm
+from .sfm import (
+    CoverageKernel,
+    _has_cycle_family,
+    _has_state_perfect_matching,
+    _uncovered_states,
+    check_no_sfm,
+)
 
 
 class BudgetExceededError(ValueError):
@@ -232,12 +238,6 @@ def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
         method="dp",
         certificates={"dp_table": table},
     )
-
-
-def _has_state_perfect_matching(system: StructuredSystem) -> bool:
-    # Without links, row u'_i holds only u_i and y_j lies only in row y'_j, so
-    # a perfect matching pairs states with states and the rest with themselves.
-    return _has_cycle_family(ClosedLoopIndex(system), [])
 
 
 def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from feedsel import CostMatrix, check_no_sfm, condense, emit_system, full_pattern
+from feedsel import CostMatrix, SfmVerdict, check_no_sfm, condense, emit_system, full_pattern
+from feedsel import generators
+from feedsel.fileio import MAX_SYSTEM_VERTICES
 from feedsel.generators import (
     random_line_system,
     random_single_input_system,
     random_system,
 )
-from feedsel.graphs import hopcroft_karp, is_line_dag, state_bipartite
+from feedsel.graphs import hopcroft_karp, missing_path_links, state_bipartite
 
 
 def _has_matching(system):
@@ -37,7 +39,8 @@ def test_line_generator_with_matching():
             rng, scc_count=rng.randint(1, 4), n_inputs=3, n_outputs=3
         )
         condensation = condense(system)
-        assert is_line_dag(condensation)
+        assert missing_path_links(condensation) == []
+        assert len(condensation.dag_edges) == condensation.scc_count - 1
         assert _has_matching(system)
         assert check_no_sfm(system, full_pattern(costs)).feasible
         assert all(
@@ -52,7 +55,9 @@ def test_line_generator_without_matching():
             rng, scc_count=rng.randint(2, 4), n_inputs=3, n_outputs=3,
             perfect_matching=False,
         )
-        assert is_line_dag(condense(system))
+        condensation = condense(system)
+        assert missing_path_links(condensation) == []
+        assert len(condensation.dag_edges) == condensation.scc_count - 1
         assert not _has_matching(system)
         assert check_no_sfm(system, full_pattern(costs)).feasible
 
@@ -88,6 +93,44 @@ def test_random_system_respects_dimensions():
 def test_line_generator_rejects_bad_ranges_up_front(kwargs, argument):
     with pytest.raises(ValueError, match=argument):
         random_line_system(1, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "generate, kwargs",
+    [(random_line_system, {"scc_count": 10**6}), (random_single_input_system, {"n_branches": 10**6})],
+)
+def test_structured_generators_refuse_oversize_arguments_before_drawing(generate, kwargs):
+    rng = random.Random(3)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="instance too large"):
+        generate(rng, **kwargs)
+    assert rng.getstate() == state
+
+
+def test_single_input_size_cap_is_the_parser_cap(monkeypatch):
+    # n <= 2 + 4 * b, m = 1 and p <= b + 2, so n + m + p <= 5 * b + 5.
+    largest = (MAX_SYSTEM_VERTICES - 5) // 5
+    monkeypatch.setattr(generators, "MAX_TRIES", 0)  # pass the cap, then draw nothing
+    with pytest.raises(RuntimeError, match="no admissible instance found in 0 draws"):
+        random_single_input_system(1, n_branches=largest)
+    with pytest.raises(ValueError, match="instance too large"):
+        random_single_input_system(1, n_branches=largest + 1)
+
+
+@pytest.mark.parametrize("generate", [random_line_system, random_single_input_system])
+def test_structured_generators_give_up_after_max_tries(monkeypatch, generate):
+    drawn = []
+
+    def counted(system):
+        drawn.append(system)
+        return condense(system)
+
+    monkeypatch.setattr(generators, "MAX_TRIES", 3)
+    monkeypatch.setattr(generators, "condense", counted)
+    monkeypatch.setattr(generators, "check_no_sfm", lambda system, pattern: SfmVerdict((1,), True))
+    with pytest.raises(RuntimeError, match="no admissible instance found in 3 draws"):
+        generate(5)
+    assert len(drawn) == 3
 
 
 GENERATED_DIGEST = "7b91e7ed6cdba31c0bff98a09c6fcc3d5e608e8300c5cdeec34416807d3932e9"

@@ -19,7 +19,6 @@ from feedsel.graphs import (
     BipartiteGraph,
     ClosedLoopIndex,
     hopcroft_karp,
-    is_line_dag,
     min_cost_perfect_matching,
     missing_path_links,
     state_bipartite,
@@ -282,18 +281,22 @@ def _chain_condensation(ell, extra=()):
 
 def test_is_line_dag_reference(section5):
     system, _ = section5
-    assert is_line_dag(condense(system))
+    cond = condense(system)
+    assert missing_path_links(cond) == []
+    assert len(cond.dag_edges) == cond.scc_count - 1
 
 
 def test_is_line_dag_rejects_disconnected_pair():
     system = StructuredSystem(n=2, m=0, p=0, a_edges=frozenset({(1, 1), (2, 2)}))
-    assert not is_line_dag(condense(system))
+    cond = condense(system)
+    assert missing_path_links(cond) == [(1, 2)]
+    assert cond.dag_edges == frozenset()
 
 
 def test_spanning_path_with_forward_shortcuts():
     shortcuts = {(1, 6), (2, 4), (3, 5), (2, 5), (4, 6), (1, 4)}
     cond = _chain_condensation(6, extra=shortcuts)
-    assert not is_line_dag(cond)
+    assert len(cond.dag_edges) == cond.scc_count - 1 + len(shortcuts)
     assert missing_path_links(cond) == []
 
 
@@ -307,7 +310,7 @@ def test_spanning_path_absent_with_two_sources():
 
 def test_strict_line_has_identity_spanning_path():
     cond = _chain_condensation(4)
-    assert is_line_dag(cond)
+    assert len(cond.dag_edges) == cond.scc_count - 1
     assert missing_path_links(cond) == []
 
 

@@ -35,7 +35,7 @@ from feedsel import (
     two_stage,
 )
 from feedsel.generators import random_line_system
-from feedsel.graphs import hopcroft_karp, is_line_dag, state_bipartite
+from feedsel.graphs import hopcroft_karp, missing_path_links, state_bipartite
 from tests.conftest import (
     brute_force_set_cover,
     closed_loop_cost_rows,
@@ -210,7 +210,8 @@ def test_solve_dp_handles_shortcut_dag_end_to_end():
     )
     costs = CostMatrix.from_rows([[6]])
     condensation = condense(system)
-    assert not is_line_dag(condensation)
+    assert missing_path_links(condensation) == []
+    assert len(condensation.dag_edges) == condensation.scc_count  # one edge beyond a line
     solution = solve_dp(system, costs)
     assert solution.method == "dp"
     assert solution.cost == 6
