@@ -2,7 +2,8 @@
 
 ``ClosedLoopIndex`` alone knows how states, inputs and outputs are numbered
 as vertices. A bipartite graph is a list of adjacency rows: row l holds the
-0-based right vertices joined to left vertex l, in increasing order.
+0-based right vertices joined to left vertex l, in increasing order; the
+min-cost matcher adds per-row costs (None where a row's edges all cost 0).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import heapq
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import DimensionError, Edge, INF, StructuredSystem
@@ -429,32 +431,36 @@ def hopcroft_karp(
 
 
 def min_cost_perfect_matching(
-    rows: Sequence[Sequence[tuple[int, float]]], stats: Optional[dict] = None
+    adjacency: Sequence[Sequence[int]],
+    weights: Sequence[Optional[Sequence[float]]],
+    stats: Optional[dict] = None,
 ) -> Optional[tuple[list[int], float]]:
     """Minimum-cost perfect matching, or None when no perfect matching exists.
 
-    ``rows[l]`` lists the edges of left vertex l as (right vertex, cost)
-    pairs sorted by right vertex; both sides have ``len(rows)`` vertices
-    and every cost is finite (an absent edge is left out). Returns the
-    right vertex matched to each left vertex and the total cost, summed in
-    left order.
+    ``adjacency[l]`` is the sorted row of right vertices joined to left
+    vertex l, on ``len(adjacency)`` vertices a side; ``weights[l]`` is None
+    when every edge of row l costs 0, else the row's finite edge costs in
+    its order. Rows are never copied or changed. Returns the right vertex
+    matched to each left vertex and the total cost, summed in left order.
 
     Sparse successive shortest paths (Jonker & Volgenant 1987). Left
-    potentials start at the row minima, right ones at 0; a Hopcroft-Karp
-    matching on the edges at their row minimum (on closed-loop graphs, the
-    zero-cost edges) is then optimal for its size, and each of the d units
-    it lacks is added along a shortest augmenting path found by Dijkstra on
-    the reduced costs; O(E sqrt(V) + d E log V). Ties follow the sorted
-    rows, which are scanned in order, and heap ties break by vertex index,
-    so adding a constant to every cost changes nothing. When given,
+    potentials start at the row minima (0 on a None row), right ones at 0;
+    a Hopcroft-Karp matching on the edges at their row minimum (a None row
+    whole) is then optimal for its size, and each of the d units it lacks
+    is added along a shortest augmenting path found by Dijkstra on the
+    reduced costs; O(E sqrt(V) + d E log V). Ties follow the sorted rows,
+    which are scanned in order, and heap ties break by vertex index, so
+    adding a constant to every cost changes nothing. When given,
     ``stats["augmentations"]`` receives the number of shortest paths run.
     """
-    n = len(rows)
-    u = [min((c for _, c in row), default=0) for row in rows]
+    n = len(adjacency)
+    u = [min(costs) if costs else 0 for costs in weights]
     v = [0] * n
-    _, match_l, match_r = hopcroft_karp(
-        [[r for r, c in row if c == ul] for row, ul in zip(rows, u)], n
-    )
+    warm_rows = [
+        row if costs is None else [r for r, c in zip(row, costs) if c == ul]
+        for row, costs, ul in zip(adjacency, weights, u)
+    ]
+    _, match_l, match_r = hopcroft_karp(warm_rows, n)
     stats = {} if stats is None else stats
     stats["augmentations"] = 0
     for source in [l for l, r in enumerate(match_l) if r == -1]:
@@ -469,7 +475,7 @@ def min_cost_perfect_matching(
         l, dl = source, 0
         while True:
             base = dl - u[l]
-            for r, c in rows[l]:
+            for r, c in zip(adjacency[l], weights[l] or repeat(0)):
                 d = base + c - v[r]
                 if r not in settled and d < dist.get(r, INF):
                     dist[r] = d
@@ -494,5 +500,7 @@ def min_cost_perfect_matching(
             l = reached_from[r]
             match_r[r] = l
             match_l[l], r = r, match_l[l]
-    total = sum(c for row, matched in zip(rows, match_l) for r, c in row if r == matched)
+    total = sum(
+        costs[row.index(r)] for row, costs, r in zip(adjacency, weights, match_l) if costs
+    )
     return match_l, total

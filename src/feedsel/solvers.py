@@ -259,24 +259,25 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
     """Cheapest pattern that spans every state with disjoint cycles.
 
     Matches on the closed-loop bipartite rows of ``ClosedLoopIndex`` with
-    every admissible link, charging each feedback edge its link cost and
-    every other edge 0, and extracts the pattern from a minimum-cost
-    perfect matching. When the state bipartite graph has a perfect
-    matching, the zero-cost warm start is already perfect, so the stage
-    costs 0 and runs no shortest path. The certificates record the number
-    of shortest augmenting paths run as ``augmentations``.
+    every admissible link. Only the m input rows that gain feedback edges
+    are copied and costed (0 per base edge, then each link's cost); the
+    others are the index's own, at cost 0. The pattern is read off a
+    minimum-cost perfect matching. With a state perfect matching the warm
+    start is already perfect and no shortest path runs; the certificates
+    count the shortest paths as ``augmentations``.
     """
     costs.require_matches(system)
     index = ClosedLoopIndex(system)
     links = costs.finite_links()
     edges = index.matching_edges(links)
-    # The base rows are sorted and the links lexicographic, so appending
-    # each feedback edge keeps every row sorted.
-    rows = [[(r, 0) for r in row] for row in index.adjacency()]
-    for (l, r), (i, j) in zip(edges, links):
-        rows[l].append((r, costs.cost(i, j)))
+    # The overlay copies just the rows that gain feedback edges; the base rows
+    # are sorted and the links lexicographic, so it appends them in order.
+    adjacency, base = index.adjacency(links), index.adjacency()
+    weights = [None if row is kept else [0] * len(kept) for row, kept in zip(adjacency, base)]
+    for (l, _), (i, j) in zip(edges, links):
+        weights[l].append(costs.rows[i - 1][j - 1])
     stats: dict = {}
-    result = min_cost_perfect_matching(rows, stats)
+    result = min_cost_perfect_matching(adjacency, weights, stats)
     if result is None:
         return _infeasible(
             "matching",
@@ -380,10 +381,8 @@ def greedy_set_cover(
         best_w: float = 0
         best_new = 0
         for idx in range(1, instance.set_count + 1):
-            if idx in picked:
-                continue
             new = len(instance.sets[idx - 1] & uncovered)
-            if new == 0:
+            if new == 0:  # every picked set lands here
                 continue
             w = instance.weights[idx - 1]
             # w / new < best_w / best_new, cross-multiplied
@@ -421,26 +420,21 @@ def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution
         raise PreconditionError("; ".join(problems))
 
     sinks = condensation.non_bottom_linked_sccs()
-    element_of = {scc: e for e, scc in enumerate(sinks, start=1)}
+    sensed: list[list[int]] = [[] for _ in range(system.p + 1)]  # sink elements per output
+    for e, scc in enumerate(sinks, start=1):
+        for j in condensation.output_incidence[scc - 1]:
+            sensed[j].append(e)
 
     candidate_sets: list[frozenset[int]] = []
     candidate_outputs: list[int] = []
     for j in range(1, system.p + 1):
-        if math.isinf(costs.cost(1, j)):
-            continue
-        sensed = frozenset(
-            element_of[scc]
-            for scc in sinks
-            if j in condensation.output_incidence[scc - 1]
-        )
-        if sensed:
-            candidate_sets.append(sensed)
+        if sensed[j] and not math.isinf(costs.cost(1, j)):
+            candidate_sets.append(frozenset(sensed[j]))
             candidate_outputs.append(j)
 
-    covered = frozenset().union(*candidate_sets) if candidate_sets else frozenset()
-    if covered != frozenset(range(1, len(sinks) + 1)):
-        missing = sorted(set(range(1, len(sinks) + 1)) - covered)
-        missing_sccs = [sinks[e - 1] for e in missing]
+    covered = frozenset().union(*candidate_sets)
+    missing_sccs = [scc for e, scc in enumerate(sinks, start=1) if e not in covered]
+    if missing_sccs:
         return _infeasible(
             "greedy",
             f"sink SCCs {missing_sccs} are sensed by no admissible output; no pattern is feasible",
@@ -457,9 +451,7 @@ def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution
     certificates = {
         "sink_sccs": sinks,
         "cover_outputs": sorted(candidate_outputs[idx - 1] for idx in picked),
-        "trace": [
-            (candidate_outputs[idx - 1], new, w) for idx, new, w in trace
-        ],
+        "trace": [(candidate_outputs[idx - 1], new, w) for idx, new, w in trace],
     }
     if not verdict.feasible:
         return _infeasible(

@@ -8,8 +8,9 @@ the ground truth the fast implementations are compared against.
 
 The per-entry references keep the straightforward forms of code the
 library runs faster: the input checks entry by entry, Hopcroft-Karp
-with a BFS-and-DFS first phase, and the chain DP's sweep pushing every
-admissible link. Their results and messages must match exactly.
+with a BFS-and-DFS first phase, the chain DP's sweep pushing every
+admissible link, and the min-cost matcher on (right, cost) tuple rows.
+Their results and messages must match exactly.
 """
 
 from __future__ import annotations
@@ -563,6 +564,62 @@ def reference_hopcroft_karp(adjacency, n_right: int) -> tuple[int, list[int], li
             if match_l[u] == -1 and dfs(u):
                 size += 1
     return size, match_l, match_r
+
+
+def reference_min_cost_perfect_matching(rows, stats=None) -> tuple[list[int], float] | None:
+    """Sparse successive shortest paths on (right vertex, cost) tuple rows.
+
+    The form the cycle stage's matcher had before it read the index's int
+    rows with per-row costs: every row is a list of (right, cost) pairs
+    sorted by right vertex, potentials start at the row minima, the warm
+    start matches the edges at their row minimum, and one Dijkstra runs per
+    missing unit. Its matching, total and ``stats["augmentations"]`` must
+    match the library's exactly.
+    """
+    n = len(rows)
+    u = [min((c for _, c in row), default=0) for row in rows]
+    v = [0] * n
+    _, match_l, match_r = reference_hopcroft_karp(
+        [[r for r, c in row if c == ul] for row, ul in zip(rows, u)], n
+    )
+    stats = {} if stats is None else stats
+    stats["augmentations"] = 0
+    for source in [l for l, r in enumerate(match_l) if r == -1]:
+        stats["augmentations"] += 1
+        dist: dict[int, float] = {}
+        reached_from: dict[int, int] = {}
+        settled: set[int] = set()
+        settled_left = [(source, 0)]
+        heap: list[tuple[float, int]] = []
+        l, dl = source, 0
+        while True:
+            base = dl - u[l]
+            for r, c in rows[l]:
+                d = base + c - v[r]
+                if r not in settled and d < dist.get(r, math.inf):
+                    dist[r] = d
+                    reached_from[r] = l
+                    heapq.heappush(heap, (d, r))
+            while heap and heap[0][1] in settled:
+                heapq.heappop(heap)
+            if not heap:
+                return None
+            d, r = heapq.heappop(heap)
+            settled.add(r)
+            if match_r[r] == -1:
+                break
+            l, dl = match_r[r], d
+            settled_left.append((l, d))
+        for l, dl in settled_left:
+            u[l] += d - dl
+        for s in settled:
+            v[s] -= d - dist[s]
+        while r != -1:
+            l = reached_from[r]
+            match_r[r] = l
+            match_l[l], r = r, match_l[l]
+    total = sum(c for row, matched in zip(rows, match_l) for r, c in row if r == matched)
+    return match_l, total
 
 
 # ---------------------------------------------------------------------------

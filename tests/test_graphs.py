@@ -33,6 +33,7 @@ from tests.conftest import (
     fig1_cover_instance,
     maxflow_matching_size,
     reference_hopcroft_karp,
+    reference_min_cost_perfect_matching,
     reference_successors,
     scc_partition_by_closure,
     section5_system,
@@ -426,18 +427,28 @@ def test_tarjan_agrees_with_closure_on_mixed_graphs():
 
 
 def _cost_rows(matrix):
-    return [[(r, c) for r, c in enumerate(row) if c != math.inf] for row in matrix]
+    """The matcher's (adjacency, weights) for a square cost matrix, inf where no edge.
+
+    A row whose finite entries all cost 0 gets None weights, as the rows
+    the closed-loop index shares with the cycle stage do.
+    """
+    adjacency = [[r for r, c in enumerate(row) if c != math.inf] for row in matrix]
+    weights = [
+        [row[r] for r in adj] if any(row[r] for r in adj) else None
+        for row, adj in zip(matrix, adjacency)
+    ]
+    return adjacency, weights
 
 
 def test_min_cost_perfect_matching_prefers_diagonal():
-    result = min_cost_perfect_matching(_cost_rows([[0, 1], [1, 0]]))
+    result = min_cost_perfect_matching(*_cost_rows([[0, 1], [1, 0]]))
     assert result is not None
     match_left, total = result
     assert total == 0 and match_left == [0, 1]
 
 
 def test_min_cost_perfect_matching_infeasible_when_vertex_isolated():
-    assert min_cost_perfect_matching([[(0, 0)], [(0, 0)]]) is None
+    assert min_cost_perfect_matching(*_cost_rows([[0, math.inf], [0, math.inf]])) is None
 
 
 def test_min_cost_perfect_matching_agrees_with_permutation_oracle():
@@ -449,7 +460,7 @@ def test_min_cost_perfect_matching_agrees_with_permutation_oracle():
             for _ in range(n)
         ]
         expected = brute_force_min_cost_perfect_matching(rows)
-        result = min_cost_perfect_matching(_cost_rows(rows))
+        result = min_cost_perfect_matching(*_cost_rows(rows))
         if expected is None:
             assert result is None
         else:
@@ -462,28 +473,28 @@ def test_min_cost_perfect_matching_shift_invariance():
     for _ in range(20):
         n = 5
         rows = [[rng.randint(0, 40) for _ in range(n)] for _ in range(n)]
-        base = min_cost_perfect_matching(_cost_rows(rows))
+        base = min_cost_perfect_matching(*_cost_rows(rows))
         assert base is not None
         delta = rng.randint(1, 9)
         shifted_rows = [[c + delta for c in row] for row in rows]
-        shifted = min_cost_perfect_matching(_cost_rows(shifted_rows))
+        shifted = min_cost_perfect_matching(*_cost_rows(shifted_rows))
         assert shifted is not None
         assert shifted[0] == base[0]  # same optimal edge set
         assert shifted[1] == base[1] + n * delta
 
 
-def _assert_agrees_with_dense_reference(rows):
-    expected = dense_min_cost_assignment(dense_cost_rows(rows))
-    result = min_cost_perfect_matching(rows)
+def _assert_agrees_with_dense_reference(matrix):
+    expected = dense_min_cost_assignment(matrix)
+    result = min_cost_perfect_matching(*_cost_rows(matrix))
     if expected is None:
         assert result is None
         return
     assert result is not None
     match_left, total = result
     assert total == expected[1]
-    assert list(range(len(match_left))) == sorted(match_left) == list(range(len(rows)))
-    assert all(r in dict(rows[l]) for l, r in enumerate(match_left))
-    assert total == sum(dict(rows[l])[r] for l, r in enumerate(match_left))
+    assert list(range(len(match_left))) == sorted(match_left) == list(range(len(matrix)))
+    assert all(matrix[l][r] != math.inf for l, r in enumerate(match_left))
+    assert total == sum(matrix[l][r] for l, r in enumerate(match_left))
 
 
 _square_costs = st.integers(1, 7).flatmap(
@@ -502,7 +513,7 @@ _square_costs = st.integers(1, 7).flatmap(
 @settings(max_examples=300, deadline=None)
 @given(rows=_square_costs)
 def test_min_cost_matching_agrees_with_dense_reference_on_square_costs(rows):
-    _assert_agrees_with_dense_reference(_cost_rows(rows))
+    _assert_agrees_with_dense_reference(rows)
 
 
 @settings(max_examples=150, deadline=None)
@@ -529,4 +540,46 @@ def test_min_cost_matching_agrees_with_dense_reference_on_closed_loop_graphs(
     for i, j, value in overrides:
         rows[i][j] = value  # zero-cost ties and forbidden links
     costs = CostMatrix.from_rows(rows)
-    _assert_agrees_with_dense_reference(closed_loop_cost_rows(system, costs))
+    _assert_agrees_with_dense_reference(dense_cost_rows(closed_loop_cost_rows(system, costs)))
+
+
+def _sparse_rows(n):
+    """Sorted rows over n right vertices, each all-zero (None) or costed.
+
+    Costed rows draw from a few values, so equal-cost edges and equal-cost
+    optima are common; an offset lifts some rows' minimum above 0.
+    """
+    row = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(
+        lambda keep: [r for r, k in enumerate(keep) if k]  # each edge present at 3/4
+    )
+    costed = row.flatmap(
+        lambda adj: st.tuples(
+            st.just(adj),
+            st.integers(0, 3).flatmap(
+                lambda offset: st.lists(
+                    st.sampled_from([0, 1, 2, 0.5]).map(lambda c: c + offset),
+                    min_size=len(adj),
+                    max_size=len(adj),
+                )
+            ),
+        )
+    )
+    return st.lists(
+        st.one_of(row.map(lambda adj: (adj, None)), costed), min_size=n, max_size=n
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.integers(0, 8).flatmap(_sparse_rows))
+def test_min_cost_matching_agrees_with_tuple_row_reference(rows):
+    adjacency = [adj for adj, _ in rows]
+    weights = [costs for _, costs in rows]
+    tuple_rows = [
+        list(zip(adj, costs if costs is not None else [0] * len(adj))) for adj, costs in rows
+    ]
+    before = repr(rows)
+    stats, reference_stats = {}, {}
+    result = min_cost_perfect_matching(adjacency, weights, stats)
+    assert result == reference_min_cost_perfect_matching(tuple_rows, reference_stats)
+    assert stats == reference_stats
+    assert repr(rows) == before  # the rows are read, never changed

@@ -34,7 +34,7 @@ from feedsel import (
     solvers,
     two_stage,
 )
-from feedsel.generators import random_line_system
+from feedsel.generators import random_line_system, random_single_input_system
 from feedsel.graphs import hopcroft_karp, missing_path_links, state_bipartite
 from tests.conftest import (
     brute_force_set_cover,
@@ -526,6 +526,43 @@ def test_condition_b_patterns_and_certificates_match_golden_digest():
     assert hashlib.sha256(repr(records).encode()).hexdigest() == CYCLE_STAGE_DIGEST
 
 
+# SHA-256 of the cycle-stage results on two_stage_nopm-sized chains (2-state
+# SCCs, 20 inputs, 20 outputs, no state perfect matching), captured before
+# the matcher moved from (right, cost) tuple rows to the index's int rows.
+# The narrow cost range makes equal-cost optima common.
+CONDITION_B_BENCH_SIZE_DIGEST = "710c2e9b966fd92c9a42d4689ebccb181aaa43266e9c481e0787492c077cce60"
+
+
+def test_condition_b_bench_size_digest():
+    records = []
+    for scc_count in (150, 300):
+        for cost_range in ((1, 100), (1, 3)):
+            for seed in range(3):
+                system, costs = random_line_system(
+                    seed,
+                    scc_count=scc_count,
+                    scc_size_range=(2, 2),
+                    n_inputs=20,
+                    n_outputs=20,
+                    cost_range=cost_range,
+                    perfect_matching=False,
+                )
+                solution = min_cost_condition_b(system, costs)
+                certificates = solution.certificates
+                records.append(
+                    (
+                        scc_count,
+                        cost_range,
+                        seed,
+                        solution.pattern.sorted_links(),
+                        certificates["matching"],
+                        certificates["matching_cost"],
+                        certificates["augmentations"],
+                    )
+                )
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == CONDITION_B_BENCH_SIZE_DIGEST
+
+
 def test_condition_b_golden_result_without_state_matching():
     system, costs = _line_instance(40_001, perfect_matching=False)
     assert (system.n, system.m, system.p) == (4, 2, 4)
@@ -728,6 +765,30 @@ def test_greedy_set_cover_cross_multiplication_ties():
     # All ratios tie at 1/2; the smallest index wins each round.
     assert picked == [1, 2]
     assert total == 2
+
+
+# SHA-256 of greedy_single_input's answers on a few hundred branches,
+# captured while the greedy still checked each set against the list of
+# picks and built each output's candidate set by scanning every sink.
+GREEDY_DIGEST = "01109f17bb69a0739b27a3f87dee8c713314d10197d7c7fc730dce125613c753"
+
+
+def test_greedy_outputs_match_golden_digest():
+    records = []
+    for n_branches in (200, 300):
+        for seed in range(3):
+            solution = greedy_single_input(*random_single_input_system(seed, n_branches=n_branches))
+            records.append(
+                (
+                    n_branches,
+                    seed,
+                    solution.pattern.sorted_links(),
+                    solution.cost,
+                    solution.reason,
+                    solution.certificates,
+                )
+            )
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == GREEDY_DIGEST
 
 
 # ---------------------------------------------------------------------------
