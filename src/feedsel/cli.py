@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
+import gc
 import math
 import sys
 import time
-from itertools import chain
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .dot import condensation_to_dot, system_to_dot
 from .fileio import (
     SchemaError,
+    _dumps,
     emit_system,
     load_setcover,
     load_system,
@@ -74,57 +73,6 @@ def _jsonable(obj):
     if isinstance(obj, (int, str, bool)) or obj is None:
         return obj
     return str(obj)
-
-
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-_NUMBERS = frozenset({int, float, bool})
-_ROWS = frozenset({list, tuple})
-
-
-def _dumps(obj, level: int = 0) -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, with the lists encoded in C.
-
-    Before CPython 3.13, ``indent`` sends json to its pure-Python encoder.
-    Here dicts are walked in Python, and a list of scalars, or of flat
-    numeric rows and nulls, is one call to json's C encoder at the
-    indented separator; any other list is walked item by item; a scalar
-    is ``json.dumps(obj)``. CPython 3.13 and later encode ``indent`` in C
-    themselves; this helper only calls public json at fixed separators,
-    so its output stays exact there too.
-    """
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        pad = "\n" + "  " * (level + 1)
-        fields = (
-            encode_basestring_ascii(key) + ": " + _dumps(value, level + 1)
-            for key, value in obj.items()
-        )
-        return "{" + pad + ("," + pad).join(fields) + "\n" + "  " * level + "}"
-    if not isinstance(obj, (list, tuple)):
-        return json.dumps(obj)
-    if not obj:
-        return "[]"
-    pad = "\n" + "  " * (level + 1)
-    close = "\n" + "  " * level + "]"
-    if _JSON_SCALARS.issuperset(map(type, obj)):
-        return "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + close
-    # Flat numeric rows and nulls: filter(None, ...) drops the nulls, and
-    # also any falsy entry that is not null, which the count then catches.
-    rows = list(filter(None, obj))
-    if (
-        len(rows) + obj.count(None) == len(obj)
-        and _ROWS.issuperset(map(type, rows))
-        and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))
-    ):
-        # Dump at the rows' separator, then mend the outer separators (the
-        # ones after "]" or "null", as row entries are numbers) and brackets.
-        row_pad = pad + "  "
-        body = json.dumps(obj, separators=("," + row_pad, ": "))[1:-1]
-        body = body.replace("]," + row_pad, "]," + pad).replace("null," + row_pad, "null," + pad)
-        body = body.replace("[", "[" + row_pad).replace("]", pad + "]")
-        return "[" + pad + body + close
-    return "[" + pad + ("," + pad).join(_dumps(value, level + 1) for value in obj) + close
 
 
 def parse_feedback_arg(arg: str) -> FeedbackPattern:
@@ -331,22 +279,34 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Run one feedsel command and return its exit code.
+
+    The cyclic garbage collector is paused while the command runs, whose
+    many containers form no reference cycles, and then set back as the
+    caller had it: on if it was on, off if it was off.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
-        return args.handler(args)
-    except (ValueError, OSError, RuntimeError) as exc:
-        # SchemaError, DimensionError, PreconditionError and
-        # BudgetExceededError are ValueErrors, so input errors exit 2, and
-        # so does RecursionError, a RuntimeError.
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:
-        print("error: out of memory; the input is too large", file=sys.stderr)
-        return 2
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
+            return args.handler(args)
+        except (ValueError, OSError, RuntimeError) as exc:
+            # SchemaError, DimensionError, PreconditionError and
+            # BudgetExceededError are ValueErrors, so input errors exit 2, and
+            # so does RecursionError, a RuntimeError.
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError:
+            print("error: out of memory; the input is too large", file=sys.stderr)
+            return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

@@ -24,6 +24,8 @@ from __future__ import annotations
 import json
 import math
 import sys
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
@@ -117,6 +119,57 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
     return system, costs, warnings
 
 
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+_NUMBERS = frozenset({int, float, bool})
+_ROWS = frozenset({list, tuple})
+
+
+def _dumps(obj, level: int = 0) -> str:
+    """Exactly ``json.dumps(obj, indent=2)``, with the lists encoded in C.
+
+    Before CPython 3.13, ``indent`` sends json to its pure-Python encoder.
+    Here dicts are walked in Python, and a list of scalars, or of flat
+    numeric rows and nulls, is one call to json's C encoder at the
+    indented separator; any other list is walked item by item; a scalar
+    is ``json.dumps(obj)``. CPython 3.13 and later encode ``indent`` in C
+    themselves; this helper only calls public json at fixed separators,
+    so its output stays exact there too.
+    """
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        pad = "\n" + "  " * (level + 1)
+        fields = (
+            encode_basestring_ascii(key) + ": " + _dumps(value, level + 1)
+            for key, value in obj.items()
+        )
+        return "{" + pad + ("," + pad).join(fields) + "\n" + "  " * level + "}"
+    if not isinstance(obj, (list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "[]"
+    pad = "\n" + "  " * (level + 1)
+    close = "\n" + "  " * level + "]"
+    if _JSON_SCALARS.issuperset(map(type, obj)):
+        return "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + close
+    # Flat numeric rows and nulls: filter(None, ...) drops the nulls, and
+    # also any falsy entry that is not null, which the count then catches.
+    rows = list(filter(None, obj))
+    if (
+        len(rows) + obj.count(None) == len(obj)
+        and _ROWS.issuperset(map(type, rows))
+        and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))
+    ):
+        # Dump at the rows' separator, then mend the outer separators (the
+        # ones after "]" or "null", as row entries are numbers) and brackets.
+        row_pad = pad + "  "
+        body = json.dumps(obj, separators=("," + row_pad, ": "))[1:-1]
+        body = body.replace("]," + row_pad, "]," + pad).replace("null," + row_pad, "null," + pad)
+        body = body.replace("[", "[" + row_pad).replace("]", pad + "]")
+        return "[" + pad + body + close
+    return "[" + pad + ("," + pad).join(_dumps(value, level + 1) for value in obj) + close
+
+
 def emit_system(system: StructuredSystem, costs: CostMatrix) -> str:
     """Serialize a system document; ``parse_system`` inverts this exactly."""
     costs.require_matches(system)
@@ -131,7 +184,7 @@ def emit_system(system: StructuredSystem, costs: CostMatrix) -> str:
             ["inf" if math.isinf(entry) else entry for entry in row] for row in costs.rows
         ],
     }
-    return json.dumps(document, indent=2) + "\n"
+    return _dumps(document) + "\n"
 
 
 def load_system(path) -> tuple[StructuredSystem, CostMatrix, list[str]]:
@@ -168,7 +221,7 @@ def emit_setcover(instance: SetCoverInstance) -> str:
         "sets": [sorted(s) for s in instance.sets],
         "weights": list(instance.weights),
     }
-    return json.dumps(document, indent=2) + "\n"
+    return _dumps(document) + "\n"
 
 
 def load_setcover(path) -> SetCoverInstance:

@@ -1,15 +1,18 @@
 """Graph machinery: the closed-loop index, SCC condensation, bipartite matchings.
 
 ``ClosedLoopIndex`` alone knows how states, inputs and outputs are numbered
-as vertices. A bipartite graph is a list of adjacency rows: row l holds the
-0-based right vertices joined to left vertex l, in increasing order; the
-min-cost matcher adds per-row costs (None where a row's edges all cost 0).
+as vertices. ``scc_ids`` is the one SCC routine: a Tarjan pass that numbers
+the components in the order it emits them, which is reverse topological,
+and ``condense`` orders the SCC DAG from those ids. A bipartite graph is a
+list of adjacency rows: row l holds the 0-based right vertices joined to
+left vertex l, in increasing order; the min-cost matcher adds per-row
+costs (None where a row's edges all cost 0).
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -136,63 +139,56 @@ class ClosedLoopIndex:
         return _overlay(self._adjacency, self.matching_edges(links))
 
 
-def strongly_connected_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Tarjan's algorithm, iterative so deep chains don't hit the recursion limit.
+def scc_ids(succ: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+    """Tarjan's algorithm: (component id per vertex, component count).
 
     ``succ`` is indexed by vertex id 1..len(succ) - 1 (entry 0 unused).
+    Components are numbered 0, 1, ... in the order Tarjan emits them,
+    which is reverse topological: an edge v -> w between two components
+    has ids[v] > ids[w]. Iterative, so deep chains don't hit the recursion
+    limit. Each DFS frame keeps its vertex's index; ``low`` is nonzero once
+    a vertex is reached, which is on Tarjan's stack until it gets an id.
     """
-    index = [0] * len(succ)
-    low = [0] * len(succ)
-    on_stack = [False] * len(succ)
+    size = len(succ)
+    low = [0] * size
+    ids = [-1] * size
     stack: list[int] = []
-    sccs: list[list[int]] = []
     counter = 1
+    count = 0
 
-    for root in range(1, len(succ)):
-        if index[root]:
+    for root in range(1, size):
+        if low[root]:
             continue
-        index[root] = low[root] = counter
-        counter += 1
+        low[root] = counter
         stack.append(root)
-        on_stack[root] = True
-        work: list[tuple[int, Iterator[int]]] = [(root, iter(succ[root]))]
+        work: list[tuple[int, int, Iterator[int]]] = [(root, counter, iter(succ[root]))]
+        counter += 1
         while work:
-            v, neighbors = work[-1]
+            v, index, neighbors = work[-1]
             for w in neighbors:
-                if not index[w]:
-                    index[w] = low[w] = counter
-                    counter += 1
+                low_w = low[w]
+                if not low_w:
+                    low[w] = counter
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(succ[w])))
+                    work.append((w, counter, iter(succ[w])))
+                    counter += 1
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+                if low_w < low[v] and ids[w] < 0:
+                    low[v] = low_w
             else:
                 work.pop()
-                if work:
+                if low[v] == index:
+                    while True:
+                        w = stack.pop()
+                        ids[w] = count
+                        if w == v:
+                            break
+                    count += 1
+                else:  # v is not a component's root, so it has a parent frame
                     parent = work[-1][0]
                     if low[v] < low[parent]:
                         low[parent] = low[v]
-                if low[v] == index[v]:
-                    component = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        component.append(w)
-                        if w == v:
-                            break
-                    sccs.append(component)
-    return sccs
-
-
-def scc_ids(succ: Sequence[Sequence[int]]) -> list[int]:
-    """Component id per vertex (entry 0 unused); ids are arbitrary but consistent."""
-    ids = [0] * len(succ)
-    for cid, component in enumerate(strongly_connected_components(succ)):
-        for v in component:
-            ids[v] = cid
-    return ids
+    return ids, count
 
 
 # ---------------------------------------------------------------------------
@@ -233,61 +229,67 @@ def condense(system: StructuredSystem) -> Condensation:
 
     The SCC order is topological; among admissible choices the SCC holding
     the smallest state index comes first, so the result is reproducible and
-    independent of edge iteration order.
+    independent of edge iteration order. SCCs are first ranked in the
+    reversed order of ``scc_ids``. When every two consecutive ranks are
+    joined by an edge, as on a line, no other order is topological: it
+    would put the target of one of those edges first. Only otherwise does
+    Kahn's algorithm rerank them, by a min-heap keyed by smallest state.
     """
     n = system.n
     succ: list[list[int]] = [[] for _ in range(n + 1)]
     for i, j in system.a_edges:
         succ[j].append(i)
-    components = strongly_connected_components(succ)
+    ids, count = scc_ids(succ)
+    rank = [count - c for c in ids]  # 1-based SCC index per state
+    rank[0] = 0  # vertex 0 is unused
 
-    comp_of = [0] * (n + 1)
-    for cid, component in enumerate(components):
-        for v in component:
-            comp_of[v] = cid
+    members: list[list[int]] = [[] for _ in range(count + 1)]
+    for s in range(1, n + 1):
+        members[rank[s]].append(s)  # so members[k][0] is the smallest state
+    # the edges x_j -> x_i between two SCCs, as (source rank, target rank)
+    dag_edges = {(rank[j], rank[i]) for i, j in system.a_edges if rank[j] != rank[i]}
 
-    raw_edges: set[tuple[int, int]] = set()
-    for i, j in system.a_edges:  # edge x_j -> x_i
-        a, b = comp_of[j], comp_of[i]
-        if a != b:
-            raw_edges.add((a, b))
-
-    # Kahn's algorithm with a min-heap keyed by smallest member state.
-    out_adj: list[list[int]] = [[] for _ in components]
-    indeg = [0] * len(components)
-    for a, b in raw_edges:
-        out_adj[a].append(b)
-        indeg[b] += 1
-    min_state = [min(component) for component in components]
-    heap = [(min_state[c], c) for c in range(len(components)) if indeg[c] == 0]
-    heapq.heapify(heap)
-    position = [0] * len(components)  # 1-based topological index
-    order: list[int] = []
-    while heap:
-        _, c = heapq.heappop(heap)
-        order.append(c)
-        position[c] = len(order)
-        for b in out_adj[c]:
-            indeg[b] -= 1
-            if indeg[b] == 0:
-                heapq.heappush(heap, (min_state[b], b))
-
-    sccs = tuple(frozenset(components[c]) for c in order)
-    dag_edges = frozenset((position[a], position[b]) for a, b in raw_edges)
-
-    inputs: list[set[int]] = [set() for _ in sccs]
-    outputs: list[set[int]] = [set() for _ in sccs]
-    for i, j in system.b_edges:  # input j actuates state i
-        inputs[position[comp_of[i]] - 1].add(j)
-    for i, j in system.c_edges:  # output i senses state j
-        outputs[position[comp_of[j]] - 1].add(i)
+    if not dag_edges.issuperset(zip(range(1, count), range(2, count + 1))):
+        out_adj: list[list[int]] = [[] for _ in range(count + 1)]
+        indeg = [0] * (count + 1)
+        for a, b in dag_edges:
+            out_adj[a].append(b)
+            indeg[b] += 1
+        heap = [(members[k][0], k) for k in range(1, count + 1) if indeg[k] == 0]
+        heapq.heapify(heap)
+        order = [0]
+        position = [0] * (count + 1)
+        while heap:
+            _, k = heapq.heappop(heap)
+            position[k] = len(order)
+            order.append(k)
+            for b in out_adj[k]:
+                indeg[b] -= 1
+                if indeg[b] == 0:
+                    heapq.heappush(heap, (members[b][0], b))
+        rank = [position[k] for k in rank]
+        members = [members[k] for k in order]
+        dag_edges = {(position[a], position[b]) for a, b in dag_edges}
 
     return Condensation(
-        sccs=sccs,
-        dag_edges=dag_edges,
-        input_incidence=tuple(frozenset(s) for s in inputs),
-        output_incidence=tuple(frozenset(s) for s in outputs),
+        sccs=tuple(map(frozenset, members[1:])),
+        dag_edges=frozenset(dag_edges),
+        input_incidence=_incidence(system.b_edges, rank, count),
+        output_incidence=_incidence(((j, i) for i, j in system.c_edges), rank, count),
     )
+
+
+def _incidence(
+    pairs: Iterable[Edge], rank: Sequence[int], count: int
+) -> tuple[frozenset[int], ...]:
+    """Per SCC, the x of the (state, x) pairs on its states; untouched SCCs share one empty set."""
+    touched: defaultdict[int, set[int]] = defaultdict(set)
+    for state, x in pairs:
+        touched[rank[state]].add(x)
+    incidence = [frozenset()] * (count + 1)
+    for k, xs in touched.items():
+        incidence[k] = frozenset(xs)
+    return tuple(incidence[1:])
 
 
 def missing_path_links(condensation: Condensation) -> list[tuple[int, int]]:

@@ -45,7 +45,7 @@ class SfmVerdict:
 
 def _uncovered_states(index: ClosedLoopIndex, links: Sequence[Edge]) -> tuple[int, ...]:
     """States whose closed-loop SCC holds no feedback edge of ``links``."""
-    ids = scc_ids(index.successors(links))
+    ids, _ = scc_ids(index.successors(links))
     # A feedback edge is inside an SCC exactly when its endpoints share one.
     covered = {ids[u] for y, u in index.feedback_edges(links) if ids[y] == ids[u]}
     return tuple([s for s in range(1, index.system.n + 1) if ids[s] not in covered])

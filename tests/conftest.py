@@ -7,9 +7,11 @@ enumeration, and min-cost matching by a dense O(n^3) assignment. They are
 the ground truth the fast implementations are compared against.
 
 The per-entry references keep the straightforward forms of code the
-library runs faster: the input checks entry by entry, Hopcroft-Karp
-with a BFS-and-DFS first phase, the chain DP's sweep pushing every
-admissible link, and the min-cost matcher on (right, cost) tuple rows.
+library runs faster: the input checks entry by entry, the condensation
+from Tarjan's component lists with Kahn's heap on every graph,
+Hopcroft-Karp with a BFS-and-DFS first phase, the chain DP's sweep
+pushing every admissible link, and the min-cost matcher on (right,
+cost) tuple rows.
 Their results and messages must match exactly.
 """
 
@@ -27,8 +29,8 @@ import pytest
 from hypothesis import strategies as st
 
 from feedsel import (
-    CostMatrix, DimensionError, DpTable, FeedbackPattern, SetCoverInstance, StructuredSystem,
-    full_pattern,
+    Condensation, CostMatrix, DimensionError, DpTable, FeedbackPattern, SetCoverInstance,
+    StructuredSystem, full_pattern,
 )
 from feedsel.fileio import SchemaError
 
@@ -496,6 +498,96 @@ def reference_parsed_cost_rows(raw_cost) -> tuple[tuple, ...]:
         return reference_cost_rows(rows)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
+
+
+def reference_strongly_connected_components(succ) -> list[list[int]]:
+    """Tarjan's algorithm returning the component lists in emission order."""
+    index = [0] * len(succ)
+    low = [0] * len(succ)
+    on_stack = [False] * len(succ)
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 1
+    for root in range(1, len(succ)):
+        if index[root]:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, neighbors = work[-1]
+            for w in neighbors:
+                if not index[w]:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    sccs.append(component)
+    return sccs
+
+
+def reference_condense(system: StructuredSystem) -> Condensation:
+    """The condensation with Kahn's heap keyed by smallest member state on every graph."""
+    n = system.n
+    succ: list[list[int]] = [[] for _ in range(n + 1)]
+    for i, j in system.a_edges:
+        succ[j].append(i)
+    components = reference_strongly_connected_components(succ)
+    comp_of = [0] * (n + 1)
+    for cid, component in enumerate(components):
+        for v in component:
+            comp_of[v] = cid
+    raw_edges = {(comp_of[j], comp_of[i]) for i, j in system.a_edges if comp_of[j] != comp_of[i]}
+    out_adj: list[list[int]] = [[] for _ in components]
+    indeg = [0] * len(components)
+    for a, b in raw_edges:
+        out_adj[a].append(b)
+        indeg[b] += 1
+    min_state = [min(component) for component in components]
+    heap = [(min_state[c], c) for c in range(len(components)) if indeg[c] == 0]
+    heapq.heapify(heap)
+    position = [0] * len(components)  # 1-based topological index
+    order: list[int] = []
+    while heap:
+        _, c = heapq.heappop(heap)
+        order.append(c)
+        position[c] = len(order)
+        for b in out_adj[c]:
+            indeg[b] -= 1
+            if indeg[b] == 0:
+                heapq.heappush(heap, (min_state[b], b))
+    inputs: list[set[int]] = [set() for _ in order]
+    outputs: list[set[int]] = [set() for _ in order]
+    for i, j in system.b_edges:
+        inputs[position[comp_of[i]] - 1].add(j)
+    for i, j in system.c_edges:
+        outputs[position[comp_of[j]] - 1].add(i)
+    return Condensation(
+        sccs=tuple(frozenset(components[c]) for c in order),
+        dag_edges=frozenset((position[a], position[b]) for a, b in raw_edges),
+        input_incidence=tuple(frozenset(s) for s in inputs),
+        output_incidence=tuple(frozenset(s) for s in outputs),
+    )
 
 
 def reference_hopcroft_karp(adjacency, n_right: int) -> tuple[int, list[int], list[int]]:

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import gc
 import hashlib
 import io
 import json
@@ -842,6 +843,75 @@ def test_cli_outputs_match_golden_digest(tmp_path):
         record = repr((argv, code, stdout, err.getvalue()))
         records.append(record.replace(str(tmp_path), "<tmp>").replace(str(DATA), "<data>"))
     assert hashlib.sha256("\n".join(records).encode()).hexdigest() == CLI_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# the collector pause: commands make no reference cycles
+
+
+def _quiet_run(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return run(argv)
+
+
+def _garbage_left_by(argv) -> int:
+    """Objects the cyclic collector frees after ``run(argv)``, with it off around the call."""
+    gc.disable()
+    try:
+        gc.collect()
+        _quiet_run(argv)
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_commands_leave_no_cyclic_garbage(tmp_path):
+    chain, fig1, costly = (str(tmp_path / name) for name in ("chain.json", "fig1.json", "costly.json"))
+    argvs = [  # the generators first: they write the other commands' inputs
+        ["gen-line", "--seed", "3", "--sccs", "500", "--inputs", "50", "--outputs", "50", "-o", chain],
+        ["gen-setcover", str(DATA / "fig1_cover.json"), "-o", fig1],
+        ["gen-setcover", str(DATA / "costly_cover_24.json"), "-o", costly],
+    ]
+    for path in (str(DATA / "section5.json"), fig1, costly, chain):
+        for fmt in ("text", "structured"):
+            argvs += [
+                ["solve-dp", path, "--format", fmt],
+                ["solve-two-stage", path, "--format", fmt],
+                ["solve-exact", path, "--budget", "24", "--format", fmt],
+                ["solve-greedy", path, "--format", fmt],
+                ["check-sfm", path, "--feedback", "1:1", "--format", fmt],
+            ]
+    _quiet_run(["solve-dp", str(DATA / "section5.json")])  # warm-up: caches, lazy imports
+    left = {tuple(argv): _garbage_left_by(argv) for argv in argvs}
+    assert left == {tuple(argv): 0 for argv in argvs}
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve-dp", str(DATA / "section5.json")], 0),
+        (["check-sfm", str(DATA / "section5.json"), "--feedback", ""], 1),
+        (["solve-dp", str(DATA / "no-such-file.json")], 2),
+        (["solve-dp"], 2),
+    ],
+)
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_callers_collector_setting(monkeypatch, argv, code, enabled):
+    seen = []
+    original = cli.check_no_sfm
+
+    def recording(*args):
+        seen.append(gc.isenabled())
+        return original(*args)
+
+    monkeypatch.setattr(cli, "check_no_sfm", recording)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert _quiet_run(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen == ([False] if argv[0] == "check-sfm" else [])  # paused while it runs
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -40,6 +41,29 @@ def test_roundtrip_preserves_infinite_entries():
     assert parsed_costs.rows[0][0] == 3
     assert math.isinf(parsed_costs.rows[0][1])
     assert '"inf"' in emit_system(system, costs)
+
+
+def test_emitted_files_are_json_dumps_with_indent_2():
+    """emit_system and emit_setcover render exactly as ``json.dumps(indent=2)``."""
+    rng = random.Random(5)
+    values = (0, 1, 7, 2.5, 1e300, 0.1, math.inf)
+    for _ in range(200):
+        n, m, p = rng.randint(1, 4), rng.randint(0, 3), rng.randint(0, 3)
+        system = StructuredSystem(
+            n=n, m=m, p=p,
+            a_edges=frozenset((rng.randint(1, n), rng.randint(1, n)) for _ in range(rng.randint(0, 5))),
+            b_edges=frozenset(
+                (rng.randint(1, n), rng.randint(1, m)) for _ in range(rng.randint(0, 3) if m else 0)
+            ),
+            c_edges=frozenset(
+                (rng.randint(1, p), rng.randint(1, n)) for _ in range(rng.randint(0, 3) if p else 0)
+            ),
+        )
+        costs = CostMatrix.from_rows([[rng.choice(values) for _ in range(p)] for _ in range(m)])
+        text = emit_system(system, costs)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    text = emit_setcover(fig1_cover_instance())
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_parse_rejects_missing_field():

@@ -1,3 +1,5 @@
+import hashlib
+import heapq
 import math
 import random
 import re
@@ -15,14 +17,15 @@ from feedsel import (
     condense,
     reduce_set_cover,
 )
+from feedsel import graphs
 from feedsel.graphs import (
     BipartiteGraph,
     ClosedLoopIndex,
     hopcroft_karp,
     min_cost_perfect_matching,
     missing_path_links,
+    scc_ids,
     state_bipartite,
-    strongly_connected_components,
 )
 from feedsel.generators import random_line_system
 from tests.conftest import (
@@ -32,6 +35,7 @@ from tests.conftest import (
     dense_min_cost_assignment,
     fig1_cover_instance,
     maxflow_matching_size,
+    reference_condense,
     reference_hopcroft_karp,
     reference_min_cost_perfect_matching,
     reference_successors,
@@ -271,6 +275,137 @@ def test_condense_isomorphic_under_relabeling():
         )
 
 
+CONDENSE_BENCH_SIZE_DIGEST = "18cc11aa11001628d03905b4611a92e750fca76827d040f93a30c9c3fcc628aa"
+
+
+def _condensation_fields(cond):
+    return (
+        [sorted(s) for s in cond.sccs],
+        sorted(cond.dag_edges),
+        [sorted(s) for s in cond.input_incidence],
+        [sorted(s) for s in cond.output_incidence],
+    )
+
+
+def test_condense_bench_size_digest():
+    """condense on 500- and 1000-SCC perfect-matching chains and 300-SCC nopm lines."""
+    records = []
+    shapes = (
+        (500, (1, 3), 50, 50, True),
+        (1000, (1, 3), 50, 50, True),
+        (300, (2, 2), 20, 20, False),
+    )
+    for scc_count, size_range, n_inputs, n_outputs, pm in shapes:
+        for seed in range(3):
+            system, _ = random_line_system(
+                seed, scc_count=scc_count, scc_size_range=size_range,
+                n_inputs=n_inputs, n_outputs=n_outputs, perfect_matching=pm,
+            )
+            records.append((scc_count, pm, seed, *_condensation_fields(condense(system))))
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == CONDENSE_BENCH_SIZE_DIGEST
+
+
+def _assert_condenses_like_reference(system):
+    cond, expected = condense(system), reference_condense(system)
+    assert cond.sccs == expected.sccs
+    assert cond.dag_edges == expected.dag_edges
+    assert cond.input_incidence == expected.input_incidence
+    assert cond.output_incidence == expected.output_incidence
+
+
+def _with_io(rng, n, a_edges, m=3, p=3):
+    """A system on ``a_edges`` with a few random input and output edges."""
+    return StructuredSystem(
+        n=n, m=m, p=p,
+        a_edges=frozenset(a_edges),
+        b_edges=frozenset((rng.randint(1, n), rng.randint(1, m)) for _ in range(rng.randint(0, 4))),
+        c_edges=frozenset((rng.randint(1, p), rng.randint(1, n)) for _ in range(rng.randint(0, 4))),
+    )
+
+
+def _random_line(rng, extra_forward=0):
+    """Cycles of shuffled states in a chain, each joined to the next, plus forward edges."""
+    ell = rng.randint(1, 9)
+    sizes = [rng.randint(1, 3) for _ in range(ell)]
+    states = list(range(1, sum(sizes) + 1))
+    rng.shuffle(states)
+    blocks, start = [], 0
+    for size in sizes:
+        blocks.append(states[start:start + size])
+        start += size
+    edges = set()
+    for block in blocks:  # x_j -> x_i is the pair (i, j)
+        if len(block) == 1 and rng.random() < 0.5:
+            edges.add((block[0], block[0]))
+        for k, j in enumerate(block):
+            if len(block) > 1:
+                edges.add((block[(k + 1) % len(block)], j))
+    for upper, lower in zip(blocks, blocks[1:]):
+        edges.add((rng.choice(lower), rng.choice(upper)))
+    for _ in range(extra_forward if ell > 2 else 0):
+        a = rng.randrange(ell - 1)
+        b = rng.randrange(a + 1, ell)
+        edges.add((rng.choice(blocks[b]), rng.choice(blocks[a])))
+    return _with_io(rng, len(states), edges)
+
+
+class _CountingHeapq:
+    """Stands in for ``heapq`` in ``graphs`` and counts heapify calls."""
+
+    def __init__(self):
+        self.heapify_calls = 0
+
+    def heapify(self, heap):
+        self.heapify_calls += 1
+        heapq.heapify(heap)
+
+    heappush = staticmethod(heapq.heappush)
+    heappop = staticmethod(heapq.heappop)
+
+
+def test_condense_line_fast_path_agrees_with_reference(monkeypatch):
+    counter = _CountingHeapq()
+    monkeypatch.setattr(graphs, "heapq", counter)
+    rng = random.Random(41)
+    for k in range(300):
+        _assert_condenses_like_reference(_random_line(rng, extra_forward=k % 4))
+    for seed in range(20):
+        system, _ = random_line_system(
+            seed, scc_count=1 + seed % 8, n_inputs=1 + seed % 3, n_outputs=1 + seed % 4,
+            perfect_matching=seed % 3 != 0,
+        )
+        _assert_condenses_like_reference(system)
+    assert counter.heapify_calls == 0  # every line takes the fast path
+
+
+@pytest.mark.parametrize(
+    "n, a_edges",
+    [
+        (3, {(1, 1), (2, 2), (3, 3), (3, 1), (3, 2)}),  # two sources
+        (4, {(2, 1), (3, 1), (4, 2), (4, 3)}),  # diamond
+        (4, {(2, 1), (3, 1), (4, 2), (4, 3), (4, 1)}),  # diamond with a shortcut
+        (5, {(2, 2), (4, 4)}),  # isolated states
+        (6, {(5, 4), (4, 5), (3, 5), (1, 6)}),  # two chains side by side
+    ],
+)
+def test_condense_kahn_path_agrees_with_reference(monkeypatch, n, a_edges):
+    counter = _CountingHeapq()
+    monkeypatch.setattr(graphs, "heapq", counter)
+    _assert_condenses_like_reference(_with_io(random.Random(n), n, a_edges))
+    assert counter.heapify_calls == 1
+
+
+def test_condense_agrees_with_reference_on_random_digraphs():
+    rng = random.Random(43)
+    for _ in range(400):
+        n = rng.randint(1, 10)
+        density = rng.choice((0.05, 0.15, 0.3, 0.5))
+        edges = {
+            (i, j) for i in range(1, n + 1) for j in range(1, n + 1) if rng.random() < density
+        }
+        _assert_condenses_like_reference(_with_io(rng, n, edges))
+
+
 def _chain_condensation(ell, extra=()):
     return Condensation(
         sccs=tuple(frozenset({k}) for k in range(1, ell + 1)),
@@ -422,8 +557,12 @@ def test_tarjan_agrees_with_closure_on_mixed_graphs():
             for w in range(1, n + 1):
                 if rng.random() < 0.3:
                     succ[v].append(w)
-        parts = {frozenset(c) for c in strongly_connected_components(succ)}
+        ids, count = scc_ids(succ)
+        parts = {frozenset(v for v in range(1, n + 1) if ids[v] == c) for c in range(count)}
         assert parts == scc_partition_by_closure(succ, n)
+        # Ids 0..count-1, numbered in reverse topological order.
+        assert {ids[v] for v in range(1, n + 1)} == set(range(count))
+        assert all(ids[v] >= ids[w] for v in range(1, n + 1) for w in succ[v])
 
 
 def _cost_rows(matrix):
