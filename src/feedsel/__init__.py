@@ -12,7 +12,7 @@ from .model import (
     full_pattern,
 )
 from .graphs import Condensation, condense
-from .sfm import SfmVerdict, check_condition_a, check_condition_b, check_no_sfm
+from .sfm import SfmVerdict, check_no_sfm
 from .solvers import (
     BudgetExceededError,
     DpTable,
@@ -23,18 +23,12 @@ from .solvers import (
     greedy_single_input,
     min_cost_condition_b,
     reduce_set_cover,
-    selected_sets,
     solve_dp,
     two_stage,
 )
-from .generators import (
-    random_line_system,
-    random_single_input_system,
-    random_system,
-)
+from .generators import random_line_system, random_single_input_system
 from .fileio import (
     SchemaError,
-    emit_setcover,
     emit_system,
     load_setcover,
     load_system,
@@ -58,13 +52,10 @@ __all__ = [
     "SfmVerdict",
     "Solution",
     "StructuredSystem",
-    "check_condition_a",
-    "check_condition_b",
     "check_no_sfm",
     "condense",
     "cost_of",
     "dp_cover",
-    "emit_setcover",
     "emit_system",
     "exact_oracle",
     "full_pattern",
@@ -77,9 +68,7 @@ __all__ = [
     "parse_system",
     "random_line_system",
     "random_single_input_system",
-    "random_system",
     "reduce_set_cover",
-    "selected_sets",
     "solve_dp",
     "two_stage",
 ]

@@ -198,10 +198,12 @@ def _cmd_gen_line(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     system, costs = _load(args.system)
+    pattern = parse_feedback_arg(args.feedback)
     if args.condensation:
+        if pattern.links:
+            raise SchemaError("--feedback cannot be drawn on the condensation; drop one of the two")
         text = condensation_to_dot(condense(system))
     else:
-        pattern = parse_feedback_arg(args.feedback)
         text = system_to_dot(system, pattern)
     _emit(text, args.output)
     return 0

@@ -215,14 +215,5 @@ def parse_setcover(text: str) -> SetCoverInstance:
         raise SchemaError(str(exc)) from exc
 
 
-def emit_setcover(instance: SetCoverInstance) -> str:
-    document = {
-        "universe_size": instance.universe_size,
-        "sets": [sorted(s) for s in instance.sets],
-        "weights": list(instance.weights),
-    }
-    return _dumps(document) + "\n"
-
-
 def load_setcover(path) -> SetCoverInstance:
     return parse_setcover(Path(path).read_text())

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .fileio import MAX_SYSTEM_VERTICES
 from .graphs import Condensation, condense, missing_path_links
-from .model import CostMatrix, FeedbackPattern, StructuredSystem, full_pattern
+from .model import CostMatrix, StructuredSystem, full_pattern
 from .sfm import _has_state_perfect_matching, check_no_sfm
 
 # Draws a generator makes before it gives up on its structural promises.
@@ -230,46 +230,3 @@ def random_single_input_system(seed, *, n_branches: int = 3) -> Instance:
         return system, costs
 
     return _redraw(draw, lambda c: len(c.non_top_linked_sccs()) == 1)
-
-
-def random_system(
-    seed,
-    *,
-    n: int,
-    m: int,
-    p: int,
-    a_density: float = 0.25,
-    b_density: float = 0.3,
-    c_density: float = 0.3,
-) -> tuple[StructuredSystem, FeedbackPattern]:
-    """Unconstrained random system plus a random feedback pattern of link density 0.3."""
-    rng = _rng(seed)
-    a_edges = {
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if rng.random() < a_density
-    }
-    b_edges = {
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, m + 1)
-        if rng.random() < b_density
-    }
-    c_edges = {
-        (i, j)
-        for i in range(1, p + 1)
-        for j in range(1, n + 1)
-        if rng.random() < c_density
-    }
-    links = {
-        (i, j)
-        for i in range(1, m + 1)
-        for j in range(1, p + 1)
-        if rng.random() < 0.3
-    }
-    system = StructuredSystem(
-        n=n, m=m, p=p,
-        a_edges=frozenset(a_edges), b_edges=frozenset(b_edges), c_edges=frozenset(c_edges),
-    )
-    return system, FeedbackPattern(frozenset(links))

@@ -349,7 +349,7 @@ def state_bipartite(system: StructuredSystem) -> BipartiteGraph:
 def hopcroft_karp(
     adjacency: Sequence[Sequence[int]], n_right: int
 ) -> tuple[int, list[int], list[int]]:
-    """Maximum bipartite matching in O(E * sqrt(V)) phases.
+    """Maximum bipartite matching: O(sqrt(V)) phases, O(E * sqrt(V)) time.
 
     Returns (size, match_left, match_right) with -1 marking unmatched
     vertices. The first phase is a greedy pass in row order: with every

@@ -253,10 +253,9 @@ class SetCoverInstance:
     """A weighted set cover instance: universe {1..N}, candidate sets, weights.
 
     The union of the candidate sets must equal the universe, so a cover
-    always exists; choosing one of minimum total weight is the problem.
-    Construction alone checks the universe size and set elements (ints)
-    and weights (finite ints or floats >= 0), and never coerces: a bool or
-    other type raises.
+    always exists. Construction checks the universe size, the set elements
+    (ints) and the weights (finite ints or floats >= 0), and never coerces:
+    a bool or other type raises.
     """
 
     universe_size: int
@@ -292,22 +291,3 @@ class SetCoverInstance:
     @property
     def set_count(self) -> int:
         return len(self.sets)
-
-    def _chosen(self, selected: Iterable[int]) -> set[int]:
-        """The distinct 1-based set indices in ``selected``, each checked in range."""
-        chosen = set(selected)
-        for idx in chosen:
-            if not 1 <= idx <= self.set_count:
-                raise DimensionError(f"set index {idx} out of range 1..{self.set_count}")
-        return chosen
-
-    def cover_weight(self, selected: Iterable[int]) -> float:
-        """Total weight of the 1-based set indices in ``selected``."""
-        total: float = 0
-        for idx in self._chosen(selected):
-            total += self.weights[idx - 1]
-        return total
-
-    def is_cover(self, selected: Iterable[int]) -> bool:
-        covered = frozenset().union(*(self.sets[idx - 1] for idx in self._chosen(selected)))
-        return covered == set(range(1, self.universe_size + 1))

@@ -156,12 +156,7 @@ def _has_state_perfect_matching(system: StructuredSystem) -> bool:
     return _has_cycle_family(ClosedLoopIndex(system), [])
 
 
-def check_condition_a(system: StructuredSystem, pattern: FeedbackPattern) -> tuple[int, ...]:
-    """States whose closed-loop SCC contains no selected feedback edge (empty = pass)."""
-    index = ClosedLoopIndex(system)
-    return _uncovered_states(index, index.check_links(pattern.links))
-
-
+# Kept for the benchmark's sfm.check_condition_b span hook; check_no_sfm does not call it.
 def check_condition_b(system: StructuredSystem, pattern: FeedbackPattern) -> bool:
     """True when the closed-loop bipartite graph has a perfect matching."""
     index = ClosedLoopIndex(system)

@@ -357,11 +357,6 @@ def reduce_set_cover(instance: SetCoverInstance) -> tuple[StructuredSystem, Cost
     return system, costs
 
 
-def selected_sets(pattern: FeedbackPattern) -> frozenset[int]:
-    """Set indices selected by a pattern on a reduced set-cover system."""
-    return frozenset(j for i, j in pattern.links if i == 1)
-
-
 def greedy_set_cover(
     instance: SetCoverInstance,
 ) -> tuple[list[int], float, list[tuple[int, int, float]]]:

@@ -13,6 +13,10 @@ Hopcroft-Karp with a BFS-and-DFS first phase, the chain DP's sweep
 pushing every admissible link, and the min-cost matcher on (right,
 cost) tuple rows.
 Their results and messages must match exactly.
+
+``random_system`` (unconstrained random systems with a random pattern)
+and the set-cover queries ``is_cover`` and ``cover_weight`` serve only
+tests, so they live here and not in the library.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import random
 import sys
 from collections import deque
 from itertools import combinations, permutations
+from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
@@ -33,6 +38,7 @@ from feedsel import (
     StructuredSystem, full_pattern,
 )
 from feedsel.fileio import SchemaError
+from feedsel.generators import _rng
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +87,49 @@ def costly_cover(k: int, costly_weights: tuple[float, ...]) -> SetCoverInstance:
     weights = tuple(rng.randint(1, 9) for _ in range(cheap)) + tuple(costly_weights)
     sets += [frozenset({12, *rng.sample(range(1, 12), 2)}) for _ in costly_weights]
     return SetCoverInstance(universe_size=12, sets=tuple(sets), weights=weights)
+
+
+def random_system(
+    seed,
+    *,
+    n: int,
+    m: int,
+    p: int,
+    a_density: float = 0.25,
+    b_density: float = 0.3,
+    c_density: float = 0.3,
+) -> tuple[StructuredSystem, FeedbackPattern]:
+    """Unconstrained random system plus a random feedback pattern of link density 0.3."""
+    rng = _rng(seed)
+    a_edges = {
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if rng.random() < a_density
+    }
+    b_edges = {
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, m + 1)
+        if rng.random() < b_density
+    }
+    c_edges = {
+        (i, j)
+        for i in range(1, p + 1)
+        for j in range(1, n + 1)
+        if rng.random() < c_density
+    }
+    links = {
+        (i, j)
+        for i in range(1, m + 1)
+        for j in range(1, p + 1)
+        if rng.random() < 0.3
+    }
+    system = StructuredSystem(
+        n=n, m=m, p=p,
+        a_edges=frozenset(a_edges), b_edges=frozenset(b_edges), c_edges=frozenset(c_edges),
+    )
+    return system, FeedbackPattern(frozenset(links))
 
 
 @pytest.fixture
@@ -225,6 +274,28 @@ def spanning_cycle_family_exists(system: StructuredSystem, pattern: FeedbackPatt
     return False
 
 
+def _chosen(instance: SetCoverInstance, selected: Iterable[int]) -> set[int]:
+    """The distinct 1-based set indices in ``selected``, each checked in range."""
+    chosen = set(selected)
+    for idx in chosen:
+        if not 1 <= idx <= instance.set_count:
+            raise DimensionError(f"set index {idx} out of range 1..{instance.set_count}")
+    return chosen
+
+
+def cover_weight(instance: SetCoverInstance, selected: Iterable[int]) -> float:
+    """Total weight of the 1-based set indices in ``selected``."""
+    total: float = 0
+    for idx in _chosen(instance, selected):
+        total += instance.weights[idx - 1]
+    return total
+
+
+def is_cover(instance: SetCoverInstance, selected: Iterable[int]) -> bool:
+    covered = frozenset().union(*(instance.sets[idx - 1] for idx in _chosen(instance, selected)))
+    return covered == set(range(1, instance.universe_size + 1))
+
+
 def brute_force_set_cover(instance: SetCoverInstance) -> tuple[float, frozenset[int]]:
     """Optimal weighted cover by enumerating all subsets of sets."""
     best_weight = None
@@ -232,8 +303,8 @@ def brute_force_set_cover(instance: SetCoverInstance) -> tuple[float, frozenset[
     indices = range(1, instance.set_count + 1)
     for r in range(instance.set_count + 1):
         for subset in combinations(indices, r):
-            if instance.is_cover(subset):
-                weight = instance.cover_weight(subset)
+            if is_cover(instance, subset):
+                weight = cover_weight(instance, subset)
                 if best_weight is None or weight < best_weight:
                     best_weight = weight
                     best_sets = frozenset(subset)

@@ -16,26 +16,23 @@ import pytest
 from feedsel import (
     FeedbackPattern,
     SetCoverInstance,
-    check_condition_b,
     check_no_sfm,
     condense,
     exact_oracle,
     greedy_single_input,
     reduce_set_cover,
-    selected_sets,
     solve_dp,
     two_stage,
 )
-from feedsel.generators import (
-    random_line_system,
-    random_single_input_system,
-    random_system,
-)
+from feedsel.generators import random_line_system, random_single_input_system
 from feedsel.graphs import hopcroft_karp, state_bipartite
+from feedsel.sfm import check_condition_b
 from tests.conftest import (
     brute_force_set_cover,
     covering_edge_set,
     fig1_cover_instance,
+    is_cover,
+    random_system,
     section5_system,
     spanning_cycle_family_exists,
 )
@@ -114,7 +111,7 @@ def test_criterion_2_reduction_round_trip():
         failures.append(f"unit-weight feedback optimum {oracle.cost} != 2")
     if cover_optimum != oracle.cost:
         failures.append(f"cover optimum {cover_optimum} != feedback optimum {oracle.cost}")
-    if not unit.is_cover(selected_sets(oracle.pattern)):
+    if not is_cover(unit, {j for i, j in oracle.pattern.links}):
         failures.append("oracle pattern does not select a cover")
     elapsed = time.perf_counter() - start
     if elapsed >= 1.0:

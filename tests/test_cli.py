@@ -22,7 +22,7 @@ from feedsel import (
 )
 from feedsel import cli
 from feedsel.cli import parse_feedback_arg, run
-from feedsel.fileio import SchemaError, emit_setcover, emit_system
+from feedsel.fileio import SchemaError, emit_system
 from feedsel.generators import random_line_system, random_single_input_system
 from tests.conftest import fig1_cover_instance, section5_system
 
@@ -169,7 +169,9 @@ def test_gen_setcover_then_solve_exact(capsys, tmp_path):
     cover = fig1_cover_instance()
     unit = type(cover)(universe_size=5, sets=cover.sets, weights=(1, 1, 1))
     cover_path = tmp_path / "cover.json"
-    cover_path.write_text(emit_setcover(unit))
+    cover_path.write_text(json.dumps(
+        {"universe_size": 5, "sets": [sorted(s) for s in unit.sets], "weights": list(unit.weights)}
+    ))
     system_path = tmp_path / "system.json"
     code, _, _ = invoke(capsys, "gen-setcover", str(cover_path), "-o", str(system_path))
     assert code == 0
@@ -330,6 +332,15 @@ def test_export_dot_golden_output(capsys):
     assert invoke(capsys, "export-dot", section5, "--condensation") == (0, SECTION5_CONDENSATION_DOT, "")
     assert invoke(capsys, "export-dot", section5, "--feedback", "2:9") == (
         2, "", "error: feedback link (2, 9) out of range for m=4, p=3\n"
+    )
+    # The condensation has no feedback edges to draw links on; an empty
+    # link list draws nothing and passes.
+    for feedback in ("99:99", "2:3"):
+        assert invoke(capsys, "export-dot", section5, "--condensation", "--feedback", feedback) == (
+            2, "", "error: --feedback cannot be drawn on the condensation; drop one of the two\n"
+        )
+    assert invoke(capsys, "export-dot", section5, "--condensation", "--feedback= , ") == (
+        0, SECTION5_CONDENSATION_DOT, ""
     )
 
 

@@ -7,12 +7,9 @@ import pytest
 from feedsel import CostMatrix, SfmVerdict, check_no_sfm, condense, emit_system, full_pattern
 from feedsel import generators
 from feedsel.fileio import MAX_SYSTEM_VERTICES
-from feedsel.generators import (
-    random_line_system,
-    random_single_input_system,
-    random_system,
-)
+from feedsel.generators import random_line_system, random_single_input_system
 from feedsel.graphs import hopcroft_karp, missing_path_links, state_bipartite
+from tests.conftest import random_system
 
 
 def _has_matching(system):

@@ -15,7 +15,8 @@ from feedsel import (
 )
 from feedsel.model import _edge_set
 from tests.conftest import (
-    IntSub, ListSub, faulty_cost_rows, reference_cost_rows, reference_edge_set,
+    IntSub, ListSub, cover_weight, faulty_cost_rows, is_cover, reference_cost_rows,
+    reference_edge_set,
 )
 
 
@@ -105,16 +106,16 @@ def test_set_cover_instance_requires_coverage():
 
 
 def test_set_cover_weight_and_cover_check(fig1_cover):
-    assert fig1_cover.cover_weight([1, 3]) == 6
-    assert fig1_cover.is_cover([1, 3])
-    assert not fig1_cover.is_cover([1, 2])
+    assert cover_weight(fig1_cover, [1, 3]) == 6
+    assert is_cover(fig1_cover, [1, 3])
+    assert not is_cover(fig1_cover, [1, 2])
 
 
 def test_set_cover_index_checks_are_shared():
     instance = SetCoverInstance(universe_size=2, sets=(frozenset({1}), frozenset({2})), weights=(1, 1))
-    for method in (instance.is_cover, instance.cover_weight):
+    for query in (is_cover, cover_weight):
         with pytest.raises(DimensionError, match=r"^set index 0 out of range 1\.\.2$"):
-            method([0, 1])
+            query(instance, [0, 1])
 
 
 def _system(**fields):

@@ -1,11 +1,17 @@
-"""The perfbench span hooks still name attributes that exist.
+"""The perfbench span hooks still name attributes that exist, and its
+instance builder still finds every library name it uses.
 
 A hook whose target a refactor renames or deletes does not fail: its span
-just reads 0 ms in every traced run. This test catches that in tier 1.
+just reads 0 ms in every traced run. A name the builder imports or calls
+fails only when the benchmark runs, and tier 1 does not collect the
+perfbench tests. These tests catch both in tier 1.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Hooks that no longer resolve, left for the benchmark change that takes
 # its counters from the solvers instead of patching names.
@@ -19,9 +25,27 @@ KNOWN_DEAD = {
 }
 
 
-def test_no_span_hook_is_dead_beyond_the_known_ones():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+def _load(name: str, monkeypatch):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    # Dataclasses look their module up in sys.modules while the class is built.
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_span_hook_is_dead_beyond_the_known_ones(monkeypatch):
+    spans = _load("spans", monkeypatch)
     assert set(spans.Tracer().missing) <= KNOWN_DEAD
+
+
+def test_workload_builder_finds_every_library_name_it_uses(monkeypatch, tmp_path):
+    # Importing the module resolves hopcroft_karp and state_bipartite;
+    # building oracle_small, whose classes use every maker, calls
+    # SetCoverInstance, reduce_set_cover, condense, CostMatrix.from_rows,
+    # random_line_system and emit_system.
+    workloads = _load("workloads", monkeypatch)
+    built = workloads.build("oracle_small", 0, tmp_path)
+    assert {inst.klass for inst in built.instances} == {"line_nopm", "setcover", "infeasible"}
+    assert all(Path(inst.path).read_text() == text for inst, text in zip(built.instances, built.texts))
+    assert built.counts["states"] > 0 and built.counts["matching_deficiency"] > 0

@@ -10,16 +10,14 @@ from feedsel import (
     FeedbackPattern,
     SetCoverInstance,
     StructuredSystem,
-    check_condition_a,
-    check_condition_b,
     check_no_sfm,
     full_pattern,
     reduce_set_cover,
 )
-from feedsel.generators import random_line_system, random_system
+from feedsel.generators import random_line_system
 from feedsel.graphs import ClosedLoopIndex
-from feedsel.sfm import CoverageKernel, _uncovered_states
-from tests.conftest import fig1_cover_instance, spanning_cycle_family_exists
+from feedsel.sfm import CoverageKernel, _uncovered_states, check_condition_b
+from tests.conftest import fig1_cover_instance, random_system, spanning_cycle_family_exists
 
 
 def fig1_system():
@@ -28,18 +26,18 @@ def fig1_system():
 
 def test_condition_a_passes_when_selected_sets_cover():
     system, _ = fig1_system()
-    assert check_condition_a(system, FeedbackPattern.of((1, 1), (1, 3))) == ()
+    assert check_no_sfm(system, FeedbackPattern.of((1, 1), (1, 3))).uncovered_states == ()
 
 
 def test_condition_a_reports_states_of_missed_elements():
     system, _ = fig1_system()
-    uncovered = check_condition_a(system, FeedbackPattern.of((1, 1)))
+    uncovered = check_no_sfm(system, FeedbackPattern.of((1, 1))).uncovered_states
     assert uncovered == (3, 4, 5)
 
 
 def test_condition_a_everything_uncovered_without_feedback():
     system, _ = fig1_system()
-    assert check_condition_a(system, FeedbackPattern()) == tuple(range(1, 7))
+    assert check_no_sfm(system, FeedbackPattern()).uncovered_states == tuple(range(1, 7))
 
 
 def test_condition_b_holds_without_feedback_when_states_cycle():
@@ -127,7 +125,7 @@ def test_condition_b_matches_exhaustive_cycle_search_small():
         assert check_condition_b(system, pattern) == expected
 
 
-@pytest.mark.parametrize("check", [check_no_sfm, check_condition_a, check_condition_b])
+@pytest.mark.parametrize("check", [check_no_sfm, check_condition_b])
 @pytest.mark.parametrize("link", [(0, 1), (2, 1), (1, 5)])
 def test_checks_reject_out_of_range_links(check, link):
     # (0, 1) once read as the edge y1 -> x2 and passed; (2, 1) failed for the

@@ -15,6 +15,7 @@ from feedsel import (
     BudgetExceededError,
     Condensation,
     CostMatrix,
+    DimensionError,
     FeedbackPattern,
     PreconditionError,
     SetCoverInstance,
@@ -29,7 +30,6 @@ from feedsel import (
     load_setcover,
     min_cost_condition_b,
     reduce_set_cover,
-    selected_sets,
     solve_dp,
     solvers,
     two_stage,
@@ -40,9 +40,12 @@ from tests.conftest import (
     brute_force_set_cover,
     closed_loop_cost_rows,
     costly_cover,
+    cover_weight,
     covering_edge_set,
     dense_cost_rows,
     dense_min_cost_assignment,
+    is_cover,
+    random_system,
     reference_dp_cover,
 )
 from tests.test_acceptance import _line_instance
@@ -134,6 +137,38 @@ def test_dp_rejects_non_line_condensation():
         dp_cover(condensation, CostMatrix.from_rows([[1]]))
 
 
+def _two_scc_chain(inputs, outputs) -> Condensation:
+    return Condensation(
+        sccs=(frozenset({1}), frozenset({2})),
+        dag_edges=frozenset({(1, 2)}),
+        input_incidence=tuple(frozenset(s) for s in inputs),
+        output_incidence=tuple(frozenset(s) for s in outputs),
+    )
+
+
+@pytest.mark.parametrize("inputs, outputs, message", [
+    ([{1}, {0}], [{1}, {2}], "input u0 outside cost matrix with m=2"),
+    ([{1}, {3}], [{1}, {2}], "input u3 outside cost matrix with m=2"),
+    ([{1}, {2}], [{0}, {2}], "output y0 outside cost matrix with p=2"),
+    ([{1}, {2}], [{3}, {2}], "output y3 outside cost matrix with p=2"),
+])
+def test_dp_rejects_incidence_outside_the_cost_matrix(inputs, outputs, message):
+    with pytest.raises(DimensionError, match=rf"^{message}$"):
+        dp_cover(_two_scc_chain(inputs, outputs), CostMatrix.from_rows([[1, 2], [3, 4]]))
+
+
+def test_dp_on_an_empty_cost_matrix_skips_the_output_check():
+    # With m = 0 no input may appear, and the matrix has no column count to
+    # check outputs against; no link exists, so the chain stays uncovered.
+    solution = dp_cover(_two_scc_chain([set(), set()], [{5}, {9}]), CostMatrix.from_rows([]))
+    assert solution.method == "dp"
+    assert not solution.feasible
+    assert solution.pattern == FeedbackPattern()
+    assert solution.certificates["dp_table"].stage_costs == (0, INF, INF)
+    with pytest.raises(DimensionError, match=r"^input u1 outside cost matrix with m=0$"):
+        dp_cover(_two_scc_chain([{1}, set()], [{5}, {9}]), CostMatrix.from_rows([]))
+
+
 def test_dp_accepts_spanning_path_with_shortcuts():
     condensation = Condensation(
         sccs=(frozenset({1}), frozenset({2}), frozenset({3})),
@@ -179,8 +214,6 @@ def test_solve_dp_tags_condition_a_only_without_matching():
 
 
 def test_state_matching_check_equals_hopcroft_karp_on_the_state_graph():
-    from feedsel.generators import random_system
-
     rng = random.Random(606)
     systems = [
         random_system(rng, n=rng.randint(1, 8), m=rng.randint(0, 3), p=rng.randint(0, 3),
@@ -651,7 +684,7 @@ def test_reduction_unit_weights_optimum(fig1_cover):
     system, costs = reduce_set_cover(unit)
     solution = exact_oracle(system, costs)
     assert solution.cost == 2
-    assert selected_sets(solution.pattern) == frozenset({1, 3})
+    assert {j for i, j in solution.pattern.links} == {1, 3}
     best_weight, _ = brute_force_set_cover(unit)
     assert best_weight == 2
 
@@ -679,9 +712,9 @@ def test_reduction_soundness_random_instances():
             for chosen in combinations(range(1, set_count + 1), r):
                 pattern = FeedbackPattern(frozenset((1, j) for j in chosen))
                 feasible = check_no_sfm(system, pattern).feasible
-                assert feasible == instance.is_cover(chosen)
+                assert feasible == is_cover(instance, chosen)
                 if feasible:
-                    assert cost_of(pattern, costs) == instance.cover_weight(chosen)
+                    assert cost_of(pattern, costs) == cover_weight(instance, chosen)
         best_weight, _ = brute_force_set_cover(instance)
         assert exact_oracle(system, costs).cost == best_weight
 
@@ -989,7 +1022,6 @@ def test_oracle_tie_break_is_lexicographic():
 def test_oracle_agrees_with_public_checker_enumeration():
     # The oracle's fast internal overlays must reproduce exactly what a
     # plain loop over check_no_sfm finds, pattern included.
-    from feedsel.generators import random_system
     from tests.conftest import naive_pattern_optimum
 
     rng = random.Random(404)
@@ -1025,8 +1057,6 @@ def _oracle_suite():
     state perfect matching (drawn and tie-heavy costs), and set-cover
     reductions with weights in {1, 2, 2.5, 3}.
     """
-    from feedsel.generators import random_system
-
     rng = random.Random(7070)
     # The last 80 have sparse A and dense B and C, which often leaves cycle
     # spanning to the links, or out of reach while coverage is not.
@@ -1195,7 +1225,6 @@ def test_oracle_equals_naive_enumeration_on_tie_heavy_set_covers(instance):
 
 
 def test_dp_matches_public_checker_condition_a_optimum():
-    from feedsel import check_condition_a
     from tests.conftest import naive_pattern_optimum
 
     rng = random.Random(505)
@@ -1209,7 +1238,7 @@ def test_dp_matches_public_checker_condition_a_optimum():
         )
         dp = dp_cover(condense(system), costs)
         naive = naive_pattern_optimum(
-            system, costs, lambda s, k: not check_condition_a(s, k)
+            system, costs, lambda s, k: not check_no_sfm(s, k).uncovered_states
         )
         assert naive is not None
         assert dp.cost == naive[0]
