@@ -55,7 +55,7 @@ def _jsonable(obj):
     if isinstance(obj, DpTable):
         return {
             "stage_costs": [_json_cost(w) for w in obj.stage_costs],
-            "choices": [list(c) if c else None for c in obj.choices],
+            "choices": obj.choices,  # (input, output, stage) tuples and Nones
         }
     if isinstance(obj, Solution):
         return {

@@ -11,9 +11,11 @@ shape (required fields, arrays where arrays belong, cost row lengths, an
 integer ``universe_size``), the size caps (``MAX_SYSTEM_VERTICES`` on
 n + m + p, and on a set cover's reduced system), and what only JSON can
 produce: cost strings other than ``"inf"``, numbers that read as infinity
-and integers beyond the float range. A cost row of plain ints and floats
-whose maximum lies within the float range holds none of these and is
-passed on whole; only other rows are read entry by entry. The model
+and integers beyond the float range. A cost matrix of well-shaped rows
+whose largest entry, one ``max`` over the whole matrix, lies within the
+float range holds none of these and is passed on whole. Any other is
+checked row by row, and only the rows that fail the same test are read
+entry by entry. The model
 constructor that stores a value checks everything else about it (types,
 ranges, signs) without coercing, and its errors surface as
 ``SchemaError``.
@@ -74,6 +76,19 @@ def _cost_entry(value: Any, i: int, j: int) -> Any:
     return value
 
 
+def _cost_rows(raw_cost: list, p: int) -> list:
+    """The cost rows checked row by row, and entry by entry in a row that needs it."""
+    rows = []
+    for i, row in enumerate(raw_cost, start=1):
+        if not isinstance(row, list) or len(row) != p:
+            raise SchemaError(f"cost row {i} must have {p} entries")
+        if _NUMBER_TYPES.issuperset(map(type, row)) and max(row, default=0) <= sys.float_info.max:
+            rows.append(row)
+        else:
+            rows.append([_cost_entry(value, i, j) for j, value in enumerate(row, start=1)])
+    return rows
+
+
 def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
     """Parse a system document; returns (system, costs, warnings)."""
     data = _document(text, SYSTEM_FIELDS, "system")
@@ -100,18 +115,18 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
     raw_cost = data["cost"]
     if not isinstance(raw_cost, list) or len(raw_cost) != m:
         raise SchemaError(f"field 'cost' must be an array of {m} rows")
-    rows = []
-    for i, row in enumerate(raw_cost, start=1):
-        if not isinstance(row, list) or len(row) != p:
-            raise SchemaError(f"cost row {i} must have {p} entries")
-        # _cost_entry returns plain numbers unchanged, except inf and
-        # integers beyond the float range, which put max above the bound.
-        # max skips a NaN after the first entry, which _cost_entry would
-        # pass on too; a NaN first makes max NaN, and the loop reads the row.
-        if _NUMBER_TYPES.issuperset(map(type, row)) and max(row, default=0) <= sys.float_info.max:
-            rows.append(row)
-        else:
-            rows.append([_cost_entry(value, i, j) for j, value in enumerate(row, start=1)])
+    # The matrix passes whole when _cost_entry would return every entry as
+    # it is. An inf or an int beyond the float range puts max above the
+    # bound; a string (even "inf"), null, array or object makes max or the
+    # bound raise TypeError; a NaN first makes max NaN, while a later one,
+    # which _cost_entry passes on too, max skips.
+    try:
+        whole = _ROWS.issuperset(map(type, raw_cost)) and {p}.issuperset(map(len, raw_cost)) and (
+            max(chain.from_iterable(raw_cost), default=0) <= sys.float_info.max
+        )
+    except TypeError:
+        whole = False
+    rows = raw_cost if whole else _cost_rows(raw_cost, p)
     try:
         costs = CostMatrix(rows)
     except ValueError as exc:
@@ -121,6 +136,7 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
 
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 _NUMBERS = frozenset({int, float, bool})
+_INT = frozenset({int})
 _ROWS = frozenset({list, tuple})
 
 
@@ -130,10 +146,11 @@ def _dumps(obj, level: int = 0) -> str:
     Before CPython 3.13, ``indent`` sends json to its pure-Python encoder.
     Here dicts are walked in Python, and a list of scalars, or of flat
     numeric rows and nulls, is one call to json's C encoder at the
-    indented separator; any other list is walked item by item; a scalar
-    is ``json.dumps(obj)``. CPython 3.13 and later encode ``indent`` in C
-    themselves; this helper only calls public json at fixed separators,
-    so its output stays exact there too.
+    indented separator, or, for rows of one width of plain ints (not
+    bools), one ``%`` on a ``%d`` template per row. Any other list is
+    walked item by item; a scalar is ``json.dumps(obj)``. CPython 3.13
+    and later encode ``indent`` in C themselves; this helper only calls
+    public json at fixed separators, so its output stays exact there too.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -152,21 +169,26 @@ def _dumps(obj, level: int = 0) -> str:
     close = "\n" + "  " * level + "]"
     if _JSON_SCALARS.issuperset(map(type, obj)):
         return "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + close
-    # Flat numeric rows and nulls: filter(None, ...) drops the nulls, and
-    # also any falsy entry that is not null, which the count then catches.
+    # Flat rows and nulls: filter(None, ...) drops the nulls, and also any
+    # falsy entry that is not null, which the count then catches.
     rows = list(filter(None, obj))
-    if (
-        len(rows) + obj.count(None) == len(obj)
-        and _ROWS.issuperset(map(type, rows))
-        and _NUMBERS.issuperset(map(type, chain.from_iterable(rows)))
-    ):
-        # Dump at the rows' separator, then mend the outer separators (the
-        # ones after "]" or "null", as row entries are numbers) and brackets.
+    if len(rows) + obj.count(None) == len(obj) and _ROWS.issuperset(map(type, rows)):
         row_pad = pad + "  "
-        body = json.dumps(obj, separators=("," + row_pad, ": "))[1:-1]
-        body = body.replace("]," + row_pad, "]," + pad).replace("null," + row_pad, "null," + pad)
-        body = body.replace("[", "[" + row_pad).replace("]", pad + "]")
-        return "[" + pad + body + close
+        entry_types = set(map(type, chain.from_iterable(rows)))
+        if entry_types == _INT and len(set(map(len, rows))) == 1:
+            # Rows of one width of plain ints (no bools): one template per
+            # row, all filled by one format.
+            row = "[" + row_pad + ("%d," + row_pad) * (len(rows[0]) - 1) + "%d" + pad + "]"
+            body = ("," + pad).join(["null" if r is None else row for r in obj])
+            return "[" + pad + body % tuple(chain.from_iterable(rows)) + close
+        if _NUMBERS.issuperset(entry_types):
+            # Dump at the rows' separator, then mend the outer separators (the
+            # ones after "]" or "null", as row entries are numbers) and brackets.
+            body = json.dumps(obj, separators=("," + row_pad, ": "))[1:-1]
+            body = body.replace("]," + row_pad, "]," + pad)
+            body = body.replace("null," + row_pad, "null," + pad)
+            body = body.replace("[", "[" + row_pad).replace("]", pad + "]")
+            return "[" + pad + body + close
     return "[" + pad + ("," + pad).join(_dumps(value, level + 1) for value in obj) + close
 
 

@@ -355,14 +355,15 @@ def hopcroft_karp(
     vertices. The first phase is a greedy pass in row order: with every
     left vertex free, the phase's shortest augmenting paths are single
     edges and its DFS matches each row to its first free right vertex, so
-    the pass finds the same matching without the BFS layering. The
-    augmenting DFS of the later phases is iterative, so long alternating
-    paths are safe.
+    the pass finds the same matching without the BFS layering. Each later
+    phase lists its free rows once, in row order, as its BFS sources and
+    DFS roots (an augmenting path passes through matched rows only, so
+    each root is still free on its turn). Unreached rows sit at layer
+    ``far``. The DFS is iterative, so long alternating paths are safe.
     """
     n_left = len(adjacency)
     match_l = [-1] * n_left
     match_r = [-1] * n_right
-    dist = [0.0] * n_left
     size = 0
     for u, row in enumerate(adjacency):
         for v in row:
@@ -372,64 +373,57 @@ def hopcroft_karp(
                 size += 1
                 break
 
-    def bfs() -> bool:
-        queue: deque[int] = deque()
-        for u in range(n_left):
-            if match_l[u] == -1:
-                dist[u] = 0
-                queue.append(u)
-            else:
-                dist[u] = INF
-        shortest = INF
+    far = n_left + 1
+    while True:
+        free = [u for u, v in enumerate(match_l) if v == -1]
+        dist = [far] * n_left
+        for u in free:
+            dist[u] = 0
+        queue = deque(free)
+        shortest = far
         while queue:
             u = queue.popleft()
-            if dist[u] >= shortest:
+            layer = dist[u] + 1
+            if layer > shortest:
                 continue
             for v in adjacency[u]:
                 w = match_r[v]
                 if w == -1:
-                    if shortest == INF:
-                        shortest = dist[u] + 1
-                elif dist[w] == INF:
-                    dist[w] = dist[u] + 1
+                    if shortest == far:
+                        shortest = layer
+                elif dist[w] == far:
+                    dist[w] = layer
                     queue.append(w)
-        return shortest != INF
-
-    def dfs(root: int) -> bool:
-        stack: list[tuple[int, Iterator[int]]] = [(root, iter(adjacency[root]))]
-        entered_via: list[int] = []  # right vertex used to reach each non-root frame
-        while stack:
-            u, neighbors = stack[-1]
-            descended = False
-            for v in neighbors:
-                w = match_r[v]
-                if w == -1:
-                    match_l[u] = v
-                    match_r[v] = u
+        if shortest == far:
+            return size, match_l, match_r
+        for root in free:
+            # frames: (row, its remaining neighbors, the layer after the row's)
+            stack: list[tuple[int, Iterator[int], int]] = [(root, iter(adjacency[root]), 1)]
+            entered_via: list[int] = []  # right vertex used to reach each non-root frame
+            while stack:
+                u, neighbors, layer = stack[-1]
+                for v in neighbors:
+                    w = match_r[v]
+                    if w == -1:  # augment along the stack, which empties it
+                        match_l[u] = v
+                        match_r[v] = u
+                        stack.pop()
+                        while stack:
+                            pu = stack.pop()[0]
+                            pv = entered_via.pop()
+                            match_l[pu] = pv
+                            match_r[pv] = pu
+                        size += 1
+                        break
+                    if dist[w] == layer:
+                        stack.append((w, iter(adjacency[w]), layer + 1))
+                        entered_via.append(v)
+                        break
+                else:  # a dead end for this phase
+                    dist[u] = far
                     stack.pop()
-                    while stack:
-                        pu, _ = stack.pop()
-                        pv = entered_via.pop()
-                        match_l[pu] = pv
-                        match_r[pv] = pu
-                    return True
-                if dist[w] == dist[u] + 1:
-                    stack.append((w, iter(adjacency[w])))
-                    entered_via.append(v)
-                    descended = True
-                    break
-            if not descended:
-                dist[u] = INF
-                stack.pop()
-                if entered_via:
-                    entered_via.pop()
-        return False
-
-    while bfs():
-        for u in range(n_left):
-            if match_l[u] == -1 and dfs(u):
-                size += 1
-    return size, match_l, match_r
+                    if entered_via:
+                        entered_via.pop()
 
 
 def min_cost_perfect_matching(
@@ -502,7 +496,8 @@ def min_cost_perfect_matching(
             l = reached_from[r]
             match_r[r] = l
             match_l[l], r = r, match_l[l]
-    total = sum(
-        costs[row.index(r)] for row, costs, r in zip(adjacency, weights, match_l) if costs
-    )
+    total = 0  # added one by one, as cost_of does: sum() compensates rounding from 3.12 on
+    for row, costs, r in zip(adjacency, weights, match_l):
+        if costs:
+            total += costs[row.index(r)]
     return match_l, total

@@ -9,10 +9,9 @@ an infinite total means "not achievable with admissible links".
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Iterable, Iterator
 
 INF = math.inf
@@ -131,9 +130,11 @@ class CostMatrix:
     an int or float, not a bool, and >= 0 (NaN is not), and the finite
     entries must sum to a finite float, so that no pattern of admissible
     links, and no path length in the solvers, overflows to inf. A matrix
-    of plain ints and floats >= 0 is checked whole by builtins; any other
-    goes through the per-entry loop, which accepts int and float
-    subclasses and names the first offending entry.
+    of plain ints and floats is checked whole by builtins: one sum (NaN
+    if an entry is), one min for the sign, and only an inf total summed
+    again without the inf entries. Any other goes through the per-entry
+    loop, which accepts int and float subclasses and names the first
+    offending entry.
     """
 
     rows: tuple[tuple[float, ...], ...]
@@ -144,10 +145,11 @@ class CostMatrix:
         if len(widths) > 1:
             raise DimensionError(f"cost matrix is ragged: row widths {sorted(widths)}")
         entries = list(chain.from_iterable(rows))
-        if not (
-            _NUMBER_TYPES.issuperset(map(type, entries))
-            and all(map(operator.ge, entries, repeat(0)))
-        ):
+        try:  # NaN when an entry is NaN, or when +inf and -inf are both entries
+            total = sum(entries) if _NUMBER_TYPES.issuperset(map(type, entries)) else math.nan
+        except OverflowError:  # an int beyond the float range meets a float
+            total = math.nan
+        if total != total or min(entries, default=0) < 0:
             for i, row in enumerate(rows, start=1):
                 for j, entry in enumerate(row, start=1):
                     if not _is_number(entry):
@@ -156,10 +158,12 @@ class CostMatrix:
                         )
                     if not (entry >= 0):
                         raise ValueError(f"cost entry ({i}, {j}) must be >= 0, got {entry!r}")
-        try:
-            overflow = sum(filter(INF.__ne__, entries)) > sys.float_info.max
-        except OverflowError:  # an int beyond the float range meets a float
-            overflow = True
+        overflow = False
+        if not total <= sys.float_info.max:  # inf entries, an overflow, or a NaN total
+            try:
+                overflow = sum(filter(INF.__ne__, entries)) > sys.float_info.max
+            except OverflowError:
+                overflow = True
         if overflow:
             raise ValueError(
                 "the finite cost entries sum beyond the largest float, "

@@ -35,7 +35,7 @@ feedback-selection instance and doubles as a hard-instance generator.
 Deterministic tie-breaking throughout: the chain DP's stage argmins
 prefer the smaller total, then the smaller first-actuated stage, then the
 smaller input, then the cheaper link, then the smaller output; the oracle
-sums pattern costs cheapest link first and resolves equal-cost optima by
+ranks patterns by ``cost_of`` and resolves equal-cost optima by
 lexicographic pattern comparison; the cycle-stage matching scans adjacency
 in sorted order and breaks heap ties by vertex index.
 """
@@ -259,23 +259,25 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
     """Cheapest pattern that spans every state with disjoint cycles.
 
     Matches on the closed-loop bipartite rows of ``ClosedLoopIndex`` with
-    every admissible link. Only the m input rows that gain feedback edges
-    are copied and costed (0 per base edge, then each link's cost); the
-    others are the index's own, at cost 0. The pattern is read off a
-    minimum-cost perfect matching. With a state perfect matching the warm
-    start is already perfect and no shortest path runs; the certificates
-    count the shortest paths as ``augmentations``.
+    every admissible link. A link adds u'_i - y_j to input row u'_i, whose
+    base is u'_i - u_i alone, so each such row is built from cost row i:
+    u_i, then each admissible y_j in order, costed 0 and then the links'
+    costs. Other rows are the index's own, at cost 0. The pattern is read
+    off the input rows matched to outputs in a minimum-cost perfect
+    matching. With a state perfect matching the warm start is already
+    perfect and no shortest path runs; the certificates count the
+    shortest paths as ``augmentations``.
     """
     costs.require_matches(system)
+    n, m = system.n, system.m
     index = ClosedLoopIndex(system)
-    links = costs.finite_links()
-    edges = index.matching_edges(links)
-    # The overlay copies just the rows that gain feedback edges; the base rows
-    # are sorted and the links lexicographic, so it appends them in order.
-    adjacency, base = index.adjacency(links), index.adjacency()
-    weights = [None if row is kept else [0] * len(kept) for row, kept in zip(adjacency, base)]
-    for (l, _), (i, j) in zip(edges, links):
-        weights[l].append(costs.rows[i - 1][j - 1])
+    adjacency, weights = index.adjacency(), [None] * index.vertex_count
+    outputs = n + m  # the vertex of y_1, 0-based
+    for u, row in enumerate(costs.rows, start=n):
+        admissible = [j for j, c in enumerate(row) if c != INF]
+        if admissible:
+            adjacency[u] = [u] + [outputs + j for j in admissible]
+            weights[u] = [0] + [row[j] for j in admissible]
     stats: dict = {}
     result = min_cost_perfect_matching(adjacency, weights, stats)
     if result is None:
@@ -286,21 +288,19 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
             {"augmentations": stats["augmentations"]},
         )
     match_left, total = result
-    pattern = FeedbackPattern(
-        frozenset(link for (l, r), link in zip(edges, links) if match_left[l] == r)
-    )
+    matched = enumerate(match_left[n:outputs], start=1)
+    pattern = FeedbackPattern(frozenset((i, r - outputs + 1) for i, r in matched if r >= outputs))
     cost = cost_of(pattern, costs)
     if cost != total:
         raise AssertionError(f"matching cost {total} != pattern cost {cost}")
-    names = index.labels[1:]
+    primed = [f"x'{k}" for k in range(1, n + 1)] + [f"u'{i}" for i in range(1, m + 1)]
+    primed += [f"y'{j}" for j in range(1, system.p + 1)]
     return Solution(
         pattern=pattern,
         cost=cost,
         method="matching",
         certificates={
-            "matching": sorted(
-                (f"{names[l][0]}'{names[l][1:]}", names[r]) for l, r in enumerate(match_left)
-            ),
+            "matching": sorted(zip(primed, map(index.labels[1:].__getitem__, match_left))),
             "matching_cost": total,
             "augmentations": stats["augmentations"],
         },
@@ -587,10 +587,13 @@ def exact_oracle(
     The cheapest subset to pass (a) is the coverage-only optimum, which the
     certificates expose for validating the chain dynamic program, and the
     cheapest to pass both is the optimum. Condition (b) is tested only on
-    masks that pass (a) and could still win. The pass stops at the first
-    key above the optimum, or above the coverage optimum when no pattern
-    passes (b). Costs are summed cheapest link first, and equal-cost ties
-    go to the lexicographically smallest pattern. A costly optimum that
+    masks that pass (a) and could still win. They are ranked by
+    ``cost_of`` (the report's sum, in link order), equal costs by the
+    lexicographically smaller pattern. A key sums the costs cheapest
+    first, within far less than a relative 2^-40 of that for 24 links, so
+    the pass stops at the first key past the optimum (or the coverage
+    optimum when no pattern passes (b)) times 1 + 2^-40, capped at the
+    largest float. A costly optimum that
     only (b) forces is not bounded and may still cost most of the 2^k
     patterns. Refuses instances with more than ``budget`` admissible
     links, and any with more than ``MAX_ORACLE_LINKS``.
@@ -629,13 +632,17 @@ def exact_oracle(
     # ascend. No pattern cheaper than the first to pass (a) passes both.
     cover: Optional[list[Edge]] = None
     best: Optional[list[Edge]] = None
-    cover_cost = best_cost = INF
-    for key, c, mask in _subsets_by_cost(link_costs, hits):
-        if key > (best_cost if full_b_ok else cover_cost):
+    cover_cost = best_cost = stop = INF
+    for key, _, mask in _subsets_by_cost(link_costs, hits):
+        if key > stop:
             break
-        chosen = [links[b] for b in range(n_links) if mask >> b & 1]
+        bits = [b for b in range(n_links) if mask >> b & 1]
+        chosen = [links[b] for b in bits]
         if kernel.uncovered_states(chosen):
             continue
+        c = 0
+        for b in bits:  # cost_of's sum
+            c += link_costs[b]
         if cover is None or (c, chosen) < (cover_cost, cover):
             cover_cost, cover = c, chosen
         # With a state perfect matching every pattern passes (b).
@@ -643,6 +650,7 @@ def exact_oracle(
             base_b_ok or _has_cycle_family(index, chosen)
         ):
             best_cost, best = c, chosen
+        stop = min((best_cost if full_b_ok else cover_cost) * (1 + 2**-40), sys.float_info.max)
 
     coverage_only = FeedbackPattern(frozenset(cover))
     certificates["condition_a_cost"] = cost_of(coverage_only, costs)

@@ -9,10 +9,11 @@ the ground truth the fast implementations are compared against.
 The per-entry references keep the straightforward forms of code the
 library runs faster: the input checks entry by entry, the condensation
 from Tarjan's component lists with Kahn's heap on every graph,
-Hopcroft-Karp with a BFS-and-DFS first phase, the chain DP's sweep
-pushing every admissible link, and the min-cost matcher on (right,
-cost) tuple rows.
-Their results and messages must match exactly.
+Hopcroft-Karp with a BFS-and-DFS first phase, and again as it was with
+its greedy first phase (float layers, nested closures), the cycle
+stage's matcher rows overlaid link by link, the chain DP's sweep pushing
+every admissible link, and the min-cost matcher on (right, cost) tuple
+rows. Their results and messages must match exactly.
 
 ``random_system`` (unconstrained random systems with a random pattern)
 and the set-cover queries ``is_cover`` and ``cover_weight`` serve only
@@ -28,7 +29,7 @@ import random
 import sys
 from collections import deque
 from itertools import combinations, permutations
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import pytest
 from hypothesis import strategies as st
@@ -39,6 +40,8 @@ from feedsel import (
 )
 from feedsel.fileio import SchemaError
 from feedsel.generators import _rng
+from feedsel.graphs import ClosedLoopIndex
+from feedsel.model import INF
 
 
 # ---------------------------------------------------------------------------
@@ -729,6 +732,112 @@ def reference_hopcroft_karp(adjacency, n_right: int) -> tuple[int, list[int], li
     return size, match_l, match_r
 
 
+def reference_greedy_start_hopcroft_karp(
+    adjacency: Sequence[Sequence[int]], n_right: int
+) -> tuple[int, list[int], list[int]]:
+    """``graphs.hopcroft_karp`` as it was with float layers and nested closures.
+
+    Maximum bipartite matching: O(sqrt(V)) phases, O(E * sqrt(V)) time.
+
+    Returns (size, match_left, match_right) with -1 marking unmatched
+    vertices. The first phase is a greedy pass in row order: with every
+    left vertex free, the phase's shortest augmenting paths are single
+    edges and its DFS matches each row to its first free right vertex, so
+    the pass finds the same matching without the BFS layering. The
+    augmenting DFS of the later phases is iterative, so long alternating
+    paths are safe.
+    """
+    n_left = len(adjacency)
+    match_l = [-1] * n_left
+    match_r = [-1] * n_right
+    dist = [0.0] * n_left
+    size = 0
+    for u, row in enumerate(adjacency):
+        for v in row:
+            if match_r[v] == -1:
+                match_l[u] = v
+                match_r[v] = u
+                size += 1
+                break
+
+    def bfs() -> bool:
+        queue: deque[int] = deque()
+        for u in range(n_left):
+            if match_l[u] == -1:
+                dist[u] = 0
+                queue.append(u)
+            else:
+                dist[u] = INF
+        shortest = INF
+        while queue:
+            u = queue.popleft()
+            if dist[u] >= shortest:
+                continue
+            for v in adjacency[u]:
+                w = match_r[v]
+                if w == -1:
+                    if shortest == INF:
+                        shortest = dist[u] + 1
+                elif dist[w] == INF:
+                    dist[w] = dist[u] + 1
+                    queue.append(w)
+        return shortest != INF
+
+    def dfs(root: int) -> bool:
+        stack: list[tuple[int, Iterator[int]]] = [(root, iter(adjacency[root]))]
+        entered_via: list[int] = []  # right vertex used to reach each non-root frame
+        while stack:
+            u, neighbors = stack[-1]
+            descended = False
+            for v in neighbors:
+                w = match_r[v]
+                if w == -1:
+                    match_l[u] = v
+                    match_r[v] = u
+                    stack.pop()
+                    while stack:
+                        pu, _ = stack.pop()
+                        pv = entered_via.pop()
+                        match_l[pu] = pv
+                        match_r[pv] = pu
+                    return True
+                if dist[w] == dist[u] + 1:
+                    stack.append((w, iter(adjacency[w])))
+                    entered_via.append(v)
+                    descended = True
+                    break
+            if not descended:
+                dist[u] = INF
+                stack.pop()
+                if entered_via:
+                    entered_via.pop()
+        return False
+
+    while bfs():
+        for u in range(n_left):
+            if match_l[u] == -1 and dfs(u):
+                size += 1
+    return size, match_l, match_r
+
+
+def reference_condition_b_rows(system: StructuredSystem, costs: CostMatrix):
+    """The cycle stage's matcher rows as it built them by overlaying link tuples.
+
+    Every admissible link becomes the bipartite edge u'_i - y_j of
+    ``ClosedLoopIndex.matching_edges``, laid over the index's base rows;
+    a row that gains links is costed 0 per base edge, then each link's
+    cost, and every other row keeps None.
+    """
+    index = ClosedLoopIndex(system)
+    links = costs.finite_links()
+    edges = index.matching_edges(links)
+    adjacency, base = index.adjacency(links), index.adjacency()
+    weights = [None if row is kept else [0] * len(kept) for row, kept in zip(adjacency, base)]
+    for (l, _), (i, j) in zip(edges, links):
+        weights[l].append(costs.rows[i - 1][j - 1])
+    return adjacency, weights
+
+
 def reference_min_cost_perfect_matching(rows, stats=None) -> tuple[list[int], float] | None:
     """Sparse successive shortest paths on (right vertex, cost) tuple rows.
 
@@ -781,7 +890,9 @@ def reference_min_cost_perfect_matching(rows, stats=None) -> tuple[list[int], fl
             l = reached_from[r]
             match_r[r] = l
             match_l[l], r = r, match_l[l]
-    total = sum(c for row, matched in zip(rows, match_l) for r, c in row if r == matched)
+    total = 0  # in left order, without the compensated rounding of sum() from 3.12 on
+    for row, matched in zip(rows, match_l):
+        total += next(c for r, c in row if r == matched)
     return match_l, total
 
 

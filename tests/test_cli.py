@@ -88,8 +88,21 @@ _JSON_NUMBERS = (
 )
 _JSON_TEXT = st.text(max_size=6) | st.sampled_from(["]", "[", "null", "null,\n  ", "],\n    [", "\u00e9\u2603"])
 _NUMERIC_ROWS = st.lists(st.none() | st.lists(_JSON_NUMBERS, max_size=4), max_size=5)
+
+
+def _rows_of_width(width):
+    ints = st.lists(st.integers() | st.just(10**400), min_size=width, max_size=width)
+    mixed = st.lists(st.integers() | st.booleans() | st.floats(), min_size=width, max_size=width)
+    other_width = st.lists(st.integers(), min_size=1, max_size=4)
+    return st.lists(st.none() | ints | ints.map(tuple) | mixed | other_width, max_size=6)
+
+
+# Equal-length rows of plain ints as lists or tuples (the DP table's
+# choices), mixed with nulls, rows holding bools or floats, and rows of
+# another width.
+_INT_ROWS = st.integers(1, 4).flatmap(_rows_of_width)
 _JSON_TREES = st.recursive(
-    st.none() | _JSON_NUMBERS | _JSON_TEXT | _NUMERIC_ROWS,
+    st.none() | _JSON_NUMBERS | _JSON_TEXT | _NUMERIC_ROWS | _INT_ROWS,
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(_JSON_TEXT, children, max_size=4),
     max_leaves=30,
@@ -101,6 +114,11 @@ _JSON_TREES = st.recursive(
 @example({"a]": [[1], "]", None, "[", "null,\n    "], "\u00e9": [None, [2], "null"]})
 @example([None, [], [True, False], [math.nan, math.inf, -math.inf, -0.0, 10**400], None])
 @example([[1, 2], [], None, [3.5]])
+@example([(1, 2, 0), None, [3, -4, 10**400], (5, 6, 7)])
+@example([[1, 2], None, [True, 2]])
+@example([[1, 2], [1.0, 2]])
+@example([[1, 2], [1, 2, 3], None])
+@example({"choices": [None, (1, 1, 0), (2, 3, 1)], "x": [[1], [2]]})
 @example([[None], [None, 1], [[1]], [1, [2]]])
 @example({"a": {}, "b": [], "c": [[], {}, [[]], {"d": {"e": []}}, [{}]]})
 @example({"lo": -math.inf, "hi": math.inf, "nan": math.nan, "big": 10**400, "x": [-0.0, [1], True]})

@@ -214,6 +214,9 @@ def test_roundtrip_property(a, b, c, costs):
 @example(rows=[[math.nan, 10**400]])
 @example(rows=[[1, math.nan, 10**400]])
 @example(rows=[[1e308, 1], [1e308, 1]])
+@example(rows=[[1, 2], [math.nan, 3]])  # max skips the NaN, so the matrix passes whole
+@example(rows=[[2, 1], [True, "inf"]])  # max raises TypeError: row by row
+@example(rows=[[2, None]])
 @given(rows=faulty_cost_rows())
 def test_parsed_costs_agree_with_per_entry_reference(rows):
     document = {"n": 1, "m": len(rows), "p": len(rows[0]) if rows else 0,

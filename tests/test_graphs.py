@@ -36,6 +36,7 @@ from tests.conftest import (
     fig1_cover_instance,
     maxflow_matching_size,
     reference_condense,
+    reference_greedy_start_hopcroft_karp,
     reference_hopcroft_karp,
     reference_min_cost_perfect_matching,
     reference_successors,
@@ -538,7 +539,19 @@ def test_greedy_first_phase_matches_like_the_bfs_and_dfs_phase(n_right, rows):
     assert hopcroft_karp(adjacency, n_right) == reference_hopcroft_karp(adjacency, n_right)
 
 
+def _greedy_matching_size(adjacency, n_right: int) -> int:
+    taken = [False] * n_right
+    size = 0
+    for row in adjacency:
+        free = next((v for v in row if not taken[v]), None)
+        if free is not None:
+            taken[free] = True
+            size += 1
+    return size
+
+
 def test_greedy_first_phase_matches_like_the_bfs_and_dfs_phase_on_closed_loops():
+    augmented = 0
     for system, costs in _generated_systems():
         index = ClosedLoopIndex(system)
         links = costs.finite_links()
@@ -546,6 +559,20 @@ def test_greedy_first_phase_matches_like_the_bfs_and_dfs_phase_on_closed_loops()
             adjacency = index.adjacency(chosen)
             expected = reference_hopcroft_karp(adjacency, index.vertex_count)
             assert hopcroft_karp(adjacency, index.vertex_count) == expected
+            assert reference_greedy_start_hopcroft_karp(adjacency, index.vertex_count) == expected
+            augmented += expected[0] > _greedy_matching_size(adjacency, index.vertex_count)
+    assert augmented  # some graphs need BFS and DFS phases after the greedy pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_right=st.integers(1, 30),
+    rows=st.lists(st.sets(st.integers(0, 29), max_size=6), max_size=30),
+)
+def test_hopcroft_karp_equals_its_greedy_start_reference_on_sorted_rows(n_right, rows):
+    adjacency = [sorted({v % n_right for v in row}) for row in rows]
+    expected = reference_greedy_start_hopcroft_karp(adjacency, n_right)
+    assert hopcroft_karp(adjacency, n_right) == expected
 
 
 def test_tarjan_agrees_with_closure_on_mixed_graphs():

@@ -256,6 +256,12 @@ def test_edge_set_names_a_nested_list_without_hashing_it():
 @example(rows=[[1e308, math.inf], [math.inf, 1e308]], container=list)
 @example(rows=[[math.nan, 10**400]], container=list)
 @example(rows=[[10**400, 1.5]], container=list)
+# sum raises OverflowError before it meets the NaN, which must still be named
+@example(rows=[[10**400, math.nan]], container=list)
+# the type test fails on the subclass, and the per-entry loop passes: the sum must still run
+@example(rows=[[IntSub(3), 10**400]], container=list)
+@example(rows=[[IntSub(3), 10**400, 1.5]], container=tuple)
+@example(rows=[[math.inf, 2], [-math.inf, 1]], container=list)
 @example(rows=[[1, 2], [3]], container=tuple)
 @given(rows=faulty_cost_rows(), container=st.sampled_from([list, tuple, ListSub]))
 def test_cost_matrix_agrees_with_per_entry_reference(rows, container):

@@ -46,6 +46,7 @@ from tests.conftest import (
     dense_min_cost_assignment,
     is_cover,
     random_system,
+    reference_condition_b_rows,
     reference_dp_cover,
 )
 from tests.test_acceptance import _line_instance
@@ -594,6 +595,71 @@ def test_condition_b_bench_size_digest():
                     )
                 )
     assert hashlib.sha256(repr(records).encode()).hexdigest() == CONDITION_B_BENCH_SIZE_DIGEST
+
+
+def _matcher_rows(system, costs):
+    """The rows and weights that ``min_cost_condition_b`` hands to the matcher."""
+    seen = []
+    real = solvers.min_cost_perfect_matching
+
+    def spy(adjacency, weights, stats=None):
+        seen.append((adjacency, weights))
+        return real(adjacency, weights, stats)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solvers, "min_cost_perfect_matching", spy)
+        min_cost_condition_b(system, costs)
+    (rows,) = seen
+    return rows
+
+
+_LINK_COSTS = st.sampled_from([0, 0.0, 1, 2.5, 7, math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    shape=st.tuples(st.integers(1, 6), st.integers(0, 4), st.integers(0, 4)),
+    data=st.data(),
+)
+def test_condition_b_rows_equal_the_overlay_reference(seed, shape, data):
+    n, m, p = shape
+    system, _ = random_system(seed, n=n, m=m, p=p, a_density=0.4)
+    rows = data.draw(st.lists(st.lists(_LINK_COSTS, min_size=p, max_size=p), min_size=m, max_size=m))
+    if m and data.draw(st.booleans()):  # an input with no admissible link
+        rows[data.draw(st.integers(0, m - 1))] = [math.inf] * p
+    costs = CostMatrix.from_rows(rows)
+    # repr tells None from [] and 0 from 0.0
+    assert repr(_matcher_rows(system, costs)) == repr(reference_condition_b_rows(system, costs))
+
+
+def test_condition_b_rows_equal_the_overlay_reference_on_edge_matrices():
+    system, _ = random_system(3, n=4, m=3, p=3, a_density=0.4)
+    for rows in (
+        [[math.inf] * 3] * 3,  # every link forbidden
+        [[0, 0.0, 0]] * 3,  # every link free
+        [[math.inf] * 3, [0, math.inf, 2.5], [math.inf, math.inf, 0.0]],
+    ):
+        costs = CostMatrix.from_rows(rows)
+        assert repr(_matcher_rows(system, costs)) == repr(reference_condition_b_rows(system, costs))
+    empty = StructuredSystem(n=2, m=0, p=2, a_edges=frozenset({(1, 2), (2, 1)}))
+    costs = CostMatrix.from_rows([])
+    assert repr(_matcher_rows(empty, costs)) == repr(reference_condition_b_rows(empty, costs))
+
+
+def test_cycle_stage_totals_its_links_as_cost_of_does():
+    # Three links that each input needs. Added one by one, 0.1, 0.2 and 0.3
+    # make 0.6000000000000001; the compensated sum() of Python 3.12 on makes
+    # 0.6, which the stage's own cross-check would reject.
+    system = StructuredSystem(
+        n=3, m=3, p=3, b_edges=frozenset({(1, 1), (2, 2), (3, 3)}),
+        c_edges=frozenset({(1, 1), (2, 2), (3, 3)}),
+    )
+    inf = math.inf
+    costs = CostMatrix.from_rows([[0.1, inf, inf], [inf, 0.2, inf], [inf, inf, 0.3]])
+    solution = min_cost_condition_b(system, costs)
+    assert solution.pattern.sorted_links() == [(1, 1), (2, 2), (3, 3)]
+    assert solution.cost == solution.certificates["matching_cost"] == 0.1 + 0.2 + 0.3
 
 
 def test_condition_b_golden_result_without_state_matching():
@@ -1205,6 +1271,13 @@ def tie_heavy_covers(draw):
 @given(tie_heavy_covers())
 # {y1, y2} ties {y2} at cost 0.3 and wins it lexicographically.
 @example(SetCoverInstance(2, (frozenset({1}), frozenset({1, 2})), (0, 0.3)))
+# Cheapest first, sets {1,2,3,4} and {1,2,4,5} both sum to 2.8, but in link
+# order the first sums to 2.8000000000000003: the second is the optimum.
+@example(SetCoverInstance(
+    4,
+    (frozenset({1, 4}), frozenset({1}), frozenset({3}), frozenset({1, 2}), frozenset({3})),
+    (0.1, 0, 2.5, 0.2, 2.5),
+))
 def test_oracle_equals_naive_enumeration_on_tie_heavy_set_covers(instance):
     from tests.conftest import naive_pattern_optimum
 
