@@ -4,9 +4,9 @@
 as vertices. ``scc_ids`` is the one SCC routine: a Tarjan pass that numbers
 the components in the order it emits them, which is reverse topological,
 and ``condense`` orders the SCC DAG from those ids. A bipartite graph is a
-list of adjacency rows: row l holds the 0-based right vertices joined to
-left vertex l, in increasing order; the min-cost matcher adds per-row
-costs (None where a row's edges all cost 0).
+list of adjacency rows: row l holds the right vertices joined to left
+vertex l (a digraph's successor rows serve as is); the min-cost matcher
+takes them 0-based and sorted, with per-row costs (None for all-0 rows).
 """
 
 from __future__ import annotations
@@ -43,17 +43,14 @@ class ClosedLoopIndex:
     """The closed-loop graph of one system, with feedback links laid over it.
 
     Digraph vertex ids: states x_1..x_n are 1..n, inputs u_1..u_m are
-    n+1..n+m and outputs y_1..y_p are n+m+1..n+m+p; entry 0 of the
-    successor lists is unused. The bipartite graph pairs the primed copy
-    v' of every vertex (left) with the vertices (right), 0-based in the
-    same order: v' - w is an edge when w -> v is, and every input and
-    output is also paired with itself. A feedback link (i, j) adds the
-    edge y_j -> u_i; bipartite rows are sorted when the links come in
-    lexicographic order. The base lists are built on first use, straight
-    from the system's edge fields in the order of ``edges()``, and kept, so
-    one index serves every pattern checked on its system; each pattern's
-    lists copy only the rows its feedback edges change and share the
-    others with the base, so callers must not mutate them.
+    n+1..n+m and outputs y_1..y_p are n+m+1..n+m+p (entry 0 of the rows is
+    unused); a feedback link (i, j) adds the edge y_j -> u_i. ``loop_rows``
+    lead each input and output row with the vertex itself: a self-loop
+    merges no SCCs, and as bipartite rows v - w, one per edge v -> w, they
+    match perfectly iff disjoint cycles span the states. The cycle stage's
+    ``adjacency`` is their transpose, 0-based. Rows are built on first use,
+    sorted, and kept; a pattern's lists copy only the rows its links
+    change and share the others, so callers must not mutate them.
     """
 
     system: StructuredSystem
@@ -95,10 +92,6 @@ class ClosedLoopIndex:
         offset = n + self.system.m
         return [(offset + j, n + i) for i, j in links]
 
-    def matching_edges(self, links: Iterable[Edge]) -> list[VertexEdge]:
-        """Bipartite edges u'_i - y_j of the links, as (left, right) indices."""
-        return [(head - 1, tail - 1) for tail, head in self.feedback_edges(links)]
-
     @cached_property
     def _successors(self) -> list[list[int]]:
         s, n = self.system, self.system.n
@@ -110,7 +103,14 @@ class ClosedLoopIndex:
         outputs = n + s.m
         for i, j in s.c_edges:
             succ[j].append(outputs + i)
+        for row in succ:
+            row.sort()
         return succ
+
+    @cached_property
+    def _loop_rows(self) -> list[list[int]]:
+        n = self.system.n
+        return [row if v <= n else [v] + row for v, row in enumerate(self._successors)]
 
     @cached_property
     def _adjacency(self) -> list[list[int]]:
@@ -134,9 +134,13 @@ class ClosedLoopIndex:
         """Closed-loop successor lists with the feedback edges of ``links``."""
         return _overlay(self._successors, self.feedback_edges(links))
 
+    def loop_rows(self, links: Iterable[Edge] = ()) -> list[list[int]]:
+        """``successors(links)`` with each input and output row led by the vertex itself."""
+        return _overlay(self._loop_rows, self.feedback_edges(links))
+
     def adjacency(self, links: Iterable[Edge] = ()) -> list[list[int]]:
-        """Left adjacency of the closed-loop bipartite graph with ``links``."""
-        return _overlay(self._adjacency, self.matching_edges(links))
+        """Left adjacency of the closed-loop bipartite graph, plus u'_i - y_j per link."""
+        return _overlay(self._adjacency, [(u - 1, y - 1) for y, u in self.feedback_edges(links)])
 
 
 def scc_ids(succ: Sequence[Sequence[int]]) -> tuple[list[int], int]:
@@ -145,49 +149,49 @@ def scc_ids(succ: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     ``succ`` is indexed by vertex id 1..len(succ) - 1 (entry 0 unused).
     Components are numbered 0, 1, ... in the order Tarjan emits them,
     which is reverse topological: an edge v -> w between two components
-    has ids[v] > ids[w]. Iterative, so deep chains don't hit the recursion
-    limit. Each DFS frame keeps its vertex's index; ``low`` is nonzero once
-    a vertex is reached, which is on Tarjan's stack until it gets an id.
+    has ids[v] > ids[w]. Iterative, for deep chains: the current frame is
+    in locals, its ancestors' on ``work``. ``low`` is nonzero once a vertex
+    is reached, and above every index once it has its component.
     """
     size = len(succ)
     low = [0] * size
     ids = [-1] * size
     stack: list[int] = []
-    counter = 1
-    count = 0
+    counter = count = 0  # the last index given, the components emitted
 
     for root in range(1, size):
         if low[root]:
             continue
-        low[root] = counter
-        stack.append(root)
-        work: list[tuple[int, int, Iterator[int]]] = [(root, counter, iter(succ[root]))]
-        counter += 1
-        while work:
-            v, index, neighbors = work[-1]
+        v, neighbors = root, iter(succ[root])
+        index = low[v] = counter = counter + 1
+        stack.append(v)
+        work: list[tuple[int, int, Iterator[int]]] = []
+        while True:
             for w in neighbors:
                 low_w = low[w]
                 if not low_w:
-                    low[w] = counter
+                    work.append((v, index, neighbors))
+                    v, neighbors = w, iter(succ[w])
+                    index = low[w] = counter = counter + 1
                     stack.append(w)
-                    work.append((w, counter, iter(succ[w])))
-                    counter += 1
                     break
-                if low_w < low[v] and ids[w] < 0:
+                if low_w < low[v]:
                     low[v] = low_w
             else:
-                work.pop()
-                if low[v] == index:
+                low_v = low[v]
+                if low_v == index:
                     while True:
                         w = stack.pop()
                         ids[w] = count
+                        low[w] = size  # above every index
                         if w == v:
                             break
                     count += 1
-                else:  # v is not a component's root, so it has a parent frame
-                    parent = work[-1][0]
-                    if low[v] < low[parent]:
-                        low[parent] = low[v]
+                if not work:
+                    break
+                v, index, neighbors = work.pop()
+                if low_v < low[v]:
+                    low[v] = low_v
     return ids, count
 
 
@@ -195,23 +199,30 @@ def scc_ids(succ: Sequence[Sequence[int]]) -> tuple[list[int], int]:
 # condensation
 
 
-@dataclass(frozen=True, eq=False)
 class Condensation:
     """SCCs of the state digraph in a fixed topological order.
 
     dag_edges are 1-based SCC index pairs (source, target) with source <
     target. input_incidence[k-1] is the set of inputs actuating some state
-    of the k-th SCC; output_incidence[k-1] the outputs sensing it.
+    of the k-th SCC; output_incidence[k-1] the outputs sensing it. Instead
+    of ``sccs``, built on first read, ``condense`` passes ``scc_index`` (the
+    1-based SCC per state) and ``state_rows``, the rows it ran Tarjan on.
     """
 
-    sccs: tuple[frozenset[int], ...]
-    dag_edges: frozenset[tuple[int, int]]
-    input_incidence: tuple[frozenset[int], ...]
-    output_incidence: tuple[frozenset[int], ...]
+    def __init__(self, sccs=None, dag_edges=frozenset(), input_incidence=(), output_incidence=(),
+                 *, scc_index: Sequence[int] = (), state_rows: Optional[list[list[int]]] = None):
+        if sccs is not None:
+            self.sccs = sccs
+        self.scc_count = len(input_incidence if sccs is None else sccs)
+        self.dag_edges, self.scc_index, self.state_rows = dag_edges, scc_index, state_rows
+        self.input_incidence, self.output_incidence = input_incidence, output_incidence
 
-    @property
-    def scc_count(self) -> int:
-        return len(self.sccs)
+    @cached_property
+    def sccs(self) -> tuple[frozenset[int], ...]:
+        members: list[list[int]] = [[] for _ in range(self.scc_count + 1)]
+        for s, k in enumerate(self.scc_index):
+            members[k].append(s)
+        return tuple(map(frozenset, members[1:]))
 
     def non_top_linked_sccs(self) -> list[int]:
         """SCCs without an incoming edge from another SCC, in order."""
@@ -227,13 +238,13 @@ class Condensation:
 def condense(system: StructuredSystem) -> Condensation:
     """Condense the state digraph into its SCC DAG.
 
-    The SCC order is topological; among admissible choices the SCC holding
-    the smallest state index comes first, so the result is reproducible and
-    independent of edge iteration order. SCCs are first ranked in the
-    reversed order of ``scc_ids``. When every two consecutive ranks are
-    joined by an edge, as on a line, no other order is topological: it
-    would put the target of one of those edges first. Only otherwise does
-    Kahn's algorithm rerank them, by a min-heap keyed by smallest state.
+    The SCC order is topological; among admissible choices the SCC holding the
+    smallest state index comes first, so the result is reproducible and
+    independent of edge iteration order. SCCs are first ranked in the reversed
+    order of ``scc_ids``. When every two consecutive ranks are joined by an
+    edge, as on a line, that order is the only topological one; only otherwise
+    does Kahn's algorithm rerank them, by a min-heap keyed by smallest state.
+    SCC sets are built only when read.
     """
     n = system.n
     succ: list[list[int]] = [[] for _ in range(n + 1)]
@@ -242,40 +253,38 @@ def condense(system: StructuredSystem) -> Condensation:
     ids, count = scc_ids(succ)
     rank = [count - c for c in ids]  # 1-based SCC index per state
     rank[0] = 0  # vertex 0 is unused
-
-    members: list[list[int]] = [[] for _ in range(count + 1)]
-    for s in range(1, n + 1):
-        members[rank[s]].append(s)  # so members[k][0] is the smallest state
     # the edges x_j -> x_i between two SCCs, as (source rank, target rank)
     dag_edges = {(rank[j], rank[i]) for i, j in system.a_edges if rank[j] != rank[i]}
 
     if not dag_edges.issuperset(zip(range(1, count), range(2, count + 1))):
+        smallest = [0] * (count + 1)  # the smallest state of each SCC
+        for s in range(n, 0, -1):
+            smallest[rank[s]] = s
         out_adj: list[list[int]] = [[] for _ in range(count + 1)]
         indeg = [0] * (count + 1)
         for a, b in dag_edges:
             out_adj[a].append(b)
             indeg[b] += 1
-        heap = [(members[k][0], k) for k in range(1, count + 1) if indeg[k] == 0]
+        heap = [(smallest[k], k) for k in range(1, count + 1) if indeg[k] == 0]
         heapq.heapify(heap)
-        order = [0]
         position = [0] * (count + 1)
+        placed = 0
         while heap:
             _, k = heapq.heappop(heap)
-            position[k] = len(order)
-            order.append(k)
+            position[k] = placed = placed + 1
             for b in out_adj[k]:
                 indeg[b] -= 1
                 if indeg[b] == 0:
-                    heapq.heappush(heap, (members[b][0], b))
+                    heapq.heappush(heap, (smallest[b], b))
         rank = [position[k] for k in rank]
-        members = [members[k] for k in order]
         dag_edges = {(position[a], position[b]) for a, b in dag_edges}
 
     return Condensation(
-        sccs=tuple(map(frozenset, members[1:])),
         dag_edges=frozenset(dag_edges),
         input_incidence=_incidence(system.b_edges, rank, count),
         output_incidence=_incidence(((j, i) for i, j in system.c_edges), rank, count),
+        scc_index=rank,
+        state_rows=succ,
     )
 
 

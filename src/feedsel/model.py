@@ -47,20 +47,20 @@ def _edge_set(
     """Frozen ``edges`` and, sorted, those outside 1..rows x 1..cols (unless rows is None).
 
     A field of plain tuples or lists of two plain ints, all in range, is
-    decided whole by builtins: the entry types, lengths and element types
-    are checked before anything is hashed, and the ranges by min and max.
-    Any other field goes through the per-entry loop, which accepts int and
-    list subclasses and names the first offender. Both freeze the pairs
-    through a set, so the frozenset iterates in the same order either way.
+    decided whole by builtins: entry types, lengths and element types are
+    checked before anything is hashed, ranges by min and max (of the flat
+    list if rows == cols). Other fields go through the per-entry loop,
+    which accepts int and list subclasses and names the first offender.
+    Both freeze the pairs through a set: the same iteration order.
     """
     entries = list(edges)
     if _PAIR_TYPES.issuperset(map(type, entries)) and _PAIR_LENGTH.issuperset(map(len, entries)):
         flat = list(chain.from_iterable(entries))
         if _INT_TYPE.issuperset(map(type, flat)):
-            firsts, seconds = flat[0::2], flat[1::2]
+            firsts, seconds = (flat, ()) if rows == cols else (flat[0::2], flat[1::2])
             if rows is None or not flat or (
                 1 <= min(firsts) and max(firsts) <= rows
-                and 1 <= min(seconds) and max(seconds) <= cols
+                and 1 <= min(seconds, default=1) and max(seconds, default=1) <= cols
             ):
                 return frozenset(set(map(tuple, entries))), []
     frozen: set[Edge] = set()

@@ -15,9 +15,9 @@ carry the offending states so callers can explain failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .graphs import ClosedLoopIndex, hopcroft_karp, scc_ids
+from .graphs import ClosedLoopIndex, Condensation, condense, hopcroft_karp, scc_ids
 from .model import Edge, FeedbackPattern, StructuredSystem
 
 
@@ -43,9 +43,11 @@ class SfmVerdict:
         return f"condition a: {a}; condition b: {b}; {verdict}"
 
 
-def _uncovered_states(index: ClosedLoopIndex, links: Sequence[Edge]) -> tuple[int, ...]:
-    """States whose closed-loop SCC holds no feedback edge of ``links``."""
-    ids, _ = scc_ids(index.successors(links))
+def _uncovered_states(
+    index: ClosedLoopIndex, links: Sequence[Edge], rows: Optional[list[list[int]]] = None
+) -> tuple[int, ...]:
+    """States whose closed-loop SCC (found on ``rows``, if given) holds no link's feedback edge."""
+    ids, _ = scc_ids(index.successors(links) if rows is None else rows)
     # A feedback edge is inside an SCC exactly when its endpoints share one.
     covered = {ids[u] for y, u in index.feedback_edges(links) if ids[y] == ids[u]}
     return tuple([s for s in range(1, index.system.n + 1) if ids[s] not in covered])
@@ -143,17 +145,24 @@ class CoverageKernel:
         return tuple([v for v in range(1, self.n + 1) if not covered >> v & 1])
 
 
-def _has_cycle_family(index: ClosedLoopIndex, links: Sequence[Edge]) -> bool:
-    """True when the closed-loop bipartite graph with ``links`` has a perfect matching."""
-    size, _, _ = hopcroft_karp(index.adjacency(links), index.vertex_count)
-    return size == index.vertex_count
+def _has_cycle_family(
+    index: ClosedLoopIndex, links: Sequence[Edge], rows: Optional[list[list[int]]] = None
+) -> bool:
+    """True when disjoint cycles span the states: ``rows`` (default: loop rows) match perfectly."""
+    rows = index.loop_rows(links) if rows is None else rows
+    return hopcroft_karp(rows, len(rows))[0] == index.vertex_count
 
 
-def _has_state_perfect_matching(system: StructuredSystem) -> bool:
-    """True when the states alone, with no feedback link, have a spanning cycle family."""
-    # Without links, row u'_i holds only u_i and y_j lies only in row y'_j, so
-    # a perfect matching pairs states with states and the rest with themselves.
-    return _has_cycle_family(ClosedLoopIndex(system), [])
+def _has_state_perfect_matching(
+    system: StructuredSystem, condensation: Optional[Condensation] = None
+) -> bool:
+    """True when the states alone have a spanning cycle family: when the rows ``condensation``
+    (default ``condense(system)``) ran Tarjan on match perfectly. They are sorted in place first,
+    as on unsorted rows the greedy start of Hopcroft-Karp leaves long augmenting paths."""
+    rows = (condensation or condense(system)).state_rows
+    for row in rows:
+        row.sort()
+    return hopcroft_karp(rows, len(rows))[0] == system.n
 
 
 # Kept for the benchmark's sfm.check_condition_b span hook; check_no_sfm does not call it.
@@ -164,10 +173,11 @@ def check_condition_b(system: StructuredSystem, pattern: FeedbackPattern) -> boo
 
 
 def check_no_sfm(system: StructuredSystem, pattern: FeedbackPattern) -> SfmVerdict:
-    """Run both feasibility conditions on one index and return the combined verdict."""
+    """Run both feasibility conditions on one closed-loop row list; the combined verdict."""
     index = ClosedLoopIndex(system)
     links = index.check_links(pattern.links)
+    rows = index.loop_rows(links)
     return SfmVerdict(
-        uncovered_states=_uncovered_states(index, links),
-        condition_b_ok=_has_cycle_family(index, links),
+        uncovered_states=_uncovered_states(index, links, rows),
+        condition_b_ok=_has_cycle_family(index, links, rows),
     )

@@ -249,8 +249,9 @@ def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:
     spanning to ``two_stage``.
     """
     costs.require_matches(system)
-    solution = dp_cover(condense(system), costs)
-    if not _has_state_perfect_matching(system):
+    condensation = condense(system)
+    solution = dp_cover(condensation, costs)
+    if not _has_state_perfect_matching(system, condensation):
         solution = replace(solution, method="dp-condition-a")
     return solution
 
@@ -406,7 +407,7 @@ def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution
     problems = []
     if system.m != 1:
         problems.append(f"requires a single input, got m={system.m}")
-    if not _has_state_perfect_matching(system):
+    if not _has_state_perfect_matching(system, condensation):
         problems.append("requires a perfect matching in the state bipartite graph")
     sources = condensation.non_top_linked_sccs()
     if len(sources) != 1:

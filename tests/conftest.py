@@ -823,14 +823,13 @@ def reference_greedy_start_hopcroft_karp(
 def reference_condition_b_rows(system: StructuredSystem, costs: CostMatrix):
     """The cycle stage's matcher rows as it built them by overlaying link tuples.
 
-    Every admissible link becomes the bipartite edge u'_i - y_j of
-    ``ClosedLoopIndex.matching_edges``, laid over the index's base rows;
-    a row that gains links is costed 0 per base edge, then each link's
-    cost, and every other row keeps None.
+    Every admissible link (i, j) becomes the bipartite edge u'_i - y_j,
+    laid over the index's base rows; a row that gains links is costed 0
+    per base edge, then each link's cost, and every other row keeps None.
     """
     index = ClosedLoopIndex(system)
     links = costs.finite_links()
-    edges = index.matching_edges(links)
+    edges = [(system.n + i - 1, system.n + system.m + j - 1) for i, j in links]
     adjacency, base = index.adjacency(links), index.adjacency()
     weights = [None if row is kept else [0] * len(kept) for row, kept in zip(adjacency, base)]
     for (l, _), (i, j) in zip(edges, links):

@@ -977,3 +977,30 @@ def test_bench_size_outputs_match_golden_digest(tmp_path):
                     check = ["check-sfm", path, f"--feedback={feedback}", "--format=structured"]
                     records.append((command, *_masked_run(check)[:3]))
     assert hashlib.sha256(repr(records).encode()).hexdigest() == BENCH_SIZE_DIGEST
+
+
+def test_only_the_cycle_stage_builds_the_transposed_closed_loop_rows(capsys, monkeypatch, tmp_path):
+    from feedsel.graphs import ClosedLoopIndex
+
+    path = tmp_path / "nopm.json"
+    path.write_text(emit_system(*random_line_system(
+        7, scc_count=4, scc_size_range=(2, 2), n_inputs=3, n_outputs=3, perfect_matching=False,
+    )))
+    calls = []
+    for name in ("adjacency", "loop_rows", "successors"):
+        original = getattr(ClosedLoopIndex, name)
+
+        def spy(self, links=(), _name=name, _original=original):
+            calls.append(_name)
+            return _original(self, links)
+
+        monkeypatch.setattr(ClosedLoopIndex, name, spy)
+    code, out, _ = invoke(capsys, "solve-dp", str(path), "--format", "structured")
+    assert json.loads(out)["method"] == "dp-condition-a" and calls == []
+    code, out, _ = invoke(capsys, "solve-two-stage", str(path), "--format", "structured")
+    assert code == 0 and "adjacency" in calls
+    links = ",".join(f"{i}:{j}" for i, j in json.loads(out)["links"])
+    calls.clear()
+    code, _, _ = invoke(capsys, "check-sfm", str(path), "--feedback", links)
+    # One row list per pattern, shared by both conditions.
+    assert code == 0 and calls == ["loop_rows"]

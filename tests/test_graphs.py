@@ -35,10 +35,12 @@ from tests.conftest import (
     dense_min_cost_assignment,
     fig1_cover_instance,
     maxflow_matching_size,
+    random_system,
     reference_condense,
     reference_greedy_start_hopcroft_karp,
     reference_hopcroft_karp,
     reference_min_cost_perfect_matching,
+    reference_strongly_connected_components,
     reference_successors,
     scc_partition_by_closure,
     section5_system,
@@ -145,7 +147,7 @@ def test_closed_loop_digraph_reference_cycle(section5):
 
 
 def _lists_from_edges(index):
-    """The base successor and adjacency lists built from ``index.edges()``."""
+    """The base successor and adjacency lists built from ``index.edges()``, sorted row by row."""
     succ = [[] for _ in range(index.vertex_count + 1)]
     adj = [[] for _ in range(index.vertex_count)]
     for tail, head in index.edges():
@@ -153,7 +155,7 @@ def _lists_from_edges(index):
         adj[head - 1].append(tail - 1)
     for v in range(index.system.n, index.vertex_count):
         adj[v].append(v)
-    return succ, [sorted(row) for row in adj]
+    return [sorted(row) for row in succ], [sorted(row) for row in adj]
 
 
 def _generated_systems():
@@ -169,7 +171,7 @@ def _generated_systems():
 def test_successor_lists_agree_with_fast_builder():
     for system, costs in _generated_systems():
         index = ClosedLoopIndex(system)
-        # Built from the edge fields directly, in the order of edges().
+        # Built from the edge fields directly, sorted row by row.
         assert (index.successors(), index.adjacency()) == _lists_from_edges(index)
         pattern = FeedbackPattern(frozenset(costs.finite_links()[::2]))
         fast = index.successors(pattern.links)
@@ -312,6 +314,27 @@ def _assert_condenses_like_reference(system):
     assert cond.dag_edges == expected.dag_edges
     assert cond.input_incidence == expected.input_incidence
     assert cond.output_incidence == expected.output_incidence
+
+
+def test_lazy_scc_sets_equal_the_reference_read_before_or_after_the_rest():
+    rng = random.Random(19)
+    systems = [random_line_system(seed, scc_count=1 + seed % 7)[0] for seed in range(15)]
+    systems += [_random_line(rng, extra_forward=3) for _ in range(15)]
+    systems += [
+        random_system(rng, n=rng.randint(1, 9), m=2, p=2, a_density=rng.random())[0]
+        for _ in range(30)
+    ]
+    for system in systems:
+        expected = reference_condense(system)
+        first, later = condense(system), condense(system)
+        assert first.sccs == expected.sccs
+        for cond in (first, later):
+            assert cond.scc_count == expected.scc_count
+            assert cond.dag_edges == expected.dag_edges
+            assert cond.input_incidence == expected.input_incidence
+            assert cond.output_incidence == expected.output_incidence
+        assert later.sccs == expected.sccs
+        assert first.sccs is first.sccs  # built once and kept
 
 
 def _with_io(rng, n, a_edges, m=3, p=3):
@@ -590,6 +613,23 @@ def test_tarjan_agrees_with_closure_on_mixed_graphs():
         # Ids 0..count-1, numbered in reverse topological order.
         assert {ids[v] for v in range(1, n + 1)} == set(range(count))
         assert all(ids[v] >= ids[w] for v in range(1, n + 1) for w in succ[v])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.lists(st.lists(st.integers(1, max(n, 1)), max_size=5), min_size=n, max_size=n)
+    )
+)
+def test_tarjan_numbers_components_as_the_reference_emits_them(rows):
+    # Self-loops, repeated edges and empty rows included; entry 0 is unused.
+    succ = [[]] + rows
+    components = reference_strongly_connected_components(succ)
+    expected = [-1] * len(succ)
+    for c, component in enumerate(components):
+        for v in component:
+            expected[v] = c
+    assert scc_ids(succ) == (expected, len(components))
 
 
 def _cost_rows(matrix):

@@ -234,6 +234,9 @@ def _faulty_edges(draw):
 @settings(max_examples=500, deadline=None)
 @example(edges=[[[], 1]], dims=(3, 3))
 @example(edges=[[[], 1]], dims=None)
+# a square field out of range in the second coordinate only
+@example(edges=[(1, 2), (3, 4)], dims=(3, 3))
+@example(edges=[(2, 0), (1, 1)], dims=(3, 3))
 @given(
     edges=_faulty_edges(),
     dims=st.none() | st.tuples(st.integers(-1, 5), st.integers(0, 5)),

@@ -2,7 +2,7 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedsel import (
@@ -14,10 +14,17 @@ from feedsel import (
     full_pattern,
     reduce_set_cover,
 )
+from feedsel import condense
 from feedsel.generators import random_line_system
-from feedsel.graphs import ClosedLoopIndex
-from feedsel.sfm import CoverageKernel, _uncovered_states, check_condition_b
-from tests.conftest import fig1_cover_instance, random_system, spanning_cycle_family_exists
+from feedsel.graphs import ClosedLoopIndex, state_bipartite
+from feedsel.sfm import (
+    CoverageKernel, _has_cycle_family, _has_state_perfect_matching, _uncovered_states,
+    check_condition_b,
+)
+from tests.conftest import (
+    fig1_cover_instance, random_system, reference_condense, reference_hopcroft_karp,
+    spanning_cycle_family_exists,
+)
 
 
 def fig1_system():
@@ -212,3 +219,51 @@ def test_coverage_kernel_agrees_with_closed_loop_sccs(family, seed, subsets):
     for bits in subsets + [(1 << len(every_link)) - 1]:
         links = [link for b, link in enumerate(every_link) if bits >> b & 1]
         assert kernel.uncovered_states(links) == _uncovered_states(index, links)
+
+
+@settings(max_examples=300, deadline=None)
+@example(seed=0, n=3, m=0, p=2, bits=0)
+@example(seed=1, n=3, m=2, p=0, bits=0)
+@example(seed=2, n=4, m=2, p=2, bits=0)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 7),
+    m=st.integers(0, 3),
+    p=st.integers(0, 3),
+    bits=st.integers(0, 2**9 - 1),
+)
+def test_cycle_family_on_the_shared_loop_rows_agrees_with_references(seed, n, m, p, bits):
+    rng = random.Random(seed)
+    system, _ = random_system(rng, n=n, m=m, p=p, a_density=rng.uniform(0, 0.5))
+    every_link = [(i, j) for i in range(1, m + 1) for j in range(1, p + 1)]
+    links = [link for b, link in enumerate(every_link) if bits >> b & 1]
+    index = ClosedLoopIndex(system)
+    rows = index.loop_rows(links)
+    found = _has_cycle_family(index, links, rows)
+    size = index.vertex_count
+    assert found == (reference_hopcroft_karp(index.adjacency(links), size)[0] == size)
+    assert found == _has_cycle_family(index, links)
+    if n + m + p <= 10:
+        assert found == spanning_cycle_family_exists(system, FeedbackPattern(frozenset(links)))
+    # The self-loops leading the input and output rows leave condition (a) as it was.
+    assert _uncovered_states(index, links, rows) == _uncovered_states(index, links)
+    assert check_no_sfm(system, FeedbackPattern(frozenset(links))).condition_b_ok == found
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), line=st.booleans())
+def test_state_matching_on_condensation_rows_agrees_with_reference_and_default(seed, n, line):
+    rng = random.Random(seed)
+    if line:
+        system, _ = random_line_system(
+            rng, scc_count=rng.randint(1, 5), perfect_matching=rng.random() < 0.5
+        )
+    else:
+        system, _ = random_system(rng, n=n, m=1, p=1, a_density=rng.uniform(0, 0.6))
+    condensation = condense(system)
+    expected = reference_hopcroft_karp(state_bipartite(system).adjacency, system.n)[0] == system.n
+    assert _has_state_perfect_matching(system, condensation) == expected
+    assert _has_state_perfect_matching(system) == expected
+    # Sorting the kept rows in place changes neither a second answer nor the SCCs.
+    assert _has_state_perfect_matching(system, condensation) == expected
+    assert condensation.sccs == reference_condense(system).sccs
