@@ -28,7 +28,7 @@ from .fileio import (
 )
 from .generators import random_line_system
 from .graphs import condense
-from .model import FeedbackPattern, cost_of
+from .model import INF, FeedbackPattern, cost_of
 from .sfm import check_no_sfm
 from .solvers import (
     DpTable,
@@ -54,7 +54,10 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, DpTable):
         return {
-            "stage_costs": [_json_cost(w) for w in obj.stage_costs],
+            "stage_costs": (
+                obj.stage_costs if INF not in obj.stage_costs
+                else [_json_cost(w) for w in obj.stage_costs]
+            ),
             "choices": obj.choices,  # (input, output, stage) tuples and Nones
         }
     if isinstance(obj, Solution):

@@ -307,9 +307,13 @@ def missing_path_links(condensation: Condensation) -> list[tuple[int, int]]:
     The list is empty exactly when the SCC DAG has a Hamiltonian path: a
     DAG has one when its topological order is unique, i.e. every pair of
     consecutive SCCs in the fixed order is joined by an edge. Extra
-    forward edges are allowed.
+    forward edges are allowed. One ``issuperset`` over the consecutive
+    pairs decides a line in C; the pairs are walked one by one only to
+    list what is missing.
     """
     ell = condensation.scc_count
+    if condensation.dag_edges.issuperset(zip(range(1, ell), range(2, ell + 1))):
+        return []
     return [
         (k, k + 1) for k in range(1, ell) if (k, k + 1) not in condensation.dag_edges
     ]

@@ -46,6 +46,7 @@ import heapq
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from operator import itemgetter
 from typing import Iterator, Optional
 
@@ -99,7 +100,8 @@ class DpTable:
     ``stage_costs[k]`` is the cheapest way to cover the first k SCCs
     (``stage_costs[0] == 0``). ``choices[k]`` records the argmin edge as
     (input, output, predecessor stage), or None when stage k is
-    unreachable with admissible links.
+    unreachable with admissible links. The stages of one run of an
+    unchanged argmin may hold one shared tuple.
     """
 
     stage_costs: tuple[float, ...]
@@ -132,16 +134,18 @@ def _infeasible(method: str, reason: str, certificates: Optional[dict] = None) -
 
 
 def _check_incidence_ranges(condensation: Condensation, costs: CostMatrix) -> None:
-    for incidence in condensation.input_incidence:
-        for i in incidence:
-            if not 1 <= i <= costs.m:
-                raise DimensionError(f"input u{i} outside cost matrix with m={costs.m}")
-    if costs.m == 0:
-        return  # empty matrix carries no column count, and no link can exist
-    for incidence in condensation.output_incidence:
-        for j in incidence:
-            if not 1 <= j <= costs.p:
-                raise DimensionError(f"output y{j} outside cost matrix with p={costs.p}")
+    # An empty matrix carries no column count, and no link can exist, so
+    # its outputs go unchecked. Each side is one test over its chained
+    # incidence; only a side that fails it is walked, to name the first
+    # offender.
+    sides = [("input u", "m", costs.m, condensation.input_incidence)]
+    if costs.m:
+        sides.append(("output y", "p", costs.p, condensation.output_incidence))
+    for vertex, size, top, incidence in sides:
+        entries = frozenset().union(*incidence)
+        if entries and not (min(entries) >= 1 and max(entries) <= top):
+            first = next(x for xs in incidence for x in xs if not 1 <= x <= top)
+            raise DimensionError(f"{vertex}{first} outside cost matrix with {size}={top}")
 
 
 def _require_line_order(condensation: Condensation) -> None:
@@ -151,6 +155,11 @@ def _require_line_order(condensation: Condensation) -> None:
             "SCC DAG admits no line spanning path; consecutive SCC pairs "
             f"without an edge: {missing}; DAG edges: {sorted(condensation.dag_edges)}"
         )
+
+
+def _by_stage(incidence: tuple[frozenset[int], ...]) -> Iterator[tuple[int, frozenset[int]]]:
+    """(k, set) for the non-empty sets, k counted from 1; the empty ones are skipped in C."""
+    return zip(compress(range(1, len(incidence) + 1), incidence), filter(None, incidence))
 
 
 def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
@@ -166,6 +175,13 @@ def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
     argmin. An empty heap names the first SCC no link covers, and every
     later stage stays unreachable. Backtracking from the last stage yields
     the selected pattern.
+
+    The top changes only at an event: a stage where some input is first
+    actuated, or the stage after the top's interval ends. So the sweep
+    jumps from event to event and fills the stages between with one slice
+    each, every choice of a run being one shared tuple. After the
+    condensation it costs O(m * p + events * log L) Python steps, L the
+    admissible links, and the l stages only C-level list work.
 
     Dominance: an input's links all start at the same stage on the same
     prior stage, so among them the smaller (cost, output) has the smaller
@@ -183,37 +199,48 @@ def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
     # Last chain position each output senses, latest first; outputs sensing
     # nothing, like inputs actuating nothing, close no cycle.
     last_stage: dict[int, int] = {}
-    for k, incidence in enumerate(condensation.output_incidence, start=1):
-        for j in incidence:
+    for k, outputs in _by_stage(condensation.output_incidence):
+        for j in outputs:
             last_stage[j] = k
     reach = sorted(last_stage.items(), key=itemgetter(1), reverse=True)
+    # The inputs first actuated at each stage, by stage.
+    fresh: dict[int, frozenset[int]] = {}
+    actuated: set[int] = set()
+    for k, inputs in _by_stage(condensation.input_incidence):
+        if not actuated.issuperset(inputs):
+            fresh[k] = inputs - actuated
+            actuated |= inputs
+    starts = [*fresh, ell + 1]
 
     stage_costs: list[float] = [0] + [INF] * ell
     choices: list[Optional[tuple[int, int, int]]] = [None] * (ell + 1)
     # The link cost sits before the output in the key, so each input keeps
     # its (cost, output) argmin even when float rounding ties two totals.
     heap: list[tuple[float, int, int, float, int, int]] = []
-    actuated: set[int] = set()
-    for k, inputs in enumerate(condensation.input_incidence, start=1):
-        prior = stage_costs[k - 1]
-        for i in inputs - actuated:
-            row = costs.rows[i - 1]
-            best_cost, best_j = INF, 0  # so forbidden links are never pushed
-            for j, last in reach:
-                if last < k:
-                    break
-                cost = row[j - 1]
-                if cost < best_cost or (cost == best_cost and j < best_j):
-                    best_cost, best_j = cost, j
-                    heapq.heappush(heap, (cost + prior, k, i, cost, j, last))
-        actuated |= inputs
+    k, e = 1, 0
+    while k <= ell:
+        if k == starts[e]:
+            prior = stage_costs[k - 1]
+            for i in fresh[k]:
+                row = costs.rows[i - 1]
+                best_cost, best_j = INF, 0  # so forbidden links are never pushed
+                for j, last in reach:
+                    if last < k:
+                        break
+                    cost = row[j - 1]
+                    if cost < best_cost or (cost == best_cost and j < best_j):
+                        best_cost, best_j = cost, j
+                        heapq.heappush(heap, (cost + prior, k, i, cost, j, last))
+            e += 1
         while heap and heap[0][5] < k:
             heapq.heappop(heap)
         if not heap:
             break
-        total, start, i, _, j, _ = heap[0]
-        stage_costs[k] = total
-        choices[k] = (i, j, start - 1)
+        total, start, i, _, j, last = heap[0]
+        end = min(last + 1, starts[e])  # the next event
+        stage_costs[k:end] = [total] * (end - k)
+        choices[k:end] = [(i, j, start - 1)] * (end - k)
+        k = end
 
     table = DpTable(stage_costs=tuple(stage_costs), choices=tuple(choices))
 
@@ -597,8 +624,14 @@ def exact_oracle(
     largest float. A costly optimum that
     only (b) forces is not bounded and may still cost most of the 2^k
     patterns. Refuses instances with more than ``budget`` admissible
-    links, and any with more than ``MAX_ORACLE_LINKS``.
+    links, and any with more than ``MAX_ORACLE_LINKS``; a negative budget
+    is a ``ValueError``.
     """
+    if budget < 0:
+        raise ValueError(
+            f"enumeration budget must lie in 0..{MAX_ORACLE_LINKS} admissible links "
+            f"(a larger one is capped), got {budget}"
+        )
     costs.require_matches(system)
     links = costs.finite_links()
     n_links = len(links)

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedsel import (
-    CostMatrix, SetCoverInstance, StructuredSystem, cost_of, parse_system, reduce_set_cover,
+    INF, CostMatrix, SetCoverInstance, StructuredSystem, cost_of, parse_system, reduce_set_cover,
 )
 from feedsel import cli
 from feedsel.cli import parse_feedback_arg, run
@@ -97,12 +97,29 @@ def _rows_of_width(width):
     return st.lists(st.none() | ints | ints.map(tuple) | mixed | other_width, max_size=6)
 
 
+_ROW = (1, 2, 0)
+_BOOL_ROW = (True, False)
+
+
+def _shared_rows(width):
+    row = st.lists(st.integers(-2, 2) | st.booleans(), min_size=width, max_size=width).map(tuple)
+
+    def draws(pool):
+        # Each draw is a pool entry itself or, for a row, an equal copy of it.
+        again = st.sampled_from(pool)
+        return st.lists(again | again.map(lambda r: r and tuple(list(r))), max_size=10)
+
+    return st.lists(st.none() | row, min_size=1, max_size=4).flatmap(draws)
+
+
 # Equal-length rows of plain ints as lists or tuples (the DP table's
 # choices), mixed with nulls, rows holding bools or floats, and rows of
-# another width.
+# another width; and rows drawn again and again from a few tuples, as one
+# object or as equal copies, some holding bools equal to int rows.
 _INT_ROWS = st.integers(1, 4).flatmap(_rows_of_width)
+_SHARED_ROWS = st.integers(1, 3).flatmap(_shared_rows)
 _JSON_TREES = st.recursive(
-    st.none() | _JSON_NUMBERS | _JSON_TEXT | _NUMERIC_ROWS | _INT_ROWS,
+    st.none() | _JSON_NUMBERS | _JSON_TEXT | _NUMERIC_ROWS | _INT_ROWS | _SHARED_ROWS,
     lambda children: st.lists(children, max_size=4)
     | st.dictionaries(_JSON_TEXT, children, max_size=4),
     max_leaves=30,
@@ -128,9 +145,32 @@ _JSON_TREES = st.recursive(
 @example("]")
 @example(None)
 @example(math.nan)
+# A DP table's choices: runs of one shared tuple, equal copies, null runs.
+@example([None] + [_ROW] * 4 + [tuple([1, 2, 0])] * 2 + [(3, 4, 4)] * 3)
+@example([None, None, _ROW, tuple(list(_ROW)), None, None, None])
+@example([(7,), (7,), None, (8,), (7,)])
+# Rows equal to an int row but holding bools or floats must not take the
+# %d path, whether they come first or last, shared or copied.
+@example([_ROW, (True, 2, 0), _ROW])
+@example([(True, 2, 0), _ROW, _ROW])
+@example([(1,), (True,), (False,), (0,)])
+@example([_BOOL_ROW, _BOOL_ROW, None])
+@example([_ROW, (1.0, 2, 0), _ROW])
 @given(_JSON_TREES)
 def test_structured_renderer_is_json_dumps_with_indent_2(tree):
     assert cli._dumps(tree) == json.dumps(tree, indent=2)
+
+
+def test_system_files_with_repeated_list_rows_are_json_dumps_with_indent_2():
+    # Many equal cost rows, and rows that are one list object repeated.
+    system, costs = random_line_system(
+        3, scc_count=40, n_inputs=6, n_outputs=5, cost_range=(1, 2)
+    )
+    text = emit_system(system, costs)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    shared = [1, 2, 0]
+    rows = [shared, shared, None, list(shared), [3, 4, 1]]
+    assert cli._dumps(rows) == json.dumps(rows, indent=2)
 
 
 def test_shipped_reference_file_matches(capsys):
@@ -456,6 +496,23 @@ def test_solve_exact_budget_refusal_is_usage_error(capsys, section5_file):
     code, _, err = invoke(capsys, "solve-exact", section5_file, "--budget", "3")
     assert code == 2
     assert "budget" in err
+
+
+@pytest.mark.parametrize("budget", ["-1", "-30"])
+def test_solve_exact_refuses_a_negative_budget(capsys, tmp_path, budget):
+    system = StructuredSystem(
+        n=1, m=1, p=1, a_edges=frozenset({(1, 1)}),
+        b_edges=frozenset({(1, 1)}), c_edges=frozenset({(1, 1)}),
+    )
+    path = tmp_path / "no_links.json"
+    path.write_text(emit_system(system, CostMatrix.from_rows([[INF]])))
+    code, out, err = invoke(capsys, "solve-exact", str(path), f"--budget={budget}")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: enumeration budget must lie in 0..24 admissible links "
+        f"(a larger one is capped), got {budget}\n"
+    )
+    assert invoke(capsys, "solve-exact", str(path), "--budget", "0")[0] == 1
 
 
 def test_solve_exact_budget_is_capped(capsys, tmp_path):

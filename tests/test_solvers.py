@@ -398,6 +398,62 @@ def test_dp_skipping_dominated_links_matches_pushing_every_link(chain):
     assert solution.pattern == pattern
 
 
+def _sparse_chain(ell, inputs, outputs, rows):
+    """A chain of ``ell`` SCCs whose only non-empty incidence sets are ``inputs`` and ``outputs`` by stage."""
+    return (
+        Condensation(
+            dag_edges=frozenset((k, k + 1) for k in range(1, ell)),
+            input_incidence=tuple(frozenset(inputs.get(k, ())) for k in range(1, ell + 1)),
+            output_incidence=tuple(frozenset(outputs.get(k, ())) for k in range(1, ell + 1)),
+        ),
+        CostMatrix.from_rows(rows),
+    )
+
+
+@st.composite
+def long_sparse_chains(draw):
+    """A chain of up to 300 SCCs with at most 6 non-empty input and 6 output sets.
+
+    The sweep jumps over long runs of stages where no link starts or ends.
+    Stage 1 and the last stage are drawn often, so that many chains are
+    covered from the start and sensed at the end; costs come from
+    ``TIE_HEAVY_COSTS``.
+    """
+    ell = draw(st.integers(1, 300))
+    m = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 4))
+    stage = st.integers(1, ell) | st.just(1) | st.just(ell)
+
+    def incidence(count):
+        stages = draw(st.lists(stage, max_size=6, unique=True))
+        return {k: draw(st.frozensets(st.integers(1, count), min_size=1, max_size=2)) for k in stages}
+
+    value = st.sampled_from(TIE_HEAVY_COSTS)
+    rows = [[draw(value) for _ in range(p)] for _ in range(m)]
+    return _sparse_chain(ell, incidence(m), incidence(p), rows)
+
+
+@settings(max_examples=400, deadline=None)
+@given(long_sparse_chains())
+# Link (1, 1) covers stages 1..3 and u2 first actuates stage 4, so the top
+# expires at the very stage a new input starts.
+@example(_sparse_chain(6, {1: {1}, 4: {2}}, {3: {1}, 6: {2}}, [[1, INF], [INF, 2]]))
+# Stage 3 is covered by no link: it and every later stage stay inf, though
+# link (2, 2) would cover stages 5..8.
+@example(_sparse_chain(8, {1: {1}, 5: {2}}, {2: {1}, 8: {2}}, [[1, INF], [INF, 2]]))
+# Link (1, 2) stays on top over stages 1..200, through u2's start at 150;
+# link (1, 1) then covers the rest.
+@example(_sparse_chain(300, {1: {1}, 150: {2}}, {200: {2}, 300: {1}}, [[5, 0.1], [INF, 0]]))
+@example(ROUNDING_TIE_CHAIN)
+def test_dp_on_long_sparse_chains_matches_reference_sweep(chain):
+    condensation, costs = chain
+    solution = dp_cover(condensation, costs)
+    table, pattern = reference_dp_cover(condensation, costs)
+    assert repr(solution.certificates["dp_table"]) == repr(table)
+    assert solution.pattern == pattern
+    assert solution.feasible == (table.stage_costs[-1] != INF)
+
+
 def test_dp_scaling_leaves_choices_invariant():
     rng = random.Random(8)
     for _ in range(10):
@@ -923,6 +979,14 @@ def test_oracle_refuses_oversized_instances():
     with pytest.raises(BudgetExceededError, match="9"):
         exact_oracle(system, costs, budget=8)
     assert exact_oracle(system, costs, budget=9).feasible
+
+
+def test_oracle_refuses_a_negative_budget():
+    system = StructuredSystem(n=1, m=0, p=0, a_edges=frozenset({(1, 1)}))
+    with pytest.raises(ValueError, match=r"0\.\.24 admissible links .*got -1$") as refused:
+        exact_oracle(system, CostMatrix.from_rows([]), budget=-1)
+    assert not isinstance(refused.value, BudgetExceededError)
+    assert exact_oracle(system, CostMatrix.from_rows([]), budget=0).feasible is False
 
 
 def test_oracle_budget_is_capped_before_any_allocation(monkeypatch):
