@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import itertools
 import math
 import sys
 import time
@@ -28,7 +29,7 @@ from .fileio import (
 )
 from .generators import random_line_system
 from .graphs import condense
-from .model import INF, FeedbackPattern, cost_of
+from .model import FeedbackPattern, cost_of
 from .sfm import check_no_sfm
 from .solvers import (
     DpTable,
@@ -53,13 +54,14 @@ def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
     if isinstance(obj, DpTable):
-        return {
-            "stage_costs": (
-                obj.stage_costs if INF not in obj.stage_costs
-                else [_json_cost(w) for w in obj.stage_costs]
-            ),
-            "choices": obj.choices,  # (input, output, stage) tuples and Nones
-        }
+        # [first, last, cost, input, output, predecessor] per maximal run of
+        # stages that share one cost and one choice; nulls for no choice.
+        runs, first = [], 0
+        for (cost, choice), run in itertools.groupby(zip(obj.stage_costs, obj.choices)):
+            last = first + len(list(run)) - 1
+            runs.append([first, last, _json_cost(cost), *(choice or (None, None, None))])
+            first = last + 1
+        return {"runs": runs}
     if isinstance(obj, Solution):
         return {
             "method": obj.method,

@@ -135,26 +135,22 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
 
 
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-_NUMBERS = frozenset({int, float, bool})
 _INT = frozenset({int})
 _ROWS = frozenset({list, tuple})
-_TUPLE = frozenset({tuple})
 
 
 def _dumps(obj, level: int = 0) -> str:
     """Exactly ``json.dumps(obj, indent=2)``, with the lists encoded in C.
 
     Before CPython 3.13, ``indent`` sends json to its pure-Python encoder.
-    Here dicts are walked in Python, and a list of scalars, or of flat
-    numeric rows and nulls, is one call to json's C encoder at the
-    indented separator. Rows of one width of plain ints (not bools) fill
-    a ``%d`` row template instead. Tuple rows, like a DP table's choices,
-    whose runs share one tuple, are checked once per object and rendered
-    once per distinct row before one join; list rows are all filled by
-    one ``%``. Any other list is walked item by item; a scalar is
-    ``json.dumps(obj)``. CPython 3.13 and later encode ``indent`` in C
-    themselves; this helper only calls public json at fixed separators,
-    so its output stays exact there too.
+    Here dicts are walked in Python, and a list takes one of three paths.
+    A list of scalars is one call to json's C encoder at the indented
+    separator. Rows (lists or tuples) of one non-zero width, all plain
+    ints (by type, so never a bool), like a system file's edges, fill one
+    ``%d`` row template each in one ``%``. Any other list is walked item
+    by item. CPython 3.13 and later encode ``indent`` in C themselves;
+    this helper only calls public json at fixed separators, so its output
+    stays exact there too.
     """
     if isinstance(obj, dict):
         if not obj:
@@ -173,37 +169,12 @@ def _dumps(obj, level: int = 0) -> str:
     close = "\n" + "  " * level + "]"
     if _JSON_SCALARS.issuperset(map(type, obj)):
         return "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + close
-    # Flat rows and nulls: filter(None, ...) drops the nulls, and also any
-    # falsy entry that is not null, which the count then catches.
-    rows = list(filter(None, obj))
-    row_types = set(map(type, rows))
-    if len(rows) + obj.count(None) == len(obj) and _ROWS.issuperset(row_types):
+    if _ROWS.issuperset(map(type, obj)) and len(set(map(len, obj))) == 1 and obj[0] and (
+        _INT.issuperset(map(type, chain.from_iterable(obj)))
+    ):
         row_pad = pad + "  "
-        if row_types == _TUPLE:
-            # Tuples cannot change, and a DP table's run of one choice is
-            # one shared tuple: each object is checked once.
-            rows = list(dict(zip(map(id, rows), rows)).values())
-        entry_types = set(map(type, chain.from_iterable(rows)))
-        if entry_types == _INT and len(set(map(len, rows))) == 1:
-            # Rows of one width of plain ints (no bools) fill one template.
-            row = "[" + row_pad + ("%d," + row_pad) * (len(rows[0]) - 1) + "%d" + pad + "]"
-            if row_types == _TUPLE:
-                # Equal rows of plain ints render alike: one format per
-                # distinct row, then one join.
-                text = {r: row % r for r in dict.fromkeys(rows)}
-                text[None] = "null"
-                return "[" + pad + ("," + pad).join(map(text.__getitem__, obj)) + close
-            # Lists do not hash: every template is filled by one format.
-            body = ("," + pad).join(["null" if r is None else row for r in obj])
-            return "[" + pad + body % tuple(chain.from_iterable(rows)) + close
-        if _NUMBERS.issuperset(entry_types):
-            # Dump at the rows' separator, then mend the outer separators (the
-            # ones after "]" or "null", as row entries are numbers) and brackets.
-            body = json.dumps(obj, separators=("," + row_pad, ": "))[1:-1]
-            body = body.replace("]," + row_pad, "]," + pad)
-            body = body.replace("null," + row_pad, "null," + pad)
-            body = body.replace("[", "[" + row_pad).replace("]", pad + "]")
-            return "[" + pad + body + close
+        row = "[" + row_pad + ("%d," + row_pad) * (len(obj[0]) - 1) + "%d" + pad + "]"
+        return "[" + pad + ("," + pad).join([row] * len(obj)) % tuple(chain.from_iterable(obj)) + close
     return "[" + pad + ("," + pad).join(_dumps(value, level + 1) for value in obj) + close
 
 

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from feedsel import (
     INF, CostMatrix, SetCoverInstance, StructuredSystem, cost_of, parse_system, reduce_set_cover,
+    solve_dp,
 )
 from feedsel import cli
 from feedsel.cli import parse_feedback_arg, run
@@ -77,7 +78,54 @@ def test_solve_dp_reference_structured(capsys, section5_file):
     assert payload["method"] == "dp"
     assert payload["links"] == [[2, 3]]
     assert payload["cost"] == 5
-    assert payload["certificates"]["dp_table"]["stage_costs"] == [0, 2, 5, 5, 5]
+    assert payload["certificates"]["dp_table"]["runs"] == [
+        [0, 0, 0, None, None, None], [1, 1, 2, 1, 1, 0], [2, 4, 5, 2, 3, 0],
+    ]
+
+
+def _expand_runs(runs) -> tuple[list, list]:
+    """Stage costs and choices of a structured DP table's runs, which must tile from stage 0."""
+    stage_costs, choices = [], []
+    for first, last, cost, *choice in runs:
+        assert first == len(stage_costs) and last >= first, runs
+        stage_costs += [cost] * (last - first + 1)
+        choices += [None if choice == [None] * 3 else tuple(choice)] * (last - first + 1)
+    return stage_costs, choices
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    sccs=st.integers(1, 12),
+    inputs=st.integers(1, 4),
+    outputs=st.integers(1, 4),
+    entries=st.lists(st.sampled_from([None, None, INF, 2.5]), min_size=16, max_size=16),
+)
+def test_structured_dp_runs_expand_to_the_stage_table(seed, sccs, inputs, outputs, entries):
+    # Forbidden links leave some tables with unreachable last stages, and
+    # float costs put floats and ints side by side in one table.
+    system, costs = random_line_system(
+        seed, scc_count=sccs, n_inputs=inputs, n_outputs=outputs, cost_range=(0, 3)
+    )
+    costs = CostMatrix.from_rows([
+        [cost if entries[4 * i + j] is None else entries[4 * i + j] for j, cost in enumerate(row)]
+        for i, row in enumerate(costs.rows)
+    ])
+    table = solve_dp(system, costs).certificates["dp_table"]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "line.json"
+        path.write_text(emit_system(system, costs))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(["solve-dp", str(path), "--format=structured"])
+    report = json.loads(out.getvalue())
+    assert code == (0 if report["feasible"] else 1)
+    runs = report["certificates"]["dp_table"]["runs"]
+    stage_costs, choices = _expand_runs(runs)
+    # repr tells 5 from 5.0, which compare equal.
+    assert repr(stage_costs) == repr(["inf" if math.isinf(w) else w for w in table.stage_costs])
+    assert choices == list(table.choices)
+    assert all(a[2:] != b[2:] for a, b in zip(runs, runs[1:]))  # each run is maximal
 
 
 _JSON_NUMBERS = (
@@ -112,10 +160,10 @@ def _shared_rows(width):
     return st.lists(st.none() | row, min_size=1, max_size=4).flatmap(draws)
 
 
-# Equal-length rows of plain ints as lists or tuples (the DP table's
-# choices), mixed with nulls, rows holding bools or floats, and rows of
-# another width; and rows drawn again and again from a few tuples, as one
-# object or as equal copies, some holding bools equal to int rows.
+# Equal-length rows of plain ints as lists or tuples, mixed with nulls,
+# rows holding bools or floats, and rows of another width; and rows drawn
+# again and again from a few tuples, as one object or as equal copies,
+# some holding bools equal to int rows.
 _INT_ROWS = st.integers(1, 4).flatmap(_rows_of_width)
 _SHARED_ROWS = st.integers(1, 3).flatmap(_shared_rows)
 _JSON_TREES = st.recursive(
@@ -145,7 +193,7 @@ _JSON_TREES = st.recursive(
 @example("]")
 @example(None)
 @example(math.nan)
-# A DP table's choices: runs of one shared tuple, equal copies, null runs.
+# Runs of one shared tuple, equal copies and null runs, walked item by item.
 @example([None] + [_ROW] * 4 + [tuple([1, 2, 0])] * 2 + [(3, 4, 4)] * 3)
 @example([None, None, _ROW, tuple(list(_ROW)), None, None, None])
 @example([(7,), (7,), None, (8,), (7,)])
@@ -809,7 +857,7 @@ def test_fuzzed_inputs_exit_0_1_or_2_with_one_error_line(data):
 # ---------------------------------------------------------------------------
 # golden digest: exit code, stdout and stderr of every subcommand
 
-CLI_DIGEST = "40321574a02d0339271bdb7ab75163651244632122be9958380c4272657e1efe"
+CLI_DIGEST = "3e531fbdf4c2692265724b854e7b4bd67257d0f618a9cfe96e8a17cd9766067f"
 
 # Values a single fault puts in place of a field or an entry. Non-finite
 # floats are left out: the JSON spellings Infinity and NaN are not part of
@@ -1003,7 +1051,7 @@ def test_run_restores_the_callers_collector_setting(monkeypatch, argv, code, ena
 # ---------------------------------------------------------------------------
 # golden digest at benchmark size: the fast paths on the systems they serve
 
-BENCH_SIZE_DIGEST = "34e5f1392f4bfb2241a560d5be138bc9d8801e7306a031e01440a2c63d8a42a5"
+BENCH_SIZE_DIGEST = "c9f61b8962ca46ae639c168d4aa8f86ea7b664a545f4eb101dbb8a402c8a2c37"
 
 
 def _masked_run(argv: list[str]) -> tuple[int, str, str, str]:
