@@ -5,7 +5,7 @@ as vertices. ``scc_ids`` is the one SCC routine: a Tarjan pass that numbers
 the components in the order it emits them, which is reverse topological,
 and ``condense`` orders the SCC DAG from those ids. A bipartite graph is a
 list of adjacency rows: row l holds the right vertices joined to left
-vertex l (a digraph's successor rows serve as is); the min-cost matcher
+vertex l (the closed loop's ``loop_rows`` serve as is); the min-cost matcher
 takes them 0-based and sorted, with per-row costs (None for all-0 rows).
 """
 
@@ -44,13 +44,14 @@ class ClosedLoopIndex:
 
     Digraph vertex ids: states x_1..x_n are 1..n, inputs u_1..u_m are
     n+1..n+m and outputs y_1..y_p are n+m+1..n+m+p (entry 0 of the rows is
-    unused); a feedback link (i, j) adds the edge y_j -> u_i. ``loop_rows``
-    lead each input and output row with the vertex itself: a self-loop
-    merges no SCCs, and as bipartite rows v - w, one per edge v -> w, they
+    unused); a feedback link (i, j) adds the edge y_j -> u_i. ``loop_rows``,
+    the sorted successor rows, lead each input and output row with the
+    vertex itself: a self-loop merges no SCCs and adds nothing to
+    reachability, and as bipartite rows v - w, one per edge v -> w, they
     match perfectly iff disjoint cycles span the states. The cycle stage's
-    ``adjacency`` is their transpose, 0-based. Rows are built on first use,
-    sorted, and kept; a pattern's lists copy only the rows its links
-    change and share the others, so callers must not mutate them.
+    ``adjacency`` is their transpose, 0-based. Rows are built on first use
+    and kept; a pattern's lists copy only the rows its links change and
+    share the others, so callers must not mutate them.
     """
 
     system: StructuredSystem
@@ -93,24 +94,21 @@ class ClosedLoopIndex:
         return [(offset + j, n + i) for i, j in links]
 
     @cached_property
-    def _successors(self) -> list[list[int]]:
+    def _loop_rows(self) -> list[list[int]]:
         s, n = self.system, self.system.n
-        succ: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
+        rows: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
         for i, j in s.a_edges:
-            succ[j].append(i)
+            rows[j].append(i)
         for i, j in s.b_edges:
-            succ[n + j].append(i)
+            rows[n + j].append(i)
         outputs = n + s.m
         for i, j in s.c_edges:
-            succ[j].append(outputs + i)
-        for row in succ:
+            rows[j].append(outputs + i)
+        for row in rows:
             row.sort()
-        return succ
-
-    @cached_property
-    def _loop_rows(self) -> list[list[int]]:
-        n = self.system.n
-        return [row if v <= n else [v] + row for v, row in enumerate(self._successors)]
+        for v in range(n + 1, len(rows)):
+            rows[v].insert(0, v)
+        return rows
 
     @cached_property
     def _adjacency(self) -> list[list[int]]:
@@ -130,12 +128,8 @@ class ClosedLoopIndex:
             row.sort()
         return adj
 
-    def successors(self, links: Iterable[Edge] = ()) -> list[list[int]]:
-        """Closed-loop successor lists with the feedback edges of ``links``."""
-        return _overlay(self._successors, self.feedback_edges(links))
-
     def loop_rows(self, links: Iterable[Edge] = ()) -> list[list[int]]:
-        """``successors(links)`` with each input and output row led by the vertex itself."""
+        """Sorted successor rows, input and output rows led by the vertex, plus ``links``' edges."""
         return _overlay(self._loop_rows, self.feedback_edges(links))
 
     def adjacency(self, links: Iterable[Edge] = ()) -> list[list[int]]:
@@ -368,27 +362,29 @@ def hopcroft_karp(
     vertices. The first phase is a greedy pass in row order: with every
     left vertex free, the phase's shortest augmenting paths are single
     edges and its DFS matches each row to its first free right vertex, so
-    the pass finds the same matching without the BFS layering. Each later
-    phase lists its free rows once, in row order, as its BFS sources and
-    DFS roots (an augmenting path passes through matched rows only, so
-    each root is still free on its turn). Unreached rows sit at layer
-    ``far``. The DFS is iterative, so long alternating paths are safe.
+    the pass finds the same matching without the BFS layering. It lists
+    the rows it leaves free, in row order, and each later phase takes them
+    as its BFS sources and DFS roots (an augmenting path passes through
+    matched rows only, so each root is still free on its turn), then carries
+    those still free to the next: a matched row never becomes free again,
+    so no phase rescans every row. Unreached rows sit at layer ``far``. The
+    DFS is iterative, so long alternating paths are safe.
     """
     n_left = len(adjacency)
     match_l = [-1] * n_left
     match_r = [-1] * n_right
-    size = 0
+    free: list[int] = []
     for u, row in enumerate(adjacency):
         for v in row:
             if match_r[v] == -1:
                 match_l[u] = v
                 match_r[v] = u
-                size += 1
                 break
+        else:
+            free.append(u)
 
     far = n_left + 1
-    while True:
-        free = [u for u, v in enumerate(match_l) if v == -1]
+    while free:
         dist = [far] * n_left
         for u in free:
             dist[u] = 0
@@ -408,7 +404,7 @@ def hopcroft_karp(
                     dist[w] = layer
                     queue.append(w)
         if shortest == far:
-            return size, match_l, match_r
+            break
         for root in free:
             # frames: (row, its remaining neighbors, the layer after the row's)
             stack: list[tuple[int, Iterator[int], int]] = [(root, iter(adjacency[root]), 1)]
@@ -426,7 +422,6 @@ def hopcroft_karp(
                             pv = entered_via.pop()
                             match_l[pu] = pv
                             match_r[pv] = pu
-                        size += 1
                         break
                     if dist[w] == layer:
                         stack.append((w, iter(adjacency[w]), layer + 1))
@@ -437,6 +432,8 @@ def hopcroft_karp(
                     stack.pop()
                     if entered_via:
                         entered_via.pop()
+        free = [u for u in free if match_l[u] == -1]
+    return n_left - len(free), match_l, match_r
 
 
 def min_cost_perfect_matching(

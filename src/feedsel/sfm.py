@@ -46,8 +46,8 @@ class SfmVerdict:
 def _uncovered_states(
     index: ClosedLoopIndex, links: Sequence[Edge], rows: Optional[list[list[int]]] = None
 ) -> tuple[int, ...]:
-    """States whose closed-loop SCC (found on ``rows``, if given) holds no link's feedback edge."""
-    ids, _ = scc_ids(index.successors(links) if rows is None else rows)
+    """States whose closed-loop SCC (on ``rows``, default: loop rows) holds no link's feedback edge."""
+    ids, _ = scc_ids(index.loop_rows(links) if rows is None else rows)
     # A feedback edge is inside an SCC exactly when its endpoints share one.
     covered = {ids[u] for y, u in index.feedback_edges(links) if ids[y] == ids[u]}
     return tuple([s for s in range(1, index.system.n + 1) if ids[s] not in covered])
@@ -99,7 +99,7 @@ class CoverageKernel:
     def __init__(self, index: ClosedLoopIndex) -> None:
         s = index.system
         n, m = s.n, s.m
-        succ = index.successors()
+        succ = index.loop_rows()
         pred: list[list[int]] = [[] for _ in succ]
         for tail, head in index.edges():
             pred[head].append(tail)

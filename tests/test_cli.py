@@ -1092,7 +1092,7 @@ def test_only_the_cycle_stage_builds_the_transposed_closed_loop_rows(capsys, mon
         7, scc_count=4, scc_size_range=(2, 2), n_inputs=3, n_outputs=3, perfect_matching=False,
     )))
     calls = []
-    for name in ("adjacency", "loop_rows", "successors"):
+    for name in ("adjacency", "loop_rows"):
         original = getattr(ClosedLoopIndex, name)
 
         def spy(self, links=(), _name=name, _original=original):

@@ -60,7 +60,7 @@ def test_state_digraph_single_entry():
     system = StructuredSystem(n=2, m=0, p=0, a_edges=frozenset({(1, 2)}))
     index = ClosedLoopIndex(system)
     assert list(index.edges()) == [(2, 1)]  # x2 -> x1
-    assert index.successors() == [[], [], [1]]
+    assert index.loop_rows() == [[], [], [1]]
 
 
 def test_state_digraph_empty():
@@ -82,7 +82,7 @@ def test_closed_loop_digraph_adds_feedback_edge():
     index = ClosedLoopIndex(system)
     # y1 is vertex 6+1+1 = 8, u1 is vertex 7
     assert index.feedback_edges([(1, 1)]) == [(8, 7)]
-    assert index.successors([(1, 1)])[8] == [7]
+    assert index.loop_rows([(1, 1)])[8] == [8, 7]  # led by y1's self-loop
     assert index.labels[8] == "y1" and index.labels[7] == "u1"
 
 
@@ -94,7 +94,7 @@ def test_closed_loop_digraph_empty_pattern_has_no_feedback():
     assert len([e for e in edges if index.labels[e[0]][0] == "u"]) == 1
     assert len([e for e in edges if index.labels[e[1]][0] == "y"]) == 7
     outputs = range(system.n + system.m + 1, index.vertex_count + 1)
-    assert all(index.successors()[y] == [] for y in outputs)
+    assert all(index.loop_rows()[y] == [y] for y in outputs)
 
 
 def test_closed_loop_digraph_rejects_out_of_range_link():
@@ -108,20 +108,20 @@ def test_closed_loop_digraph_rejects_out_of_range_link():
 def test_overlay_copies_only_the_rows_its_links_change(section5):
     system, _ = section5
     index = ClosedLoopIndex(system)
-    base_succ, base_adj = index.successors(), index.adjacency()
+    base_succ, base_adj = index.loop_rows(), index.adjacency()
     snapshot = ([list(row) for row in base_succ], [list(row) for row in base_adj])
     links = [(2, 3), (1, 1), (4, 3)]
-    succ, adj = index.successors(links), index.adjacency(links)
+    succ, adj = index.loop_rows(links), index.adjacency(links)
     y1, y3 = system.n + system.m + 1, system.n + system.m + 3
     u1, u2, u4 = system.n + 1, system.n + 2, system.n + 4
-    assert succ[y3] == [u2, u4] and succ[y1] == [u1]
+    assert succ[y3] == [y3, u2, u4] and succ[y1] == [y1, u1]
     assert adj[u2 - 1] == [u2 - 1, y3 - 1] and adj[u4 - 1] == [u4 - 1, y3 - 1]
     changed_succ, changed_adj = {y1, y3}, {u1 - 1, u2 - 1, u4 - 1}
     for v, row in enumerate(succ):
         assert (row is base_succ[v]) == (v not in changed_succ)
     for v, row in enumerate(adj):
         assert (row is base_adj[v]) == (v not in changed_adj)
-    assert ([list(row) for row in index.successors()], [list(row) for row in index.adjacency()]) == snapshot
+    assert ([list(row) for row in index.loop_rows()], [list(row) for row in index.adjacency()]) == snapshot
 
 
 def _reaches(succ, start, goal):
@@ -140,14 +140,19 @@ def _reaches(succ, start, goal):
 
 def test_closed_loop_digraph_reference_cycle(section5):
     system, _ = section5
-    succ = ClosedLoopIndex(system).successors([(2, 3)])
+    succ = ClosedLoopIndex(system).loop_rows([(2, 3)])
     u2 = system.n + 2
     y3 = system.n + system.m + 3
     assert _reaches(succ, u2, y3) and _reaches(succ, y3, u2)
 
 
+def _self_led(system, rows):
+    """``rows`` with each input and output row led by the vertex itself."""
+    return [row if v <= system.n else [v] + row for v, row in enumerate(rows)]
+
+
 def _lists_from_edges(index):
-    """The base successor and adjacency lists built from ``index.edges()``, sorted row by row."""
+    """The base loop rows and adjacency lists built from ``index.edges()``, sorted row by row."""
     succ = [[] for _ in range(index.vertex_count + 1)]
     adj = [[] for _ in range(index.vertex_count)]
     for tail, head in index.edges():
@@ -155,7 +160,7 @@ def _lists_from_edges(index):
         adj[head - 1].append(tail - 1)
     for v in range(index.system.n, index.vertex_count):
         adj[v].append(v)
-    return [sorted(row) for row in succ], [sorted(row) for row in adj]
+    return _self_led(index.system, [sorted(row) for row in succ]), [sorted(row) for row in adj]
 
 
 def _generated_systems():
@@ -172,10 +177,11 @@ def test_successor_lists_agree_with_fast_builder():
     for system, costs in _generated_systems():
         index = ClosedLoopIndex(system)
         # Built from the edge fields directly, sorted row by row.
-        assert (index.successors(), index.adjacency()) == _lists_from_edges(index)
+        assert (index.loop_rows(), index.adjacency()) == _lists_from_edges(index)
         pattern = FeedbackPattern(frozenset(costs.finite_links()[::2]))
-        fast = index.successors(pattern.links)
-        slow = reference_successors(system, pattern)
+        fast = index.loop_rows(pattern.links)
+        slow = _self_led(system, reference_successors(system, pattern))
+        assert all(fast[v][0] == v for v in range(system.n + 1, index.vertex_count + 1))
         assert [sorted(row) for row in fast] == [sorted(row) for row in slow]
 
 
@@ -596,6 +602,35 @@ def test_hopcroft_karp_equals_its_greedy_start_reference_on_sorted_rows(n_right,
     adjacency = [sorted({v % n_right for v in row}) for row in rows]
     expected = reference_greedy_start_hopcroft_karp(adjacency, n_right)
     assert hopcroft_karp(adjacency, n_right) == expected
+
+
+def test_carried_free_rows_match_the_greedy_start_reference_over_several_phases(monkeypatch):
+    """On 60-SCC line systems without a state perfect matching the greedy pass leaves 11-21
+    rows free and two or three augmenting phases follow, each starting from the rows the
+    last one left free. Every phase builds one BFS queue, which counts the phases."""
+    phases = []
+
+    class CountingDeque(graphs.deque):
+        def __init__(self, *args):
+            phases[-1] += 1
+            super().__init__(*args)
+
+    most_free = 0
+    for seed in range(6):
+        system, costs = random_line_system(
+            seed, scc_count=60, scc_size_range=(2, 2), n_inputs=5, n_outputs=5, perfect_matching=False,
+        )
+        index = ClosedLoopIndex(system)
+        links = costs.finite_links()
+        for rows in (index.loop_rows(links), index.loop_rows(links[::2]), index.adjacency()):
+            phases.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(graphs, "deque", CountingDeque)
+                found = hopcroft_karp(rows, len(rows))
+            assert found == reference_greedy_start_hopcroft_karp(rows, len(rows))
+            most_free = max(most_free, len(rows) - _greedy_matching_size(rows, len(rows)))
+    assert most_free >= 10
+    assert max(phases) >= 3  # two augmenting phases, then the one that finds no path
 
 
 def test_tarjan_agrees_with_closure_on_mixed_graphs():
