@@ -23,7 +23,7 @@ from feedsel.sfm import (
 )
 from tests.conftest import (
     fig1_cover_instance, random_system, reference_condense, reference_hopcroft_karp,
-    spanning_cycle_family_exists,
+    reference_successors, spanning_cycle_family_exists,
 )
 
 
@@ -245,8 +245,11 @@ def test_cycle_family_on_the_shared_loop_rows_agrees_with_references(seed, n, m,
     assert found == _has_cycle_family(index, links)
     if n + m + p <= 10:
         assert found == spanning_cycle_family_exists(system, FeedbackPattern(frozenset(links)))
-    # The self-loops leading the input and output rows leave condition (a) as it was.
-    assert _uncovered_states(index, links, rows) == _uncovered_states(index, links)
+    # The self-loops leading the input and output rows leave condition (a) as it was:
+    # the loop rows give the same verdict as rows without self-loops, built edge by edge.
+    plain = reference_successors(system, FeedbackPattern(frozenset(links)))
+    assert _uncovered_states(index, links, rows) == _uncovered_states(index, links, plain)
+    assert _uncovered_states(index, links) == _uncovered_states(index, links, plain)
     assert check_no_sfm(system, FeedbackPattern(frozenset(links))).condition_b_ok == found
 
 
