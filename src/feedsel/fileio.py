@@ -31,7 +31,8 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any
 
-from .model import INF, CostMatrix, SetCoverInstance, StructuredSystem, _NUMBER_TYPES
+from .model import INF, CostMatrix, SetCoverInstance, StructuredSystem, _is_int
+from .model import _INT_TYPE, _NUMBER_TYPES, _PAIR_TYPES
 
 SYSTEM_FIELDS = ("n", "m", "p", "a_edges", "b_edges", "c_edges", "cost")
 SETCOVER_FIELDS = ("universe_size", "sets", "weights")
@@ -121,7 +122,7 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
     # bound raise TypeError; a NaN first makes max NaN, while a later one,
     # which _cost_entry passes on too, max skips.
     try:
-        whole = _ROWS.issuperset(map(type, raw_cost)) and {p}.issuperset(map(len, raw_cost)) and (
+        whole = _PAIR_TYPES.issuperset(map(type, raw_cost)) and {p}.issuperset(map(len, raw_cost)) and (
             max(chain.from_iterable(raw_cost), default=0) <= sys.float_info.max
         )
     except TypeError:
@@ -135,8 +136,6 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
 
 
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-_INT = frozenset({int})
-_ROWS = frozenset({list, tuple})
 
 
 def _dumps(obj, level: int = 0) -> str:
@@ -169,8 +168,8 @@ def _dumps(obj, level: int = 0) -> str:
     close = "\n" + "  " * level + "]"
     if _JSON_SCALARS.issuperset(map(type, obj)):
         return "[" + pad + json.dumps(obj, separators=("," + pad, ": "))[1:-1] + close
-    if _ROWS.issuperset(map(type, obj)) and len(set(map(len, obj))) == 1 and obj[0] and (
-        _INT.issuperset(map(type, chain.from_iterable(obj)))
+    if _PAIR_TYPES.issuperset(map(type, obj)) and len(set(map(len, obj))) == 1 and obj[0] and (
+        _INT_TYPE.issuperset(map(type, chain.from_iterable(obj)))
     ):
         row_pad = pad + "  "
         row = "[" + row_pad + ("%d," + row_pad) * (len(obj[0]) - 1) + "%d" + pad + "]"
@@ -202,7 +201,7 @@ def load_system(path) -> tuple[StructuredSystem, CostMatrix, list[str]]:
 def parse_setcover(text: str) -> SetCoverInstance:
     data = _document(text, SETCOVER_FIELDS, "set cover")
     universe_size = data["universe_size"]
-    if isinstance(universe_size, bool) or not isinstance(universe_size, int):
+    if not _is_int(universe_size):
         raise SchemaError(f"field 'universe_size' must be an integer, got {universe_size!r}")
     raw_sets = data["sets"]
     raw_weights = data["weights"]

@@ -3,10 +3,11 @@
 ``ClosedLoopIndex`` alone knows how states, inputs and outputs are numbered
 as vertices. ``scc_ids`` is the one SCC routine: a Tarjan pass that numbers
 the components in the order it emits them, which is reverse topological,
-and ``condense`` orders the SCC DAG from those ids. A bipartite graph is a
-list of adjacency rows: row l holds the right vertices joined to left
+and ``condense`` orders the SCC DAG from those ids. A bipartite graph is
+only a list of adjacency rows: row l holds the right vertices joined to left
 vertex l (the closed loop's ``loop_rows`` serve as is); the min-cost matcher
 takes them 0-based and sorted, with per-row costs (None for all-0 rows).
+``state_bipartite`` is kept for the benchmark: the states' ``adjacency``.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import DimensionError, Edge, INF, StructuredSystem
@@ -48,9 +50,10 @@ class ClosedLoopIndex:
     the sorted successor rows, lead each input and output row with the
     vertex itself: a self-loop merges no SCCs and adds nothing to
     reachability, and as bipartite rows v - w, one per edge v -> w, they
-    match perfectly iff disjoint cycles span the states. The cycle stage's
-    ``adjacency`` is their transpose, 0-based. Rows are built on first use
-    and kept; a pattern's lists copy only the rows its links change and
+    match perfectly iff disjoint cycles span the states. ``adjacency``,
+    their 0-based transpose, is read by the cycle stage, ``CoverageKernel``
+    (as predecessor rows) and ``state_bipartite``. Rows are built on first
+    use and kept; a pattern's lists copy only the rows its links change and
     share the others, so callers must not mutate them.
     """
 
@@ -317,40 +320,11 @@ def missing_path_links(condensation: Condensation) -> list[tuple[int, int]]:
 # bipartite graphs and matchings
 
 
-@dataclass(frozen=True, eq=False)
-class BipartiteGraph:
-    """Bipartite graph over labelled left/right vertex lists.
-
-    Edges are 0-based (left index, right index) pairs; ``adjacency``
-    gives them as sorted rows.
-    """
-
-    left: tuple[str, ...]
-    right: tuple[str, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        for l, r in self.edges:
-            if not (0 <= l < len(self.left) and 0 <= r < len(self.right)):
-                raise DimensionError(f"edge ({l}, {r}) out of range")
-
-    @cached_property
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.left]
-        for l, r in sorted(self.edges):
-            adj[l].append(r)
-        return adj
-
-
-def state_bipartite(system: StructuredSystem) -> BipartiteGraph:
-    """Bipartite graph pairing primed states with states: x'_i — x_j iff a_edge (i, j)."""
-    n = system.n
-    return BipartiteGraph(
-        left=tuple(f"x'{i}" for i in range(1, n + 1)),
-        right=tuple(f"x{i}" for i in range(1, n + 1)),
-        edges=frozenset((i - 1, j - 1) for i, j in system.a_edges),
-    )
+# Kept for the benchmark's instance builder, which counts matching deficiency with it.
+def state_bipartite(system: StructuredSystem) -> SimpleNamespace:
+    """``.adjacency``: the sorted 0-based rows x'_i - x_j, one per a_edge (i, j)."""
+    states_only = StructuredSystem(system.n, 0, 0, system.a_edges)
+    return SimpleNamespace(adjacency=ClosedLoopIndex(states_only).adjacency())
 
 
 def hopcroft_karp(

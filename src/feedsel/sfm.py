@@ -90,19 +90,18 @@ class CoverageKernel:
     y_j -> u_i after it: u_k ~> s and s ~> y_j are open-loop paths, so s
     is in SR[k] and SQ[j], and u_i ~> u_k ~> s ~> y_j -> u_i puts k and i
     in one SCC of the input graph. Conversely those memberships close
-    that walk. Building the tables costs O((m + p) * (n + E)); each call
-    then costs O(|L| + m^2) big-int operations and O(n) to list the
-    states, against a Tarjan run on the whole closed loop, so the kernel
-    pays only across many patterns.
+    that walk. SQ is searched on the index's ``adjacency``, the 0-based
+    predecessor rows, where x_s is vertex s - 1 (bit ``2 << v``). Building
+    the tables costs O((m + p) * (n + E)); each call then costs O(|L| +
+    m^2) big-int operations and O(n) to list the states, against a Tarjan
+    run on the whole closed loop, so the kernel pays only across many
+    patterns.
     """
 
     def __init__(self, index: ClosedLoopIndex) -> None:
         s = index.system
         n, m = s.n, s.m
-        succ = index.loop_rows()
-        pred: list[list[int]] = [[] for _ in succ]
-        for tail, head in index.edges():
-            pred[head].append(tail)
+        succ, pred = index.loop_rows(), index.adjacency()
         self.n = n
         self.SR = [0] * (m + 1)
         # OR stored transposed: bit k of inputs_to[j] is set when y_j is in
@@ -116,9 +115,9 @@ class CoverageKernel:
                     self.inputs_to[v - n - m] |= 1 << k
         self.SQ = [0] * (s.p + 1)
         for j in range(1, s.p + 1):
-            for v in _reachable(pred, n + m + j):
-                if v <= n:
-                    self.SQ[j] |= 1 << v
+            for v in _reachable(pred, n + m + j - 1):
+                if v < n:
+                    self.SQ[j] |= 2 << v
 
     def uncovered_states(self, links: Sequence[Edge]) -> tuple[int, ...]:
         """States whose closed-loop SCC holds no feedback edge of ``links``."""
@@ -167,9 +166,8 @@ def _has_state_perfect_matching(
 
 # Kept for the benchmark's sfm.check_condition_b span hook; check_no_sfm does not call it.
 def check_condition_b(system: StructuredSystem, pattern: FeedbackPattern) -> bool:
-    """True when the closed-loop bipartite graph has a perfect matching."""
-    index = ClosedLoopIndex(system)
-    return _has_cycle_family(index, index.check_links(pattern.links))
+    """True when the closed-loop bipartite graph has a perfect matching: ``check_no_sfm``'s (b)."""
+    return check_no_sfm(system, pattern).condition_b_ok
 
 
 def check_no_sfm(system: StructuredSystem, pattern: FeedbackPattern) -> SfmVerdict:

@@ -321,8 +321,7 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
     cost = cost_of(pattern, costs)
     if cost != total:
         raise AssertionError(f"matching cost {total} != pattern cost {cost}")
-    primed = [f"x'{k}" for k in range(1, n + 1)] + [f"u'{i}" for i in range(1, m + 1)]
-    primed += [f"y'{j}" for j in range(1, system.p + 1)]
+    primed = [f"{v[0]}'{v[1:]}" for v in index.labels[1:]]
     return Solution(
         pattern=pattern,
         cost=cost,

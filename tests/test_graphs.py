@@ -19,7 +19,6 @@ from feedsel import (
 )
 from feedsel import graphs
 from feedsel.graphs import (
-    BipartiteGraph,
     ClosedLoopIndex,
     hopcroft_karp,
     min_cost_perfect_matching,
@@ -28,6 +27,7 @@ from feedsel.graphs import (
     state_bipartite,
 )
 from feedsel.generators import random_line_system
+from feedsel.sfm import _has_state_perfect_matching
 from tests.conftest import (
     brute_force_min_cost_perfect_matching,
     closed_loop_cost_rows,
@@ -524,25 +524,35 @@ def test_closed_loop_bipartite_reference_full_pattern(section5):
     assert size == system.n + system.m + system.p
 
 
-def test_closed_loop_bipartite_degenerates_to_state_bipartite():
-    system = StructuredSystem(n=3, m=0, p=0, a_edges=frozenset({(1, 2), (2, 3)}))
-    assert ClosedLoopIndex(system).adjacency() == state_bipartite(system).adjacency
+def test_state_bipartite_rows_equal_the_edge_built_reference():
+    # Systems with inputs and outputs, isolated states and self-loops: the
+    # rows are x'_l - x_j for the a_edges (l, j) alone, and they match
+    # perfectly exactly when the rows condense ran Tarjan on do.
+    rng = random.Random(2317)
+    seen = set()
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        system, _ = random_system(
+            rng, n=n, m=rng.randint(1, 3), p=rng.randint(1, 3), a_density=rng.random() * 0.5
+        )
+        reference = [sorted(j - 1 for i, j in system.a_edges if i == l) for l in range(1, n + 1)]
+        rows = state_bipartite(system).adjacency
+        assert rows == reference
+        perfect = hopcroft_karp(rows, n)[0] == n
+        assert perfect == _has_state_perfect_matching(system, condense(system))
+        touched = {v for edge in system.a_edges for v in edge}
+        seen |= {"perfect" if perfect else "deficient"}
+        seen |= {"isolated"} if len(touched) < n else set()
+        seen |= {"self-loop"} if any(i == j for i, j in system.a_edges) else set()
+    assert seen == {"perfect", "deficient", "isolated", "self-loop"}
 
 
 def test_max_matching_complete_3x3():
-    graph = BipartiteGraph(
-        left=("a", "b", "c"),
-        right=("d", "e", "f"),
-        edges=frozenset((l, r) for l in range(3) for r in range(3)),
-    )
-    assert hopcroft_karp(graph.adjacency, len(graph.right))[0] == 3
+    assert hopcroft_karp([[0, 1, 2], [0, 1, 2], [0, 1, 2]], 3)[0] == 3
 
 
 def test_max_matching_star():
-    graph = BipartiteGraph(
-        left=("hub",), right=("a", "b", "c"), edges=frozenset((0, r) for r in range(3))
-    )
-    assert hopcroft_karp(graph.adjacency, len(graph.right))[0] == 1
+    assert hopcroft_karp([[0, 1, 2]], 3)[0] == 1
 
 
 def test_max_matching_agrees_with_flow_oracle():
