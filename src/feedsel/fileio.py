@@ -14,8 +14,7 @@ produce: cost strings other than ``"inf"``, numbers that read as infinity
 and integers beyond the float range. A cost matrix of well-shaped rows
 whose largest entry, one ``max`` over the whole matrix, lies within the
 float range holds none of these and is passed on whole. Any other is
-checked row by row, and only the rows that fail the same test are read
-entry by entry. The model
+read row by row and entry by entry, to name the first offender. The model
 constructor that stores a value checks everything else about it (types,
 ranges, signs) without coercing, and its errors surface as
 ``SchemaError``.
@@ -32,7 +31,7 @@ from pathlib import Path
 from typing import Any
 
 from .model import INF, CostMatrix, SetCoverInstance, StructuredSystem, _is_int
-from .model import _INT_TYPE, _NUMBER_TYPES, _PAIR_TYPES
+from .model import _INT_TYPE, _PAIR_TYPES
 
 SYSTEM_FIELDS = ("n", "m", "p", "a_edges", "b_edges", "c_edges", "cost")
 SETCOVER_FIELDS = ("universe_size", "sets", "weights")
@@ -78,15 +77,12 @@ def _cost_entry(value: Any, i: int, j: int) -> Any:
 
 
 def _cost_rows(raw_cost: list, p: int) -> list:
-    """The cost rows checked row by row, and entry by entry in a row that needs it."""
+    """The cost rows checked row by row, and each row entry by entry."""
     rows = []
     for i, row in enumerate(raw_cost, start=1):
         if not isinstance(row, list) or len(row) != p:
             raise SchemaError(f"cost row {i} must have {p} entries")
-        if _NUMBER_TYPES.issuperset(map(type, row)) and max(row, default=0) <= sys.float_info.max:
-            rows.append(row)
-        else:
-            rows.append([_cost_entry(value, i, j) for j, value in enumerate(row, start=1)])
+        rows.append([_cost_entry(value, i, j) for j, value in enumerate(row, start=1)])
     return rows
 
 

@@ -78,7 +78,7 @@ def _redraw(
         system, costs = draw()
         if (
             shape_ok(condensation := condense(system))
-            and _has_state_perfect_matching(system, condensation) == perfect_matching
+            and _has_state_perfect_matching(condensation) == perfect_matching
             and check_no_sfm(system, full_pattern(costs)).feasible
         ):
             return system, costs

@@ -1,7 +1,9 @@
 """Graph machinery: the closed-loop index, SCC condensation, bipartite matchings.
 
-``ClosedLoopIndex`` alone knows how states, inputs and outputs are numbered
-as vertices. ``scc_ids`` is the one SCC routine: a Tarjan pass that numbers
+``ClosedLoopIndex`` numbers states, inputs and outputs as vertices, and
+``sfm.CoverageKernel`` (inputs n + k, outputs n + m + j - 1, state bits
+``2 << v``) and ``solvers.min_cost_condition_b`` (outputs from n + m) compute
+those ids too. ``scc_ids`` is the one SCC routine: a Tarjan pass that numbers
 the components in the order it emits them, which is reverse topological,
 and ``condense`` orders the SCC DAG from those ids. A bipartite graph is
 only a list of adjacency rows: row l holds the right vertices joined to left

@@ -4,20 +4,22 @@ A pattern is feasible when both graph conditions hold on the closed loop:
 
   (a) every state vertex lies in a strongly connected component that
       contains a selected feedback edge (both of its endpoints), and
-  (b) every state vertex is spanned by a disjoint union of cycles, which
-      is equivalent to a perfect matching in the closed-loop bipartite
-      graph.
+  (b) every state vertex is spanned by a disjoint union of cycles: the
+      closed-loop bipartite graph has a perfect matching.
 
 Feasible patterns permit arbitrary (generic) pole placement; check results
-carry the offending states so callers can explain failures.
+carry the offending states so callers can explain failures. ``check_no_sfm``
+runs Tarjan for (a) on one pattern's loop rows; the oracle asks
+``CoverageKernel`` instead. (b) has one predicate, ``_has_cycle_family``, on
+the rows its caller built: loop rows, or a condensation's state rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .graphs import ClosedLoopIndex, Condensation, condense, hopcroft_karp, scc_ids
+from .graphs import ClosedLoopIndex, Condensation, hopcroft_karp, scc_ids
 from .model import Edge, FeedbackPattern, StructuredSystem
 
 
@@ -44,10 +46,10 @@ class SfmVerdict:
 
 
 def _uncovered_states(
-    index: ClosedLoopIndex, links: Sequence[Edge], rows: Optional[list[list[int]]] = None
+    index: ClosedLoopIndex, links: Sequence[Edge], rows: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
-    """States whose closed-loop SCC (on ``rows``, default: loop rows) holds no link's feedback edge."""
-    ids, _ = scc_ids(index.loop_rows(links) if rows is None else rows)
+    """States whose SCC on the closed-loop successor ``rows`` of ``links`` holds no link's edge."""
+    ids, _ = scc_ids(rows)
     # A feedback edge is inside an SCC exactly when its endpoints share one.
     covered = {ids[u] for y, u in index.feedback_edges(links) if ids[y] == ids[u]}
     return tuple([s for s in range(1, index.system.n + 1) if ids[s] not in covered])
@@ -144,24 +146,18 @@ class CoverageKernel:
         return tuple([v for v in range(1, self.n + 1) if not covered >> v & 1])
 
 
-def _has_cycle_family(
-    index: ClosedLoopIndex, links: Sequence[Edge], rows: Optional[list[list[int]]] = None
-) -> bool:
-    """True when disjoint cycles span the states: ``rows`` (default: loop rows) match perfectly."""
-    rows = index.loop_rows(links) if rows is None else rows
-    return hopcroft_karp(rows, len(rows))[0] == index.vertex_count
+def _has_cycle_family(rows: Sequence[Sequence[int]]) -> bool:
+    """True when the bipartite ``rows`` (row 0 unused) match perfectly: disjoint cycles span them."""
+    return hopcroft_karp(rows, len(rows))[0] == len(rows) - 1
 
 
-def _has_state_perfect_matching(
-    system: StructuredSystem, condensation: Optional[Condensation] = None
-) -> bool:
-    """True when the states alone have a spanning cycle family: when the rows ``condensation``
-    (default ``condense(system)``) ran Tarjan on match perfectly. They are sorted in place first,
-    as on unsorted rows the greedy start of Hopcroft-Karp leaves long augmenting paths."""
-    rows = (condensation or condense(system)).state_rows
+def _has_state_perfect_matching(condensation: Condensation) -> bool:
+    """True when disjoint cycles span the states alone: ``condensation``'s state rows, sorted in
+    place first (unsorted, Hopcroft-Karp's greedy start leaves long paths), match perfectly."""
+    rows = condensation.state_rows
     for row in rows:
         row.sort()
-    return hopcroft_karp(rows, len(rows))[0] == system.n
+    return _has_cycle_family(rows)
 
 
 # Kept for the benchmark's sfm.check_condition_b span hook; check_no_sfm does not call it.
@@ -175,7 +171,4 @@ def check_no_sfm(system: StructuredSystem, pattern: FeedbackPattern) -> SfmVerdi
     index = ClosedLoopIndex(system)
     links = index.check_links(pattern.links)
     rows = index.loop_rows(links)
-    return SfmVerdict(
-        uncovered_states=_uncovered_states(index, links, rows),
-        condition_b_ok=_has_cycle_family(index, links, rows),
-    )
+    return SfmVerdict(_uncovered_states(index, links, rows), _has_cycle_family(rows))

@@ -72,7 +72,6 @@ from .sfm import (
     CoverageKernel,
     _has_cycle_family,
     _has_state_perfect_matching,
-    _uncovered_states,
     check_no_sfm,
 )
 
@@ -278,7 +277,7 @@ def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:
     costs.require_matches(system)
     condensation = condense(system)
     solution = dp_cover(condensation, costs)
-    if not _has_state_perfect_matching(system, condensation):
+    if not _has_state_perfect_matching(condensation):
         solution = replace(solution, method="dp-condition-a")
     return solution
 
@@ -433,7 +432,7 @@ def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution
     problems = []
     if system.m != 1:
         problems.append(f"requires a single input, got m={system.m}")
-    if not _has_state_perfect_matching(system, condensation):
+    if not _has_state_perfect_matching(condensation):
         problems.append("requires a perfect matching in the state bipartite graph")
     sources = condensation.non_top_linked_sccs()
     if len(sources) != 1:
@@ -650,12 +649,12 @@ def exact_oracle(
     # Both conditions are monotone in the link set: a feedback edge only
     # merges SCCs and adds bipartite edges. So the full link set decides
     # whether any pattern passes each one.
-    if _uncovered_states(index, links):
-        return _infeasible("exact", _NO_FEASIBLE_PATTERN, certificates)
-    base_b_ok = _has_cycle_family(index, [])
-    full_b_ok = base_b_ok or _has_cycle_family(index, links)
-
     kernel = CoverageKernel(index)
+    if kernel.uncovered_states(links):
+        return _infeasible("exact", _NO_FEASIBLE_PATTERN, certificates)
+    base_b_ok = _has_cycle_family(index.loop_rows())
+    full_b_ok = base_b_ok or _has_cycle_family(index.loop_rows(links))
+
     link_costs = [costs.cost(i, j) for i, j in links]
     # The hitting constraints of (a): bit s when x_s is in SQ[j], bit n + s
     # when x_s is in SR[i].
@@ -680,7 +679,7 @@ def exact_oracle(
             cover_cost, cover = c, chosen
         # With a state perfect matching every pattern passes (b).
         if full_b_ok and (best is None or (c, chosen) < (best_cost, best)) and (
-            base_b_ok or _has_cycle_family(index, chosen)
+            base_b_ok or _has_cycle_family(index.loop_rows(chosen))
         ):
             best_cost, best = c, chosen
         stop = min((best_cost if full_b_ok else cover_cost) * (1 + 2**-40), sys.float_info.max)

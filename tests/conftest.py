@@ -66,6 +66,17 @@ def section5_system() -> tuple[StructuredSystem, CostMatrix]:
     return system, costs
 
 
+def sink_only_input_system() -> tuple[StructuredSystem, CostMatrix]:
+    """Source x1 -> sink x2, each on a self-loop; u1 actuates only x2, y1 senses x2."""
+    system = StructuredSystem(
+        n=2, m=1, p=1,
+        a_edges=frozenset({(1, 1), (2, 2), (2, 1)}),
+        b_edges=frozenset({(2, 1)}),
+        c_edges=frozenset({(1, 2)}),
+    )
+    return system, CostMatrix.from_rows([[5]])
+
+
 def fig1_cover_instance() -> SetCoverInstance:
     return SetCoverInstance(
         universe_size=5,

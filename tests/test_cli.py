@@ -25,7 +25,7 @@ from feedsel import cli
 from feedsel.cli import parse_feedback_arg, run
 from feedsel.fileio import SchemaError, emit_system
 from feedsel.generators import random_line_system, random_single_input_system
-from tests.conftest import fig1_cover_instance, section5_system
+from tests.conftest import fig1_cover_instance, section5_system, sink_only_input_system
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -662,6 +662,15 @@ def test_non_integer_set_element_is_a_one_line_input_error(capsys, tmp_path):
     assert invoke(capsys, "gen-setcover", str(path)) == (
         2, "", "error: set 2: element [2] is not an integer\n"
     )
+
+
+def test_solve_greedy_that_misses_the_source_exits_1_with_one_reason(capsys, tmp_path):
+    path = tmp_path / "sink-only.json"
+    path.write_text(emit_system(*sink_only_input_system()))
+    code, out, err = invoke(capsys, "solve-greedy", str(path))
+    assert (code, err) == (1, "")
+    reasons = [line for line in out.splitlines() if line.startswith("reason:")]
+    assert len(reasons) == 1 and "does not close the loop" in reasons[0]
 
 
 def test_solve_greedy_precondition_is_usage_error(capsys, section5_file):

@@ -139,6 +139,12 @@ def test_setcover_rejects_uncoverable():
         parse_setcover(json.dumps({"universe_size": 3, "sets": [[1]], "weights": [1]}))
 
 
+def test_setcover_rejects_elements_outside_the_universe():
+    document = {"universe_size": 2, "sets": [[1, 3], [2]], "weights": [1, 1]}
+    with pytest.raises(SchemaError, match=r"^set 1 contains elements outside 1\.\.2$"):
+        parse_setcover(json.dumps(document))
+
+
 def test_setcover_size_cap_matches_the_reduced_system_cap(monkeypatch):
     from feedsel import fileio
 

@@ -92,6 +92,11 @@ def test_line_generator_rejects_bad_ranges_up_front(kwargs, argument):
         random_line_system(1, **kwargs)
 
 
+def test_single_input_generator_needs_a_branch():
+    with pytest.raises(ValueError, match=r"^need at least one branch$"):
+        random_single_input_system(1, n_branches=0)
+
+
 @pytest.mark.parametrize(
     "generate, kwargs",
     [(random_line_system, {"scc_count": 10**6}), (random_single_input_system, {"n_branches": 10**6})],

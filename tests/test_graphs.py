@@ -539,7 +539,7 @@ def test_state_bipartite_rows_equal_the_edge_built_reference():
         rows = state_bipartite(system).adjacency
         assert rows == reference
         perfect = hopcroft_karp(rows, n)[0] == n
-        assert perfect == _has_state_perfect_matching(system, condense(system))
+        assert perfect == _has_state_perfect_matching(condense(system))
         touched = {v for edge in system.a_edges for v in edge}
         seen |= {"perfect" if perfect else "deficient"}
         seen |= {"isolated"} if len(touched) < n else set()

@@ -81,6 +81,11 @@ def test_validate_flags_zero_states():
     assert any("n must be >= 1" in msg for msg in str(excinfo.value).split("; "))
 
 
+def test_validate_flags_negative_input_count():
+    with pytest.raises(DimensionError, match=r"^input/output counts must be >= 0, got m=-1, p=0$"):
+        StructuredSystem(1, -1, 0)
+
+
 def test_construction_lists_every_problem_in_sorted_order():
     with pytest.raises(DimensionError) as excinfo:
         StructuredSystem(
@@ -103,6 +108,11 @@ def test_set_cover_instance_rejects_empty_set():
 def test_set_cover_instance_requires_coverage():
     with pytest.raises(ValueError):
         SetCoverInstance(universe_size=3, sets=(frozenset({1, 2}),), weights=(1,))
+
+
+def test_set_cover_instance_rejects_elements_outside_the_universe():
+    with pytest.raises(ValueError, match=r"^set 1 contains elements outside 1\.\.2$"):
+        SetCoverInstance(2, ({1, 3}, {2}), (1, 1))
 
 
 def test_set_cover_weight_and_cover_check(fig1_cover):

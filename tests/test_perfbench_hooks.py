@@ -11,6 +11,8 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from feedsel import cli, emit_system, generators
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Hooks that no longer resolve, left for the benchmark change that takes
@@ -49,3 +51,30 @@ def test_workload_builder_finds_every_library_name_it_uses(monkeypatch, tmp_path
     assert {inst.klass for inst in built.instances} == {"line_nopm", "setcover", "infeasible"}
     assert all(Path(inst.path).read_text() == text for inst, text in zip(built.instances, built.texts))
     assert built.counts["states"] > 0 and built.counts["matching_deficiency"] > 0
+
+
+# Hooks that resolve but that no command calls: ``sfm.check_condition_b`` is
+# kept only for its span, and ``check_no_sfm`` tests (b) without it.
+KNOWN_IDLE = {"sfm.check_condition_b"}
+
+
+def test_every_live_span_hook_records_a_span(monkeypatch, tmp_path, capsys):
+    spans = _load("spans", monkeypatch)
+    section5 = str(PERFBENCH.parent / "data" / "section5.json")
+    nopm = tmp_path / "nopm.json"
+    nopm.write_text(emit_system(*generators.random_line_system(3, scc_count=4, perfect_matching=False)))
+    requests = [
+        ["solve-dp", section5],
+        ["solve-two-stage", str(nopm)],
+        ["solve-exact", str(nopm)],
+        ["solve-exact", section5],
+        ["check-sfm", section5, "--feedback", "1:1"],
+    ]
+    with spans.Tracer().installed() as tracer:
+        for argv in requests:
+            assert cli.run(argv) in (0, 1), argv
+        generators.random_line_system(1)
+    capsys.readouterr()
+    live = {name for ns, attr, name in spans.HOOKS if ns.__dict__.get(attr) is not None}
+    recorded = {name for name, *_ in tracer.spans}
+    assert live - recorded == KNOWN_IDLE

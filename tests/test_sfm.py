@@ -155,8 +155,9 @@ def test_coverage_kernel_joins_inputs_on_one_cycle_through_three_of_them():
     system = StructuredSystem(n=3, m=3, p=3, a_edges=frozenset(), b_edges=ring, c_edges=ring)
     index = ClosedLoopIndex(system)
     kernel = CoverageKernel(index)
-    assert kernel.uncovered_states([(2, 1), (3, 2), (1, 3)]) == () == _uncovered_states(
-        index, [(2, 1), (3, 2), (1, 3)]
+    links = [(2, 1), (3, 2), (1, 3)]
+    assert kernel.uncovered_states(links) == () == _uncovered_states(
+        index, links, index.loop_rows(links)
     )
     assert kernel.uncovered_states([(2, 1), (3, 2)]) == (1, 2, 3)
 
@@ -218,7 +219,7 @@ def test_coverage_kernel_agrees_with_closed_loop_sccs(family, seed, subsets):
     every_link = [(i, j) for i in range(1, system.m + 1) for j in range(1, system.p + 1)]
     for bits in subsets + [(1 << len(every_link)) - 1]:
         links = [link for b, link in enumerate(every_link) if bits >> b & 1]
-        assert kernel.uncovered_states(links) == _uncovered_states(index, links)
+        assert kernel.uncovered_states(links) == _uncovered_states(index, links, index.loop_rows(links))
 
 
 @settings(max_examples=300, deadline=None)
@@ -239,17 +240,15 @@ def test_cycle_family_on_the_shared_loop_rows_agrees_with_references(seed, n, m,
     links = [link for b, link in enumerate(every_link) if bits >> b & 1]
     index = ClosedLoopIndex(system)
     rows = index.loop_rows(links)
-    found = _has_cycle_family(index, links, rows)
+    found = _has_cycle_family(rows)
     size = index.vertex_count
     assert found == (reference_hopcroft_karp(index.adjacency(links), size)[0] == size)
-    assert found == _has_cycle_family(index, links)
     if n + m + p <= 10:
         assert found == spanning_cycle_family_exists(system, FeedbackPattern(frozenset(links)))
     # The self-loops leading the input and output rows leave condition (a) as it was:
     # the loop rows give the same verdict as rows without self-loops, built edge by edge.
     plain = reference_successors(system, FeedbackPattern(frozenset(links)))
     assert _uncovered_states(index, links, rows) == _uncovered_states(index, links, plain)
-    assert _uncovered_states(index, links) == _uncovered_states(index, links, plain)
     assert check_no_sfm(system, FeedbackPattern(frozenset(links))).condition_b_ok == found
 
 
@@ -265,8 +264,8 @@ def test_state_matching_on_condensation_rows_agrees_with_reference_and_default(s
         system, _ = random_system(rng, n=n, m=1, p=1, a_density=rng.uniform(0, 0.6))
     condensation = condense(system)
     expected = reference_hopcroft_karp(state_bipartite(system).adjacency, system.n)[0] == system.n
-    assert _has_state_perfect_matching(system, condensation) == expected
-    assert _has_state_perfect_matching(system) == expected
+    assert _has_state_perfect_matching(condensation) == expected
+    assert _has_state_perfect_matching(condense(system)) == expected
     # Sorting the kept rows in place changes neither a second answer nor the SCCs.
-    assert _has_state_perfect_matching(system, condensation) == expected
+    assert _has_state_perfect_matching(condensation) == expected
     assert condensation.sccs == reference_condense(system).sccs

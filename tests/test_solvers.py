@@ -34,8 +34,9 @@ from feedsel import (
     solvers,
     two_stage,
 )
+from feedsel import graphs, sfm
 from feedsel.generators import random_line_system, random_single_input_system
-from feedsel.graphs import hopcroft_karp, missing_path_links, state_bipartite
+from feedsel.graphs import ClosedLoopIndex, hopcroft_karp, missing_path_links, state_bipartite
 from tests.conftest import (
     brute_force_set_cover,
     closed_loop_cost_rows,
@@ -48,6 +49,8 @@ from tests.conftest import (
     random_system,
     reference_condition_b_rows,
     reference_dp_cover,
+    section5_system,
+    sink_only_input_system,
 )
 from tests.test_acceptance import _line_instance
 
@@ -170,6 +173,14 @@ def test_dp_on_an_empty_cost_matrix_skips_the_output_check():
         dp_cover(_two_scc_chain([{1}, set()], [{5}, {9}]), CostMatrix.from_rows([]))
 
 
+@pytest.mark.parametrize("solve", [solve_dp, two_stage, exact_oracle])
+def test_solvers_reject_a_cost_matrix_of_the_wrong_shape(solve):
+    edge = frozenset({(1, 1)})
+    system = StructuredSystem(n=1, m=1, p=1, a_edges=edge, b_edges=edge, c_edges=edge)
+    with pytest.raises(DimensionError, match=r"^cost matrix is 2x1 but system has m=1, p=1$"):
+        solve(system, CostMatrix.from_rows([[1], [2]]))
+
+
 def test_dp_accepts_spanning_path_with_shortcuts():
     condensation = Condensation(
         sccs=(frozenset({1}), frozenset({2}), frozenset({3})),
@@ -228,7 +239,7 @@ def test_state_matching_check_equals_hopcroft_karp_on_the_state_graph():
     verdicts = []
     for system in systems:
         expected = hopcroft_karp(state_bipartite(system).adjacency, system.n)[0] == system.n
-        assert solvers._has_state_perfect_matching(system) == expected
+        assert solvers._has_state_perfect_matching(condense(system)) == expected
         verdicts.append(expected)
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
 
@@ -910,6 +921,15 @@ def test_greedy_infeasible_when_sink_unsensed():
     assert "sensed by no admissible output" in solution.reason
 
 
+def test_greedy_infeasible_when_the_input_misses_the_source():
+    # u1 actuates only the sink x2, so covering the sink leaves x1 uncovered.
+    solution = greedy_single_input(*sink_only_input_system())
+    assert not solution.feasible
+    assert "does not close the loop" in solution.reason
+    assert "uncovered states: [1]" in solution.reason
+    assert solution.certificates["cover_outputs"] == [1]
+
+
 def test_greedy_set_cover_cross_multiplication_ties():
     instance = SetCoverInstance(
         universe_size=4,
@@ -1042,9 +1062,9 @@ def test_oracle_certifies_coverage_when_no_pattern_spans_cycles(monkeypatch):
     has_cycle_family = solvers._has_cycle_family
     matching_checks = []
 
-    def counted(index, links):
-        matching_checks.append(list(links))
-        return has_cycle_family(index, links)
+    def counted(rows):
+        matching_checks.append(rows)
+        return has_cycle_family(rows)
 
     monkeypatch.setattr(solvers, "_has_cycle_family", counted)
     solution = exact_oracle(system, costs)
@@ -1055,7 +1075,24 @@ def test_oracle_certifies_coverage_when_no_pattern_spans_cycles(monkeypatch):
     assert solution.certificates["condition_a_cost"] == coverage[0]
     assert solution.certificates["condition_a_pattern"] == coverage[1]
     # One check without links and one with all of them; no per-pattern scan.
-    assert matching_checks == [[], costs.finite_links()]
+    index = ClosedLoopIndex(system)
+    assert matching_checks == [index.loop_rows(), index.loop_rows(costs.finite_links())]
+
+
+def test_oracle_tests_coverage_with_the_kernel_alone(monkeypatch):
+    # The full link set's coverage test too: Tarjan runs in no oracle call,
+    # whether the instance is feasible, fails cycle spanning or fails coverage.
+    def no_tarjan(succ):
+        raise AssertionError("the oracle ran Tarjan")
+
+    instances = [
+        section5_system(),
+        random_line_system(5, scc_count=3, perfect_matching=False),
+        sink_only_input_system(),
+    ]
+    monkeypatch.setattr(sfm, "scc_ids", no_tarjan)
+    monkeypatch.setattr(graphs, "scc_ids", no_tarjan)
+    assert [exact_oracle(*instance).feasible for instance in instances] == [True, True, False]
 
 
 def _assert_each_subset_once_cheapest_first(link_costs):
@@ -1270,7 +1307,7 @@ def test_oracle_both_answers_equal_naive_enumeration(instance):
 
 def test_oracle_enumerates_once_without_state_matching(monkeypatch):
     system, costs = random_line_system(5, scc_count=3, perfect_matching=False)
-    assert not solvers._has_state_perfect_matching(system)
+    assert not solvers._has_state_perfect_matching(condense(system))
     subsets_by_cost = solvers._subsets_by_cost
     calls = []
 
