@@ -1,15 +1,15 @@
 """Graph machinery: the closed-loop index, SCC condensation, bipartite matchings.
 
-``ClosedLoopIndex`` numbers states, inputs and outputs as vertices, and
-``sfm.CoverageKernel`` (inputs n + k, outputs n + m + j - 1, state bits
-``2 << v``) and ``solvers.min_cost_condition_b`` (outputs from n + m) compute
-those ids too. ``scc_ids`` is the one SCC routine: a Tarjan pass that numbers
-the components in the order it emits them, which is reverse topological,
-and ``condense`` orders the SCC DAG from those ids. A bipartite graph is
-only a list of adjacency rows: row l holds the right vertices joined to left
-vertex l (the closed loop's ``loop_rows`` serve as is); the min-cost matcher
-takes them 0-based and sorted, with per-row costs (None for all-0 rows).
-``state_bipartite`` is kept for the benchmark: the states' ``adjacency``.
+``ClosedLoopIndex`` numbers states, inputs and outputs as vertices 1..n,
+n+1..n+m and n+m+1..n+m+p, and every closed-loop id in ``sfm`` and
+``solvers`` is one of these; row 0 of the closed-loop rows is unused.
+``scc_ids`` is the one SCC routine: a Tarjan pass that numbers the
+components in the order it emits them, which is reverse topological, and
+``condense`` orders the SCC DAG from those ids. A bipartite graph is only a
+list of adjacency rows: row l holds the right vertices joined to left
+vertex l (the closed loop's ``loop_rows`` serve as is); the min-cost
+matcher takes them sorted, with per-row costs (None for all-0 rows). Only
+the benchmark's ``state_bipartite`` shim shifts ids down to 0-based rows.
 """
 
 from __future__ import annotations
@@ -31,32 +31,20 @@ VertexEdge = tuple[int, int]
 # the closed-loop graph
 
 
-def _overlay(base: list[list[int]], edges: Iterable[VertexEdge]) -> list[list[int]]:
-    """``base`` plus ``edges``; only the rows that gain an edge are copied."""
-    rows = list(base)
-    for tail, head in edges:
-        if rows[tail] is base[tail]:
-            rows[tail] = base[tail] + [head]
-        else:
-            rows[tail].append(head)
-    return rows
-
-
 @dataclass(frozen=True, eq=False)
 class ClosedLoopIndex:
     """The closed-loop graph of one system, with feedback links laid over it.
 
     Digraph vertex ids: states x_1..x_n are 1..n, inputs u_1..u_m are
     n+1..n+m and outputs y_1..y_p are n+m+1..n+m+p (entry 0 of the rows is
-    unused); a feedback link (i, j) adds the edge y_j -> u_i. ``loop_rows``,
-    the sorted successor rows, lead each input and output row with the
-    vertex itself: a self-loop merges no SCCs and adds nothing to
-    reachability, and as bipartite rows v - w, one per edge v -> w, they
-    match perfectly iff disjoint cycles span the states. ``adjacency``,
-    their 0-based transpose, is read by the cycle stage, ``CoverageKernel``
-    (as predecessor rows) and ``state_bipartite``. Rows are built on first
-    use and kept; a pattern's lists copy only the rows its links change and
-    share the others, so callers must not mutate them.
+    unused); a feedback link (i, j) adds the edge y_j -> u_i. ``loop_rows``
+    are the sorted predecessor rows, each input and output row ending in
+    the vertex itself: a self-loop merges no SCCs and adds nothing to
+    reachability, and as bipartite rows v' - w, one per edge w -> v, they
+    match perfectly iff disjoint cycles span the states. Tarjan finds the
+    same SCCs on them as on successor rows. Rows are built on first use and
+    kept; a pattern's list copies only the rows its links change and shares
+    the others, so callers must not mutate them.
     """
 
     system: StructuredSystem
@@ -103,43 +91,28 @@ class ClosedLoopIndex:
         s, n = self.system, self.system.n
         rows: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
         for i, j in s.a_edges:
-            rows[j].append(i)
+            rows[i].append(j)
         for i, j in s.b_edges:
-            rows[n + j].append(i)
+            rows[i].append(n + j)
         outputs = n + s.m
         for i, j in s.c_edges:
-            rows[j].append(outputs + i)
+            rows[outputs + i].append(j)
         for row in rows:
             row.sort()
         for v in range(n + 1, len(rows)):
-            rows[v].insert(0, v)
+            rows[v].append(v)
         return rows
 
-    @cached_property
-    def _adjacency(self) -> list[list[int]]:
-        s, n = self.system, self.system.n
-        adj: list[list[int]] = [[] for _ in range(self.vertex_count)]
-        for i, j in s.a_edges:
-            adj[i - 1].append(j - 1)
-        inputs = n - 1
-        for i, j in s.b_edges:
-            adj[i - 1].append(inputs + j)
-        outputs = n + s.m - 1
-        for i, j in s.c_edges:
-            adj[outputs + i].append(j - 1)
-        for v in range(n, self.vertex_count):
-            adj[v].append(v)
-        for row in adj:
-            row.sort()
-        return adj
-
     def loop_rows(self, links: Iterable[Edge] = ()) -> list[list[int]]:
-        """Sorted successor rows, input and output rows led by the vertex, plus ``links``' edges."""
-        return _overlay(self._loop_rows, self.feedback_edges(links))
-
-    def adjacency(self, links: Iterable[Edge] = ()) -> list[list[int]]:
-        """Left adjacency of the closed-loop bipartite graph, plus u'_i - y_j per link."""
-        return _overlay(self._adjacency, [(u - 1, y - 1) for y, u in self.feedback_edges(links)])
+        """The base rows plus y_j in row u_i per link (i, j); rows gaining a link are copied."""
+        base = self._loop_rows
+        rows = list(base)
+        for y, u in self.feedback_edges(links):
+            if rows[u] is base[u]:
+                rows[u] = base[u] + [y]
+            else:
+                rows[u].append(y)
+        return rows
 
 
 def scc_ids(succ: Sequence[Sequence[int]]) -> tuple[list[int], int]:
@@ -206,12 +179,20 @@ class Condensation:
     of the k-th SCC; output_incidence[k-1] the outputs sensing it. Instead
     of ``sccs``, built on first read, ``condense`` passes ``scc_index`` (the
     1-based SCC per state) and ``state_rows``, the rows it ran Tarjan on.
+    Given ``sccs``, the incidence lengths and DAG edges are checked.
     """
 
     def __init__(self, sccs=None, dag_edges=frozenset(), input_incidence=(), output_incidence=(),
                  *, scc_index: Sequence[int] = (), state_rows: Optional[list[list[int]]] = None):
         if sccs is not None:
             self.sccs = sccs
+            ell = len(sccs)
+            for name, sets in (("input", input_incidence), ("output", output_incidence)):
+                if len(sets) != ell:
+                    raise DimensionError(f"{name}_incidence has {len(sets)} entries for {ell} SCCs")
+            bad = sorted(e for e in dag_edges if not 1 <= e[0] < e[1] <= ell)
+            if bad:
+                raise DimensionError(f"DAG edge {bad[0]} is not 1 <= source < target <= {ell}")
         self.scc_count = len(input_incidence if sccs is None else sccs)
         self.dag_edges, self.scc_index, self.state_rows = dag_edges, scc_index, state_rows
         self.input_incidence, self.output_incidence = input_incidence, output_incidence
@@ -325,8 +306,8 @@ def missing_path_links(condensation: Condensation) -> list[tuple[int, int]]:
 # Kept for the benchmark's instance builder, which counts matching deficiency with it.
 def state_bipartite(system: StructuredSystem) -> SimpleNamespace:
     """``.adjacency``: the sorted 0-based rows x'_i - x_j, one per a_edge (i, j)."""
-    states_only = StructuredSystem(system.n, 0, 0, system.a_edges)
-    return SimpleNamespace(adjacency=ClosedLoopIndex(states_only).adjacency())
+    rows = ClosedLoopIndex(StructuredSystem(system.n, 0, 0, system.a_edges)).loop_rows()
+    return SimpleNamespace(adjacency=[[j - 1 for j in row] for row in rows[1:]])
 
 
 def hopcroft_karp(

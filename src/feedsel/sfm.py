@@ -48,7 +48,7 @@ class SfmVerdict:
 def _uncovered_states(
     index: ClosedLoopIndex, links: Sequence[Edge], rows: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
-    """States whose SCC on the closed-loop successor ``rows`` of ``links`` holds no link's edge."""
+    """States whose SCC on the closed-loop ``rows`` of ``links`` holds no link's edge."""
     ids, _ = scc_ids(rows)
     # A feedback edge is inside an SCC exactly when its endpoints share one.
     covered = {ids[u] for y, u in index.feedback_edges(links) if ids[y] == ids[u]}
@@ -92,34 +92,38 @@ class CoverageKernel:
     y_j -> u_i after it: u_k ~> s and s ~> y_j are open-loop paths, so s
     is in SR[k] and SQ[j], and u_i ~> u_k ~> s ~> y_j -> u_i puts k and i
     in one SCC of the input graph. Conversely those memberships close
-    that walk. SQ is searched on the index's ``adjacency``, the 0-based
-    predecessor rows, where x_s is vertex s - 1 (bit ``2 << v``). Building
-    the tables costs O((m + p) * (n + E)); each call then costs O(|L| +
-    m^2) big-int operations and O(n) to list the states, against a Tarjan
-    run on the whole closed loop, so the kernel pays only across many
-    patterns.
+    that walk. One reverse search per output on the index's ``loop_rows``
+    fills SQ and ``inputs_to``; SR comes from forward searches on their
+    transpose. Building the tables costs O((m + p) * (n + E)); each call
+    then costs O(|L| + m^2) big-int operations and O(n) to list the states,
+    against a Tarjan run on the whole closed loop, so the kernel pays only
+    across many patterns.
     """
 
     def __init__(self, index: ClosedLoopIndex) -> None:
         s = index.system
         n, m = s.n, s.m
-        succ, pred = index.loop_rows(), index.adjacency()
+        pred = index.loop_rows()
         self.n = n
-        self.SR = [0] * (m + 1)
+        self.SQ = [0] * (s.p + 1)
         # OR stored transposed: bit k of inputs_to[j] is set when y_j is in
         # OR[k], so a link (i, j) adds the input-graph edges inputs_to[j] -> i.
         self.inputs_to = [0] * (s.p + 1)
+        for j in range(1, s.p + 1):
+            for v in _reachable(pred, n + m + j):
+                if v <= n:
+                    self.SQ[j] |= 1 << v
+                elif v <= n + m:
+                    self.inputs_to[j] |= 1 << (v - n)
+        succ: list[list[int]] = [[] for _ in pred]
+        for v, row in enumerate(pred):
+            for w in row:
+                succ[w].append(v)
+        self.SR = [0] * (m + 1)
         for k in range(1, m + 1):
             for v in _reachable(succ, n + k):
                 if v <= n:
                     self.SR[k] |= 1 << v
-                elif v > n + m:
-                    self.inputs_to[v - n - m] |= 1 << k
-        self.SQ = [0] * (s.p + 1)
-        for j in range(1, s.p + 1):
-            for v in _reachable(pred, n + m + j - 1):
-                if v < n:
-                    self.SQ[j] |= 2 << v
 
     def uncovered_states(self, links: Sequence[Edge]) -> tuple[int, ...]:
         """States whose closed-loop SCC holds no feedback edge of ``links``."""
@@ -147,7 +151,10 @@ class CoverageKernel:
 
 
 def _has_cycle_family(rows: Sequence[Sequence[int]]) -> bool:
-    """True when the bipartite ``rows`` (row 0 unused) match perfectly: disjoint cycles span them."""
+    """True when the bipartite ``rows`` (row 0 empty) match perfectly: disjoint cycles span them.
+
+    Predecessor rows (``loop_rows``) and successor rows (a condensation's
+    ``state_rows``) serve alike, since a graph and its transpose match the same number."""
     return hopcroft_karp(rows, len(rows))[0] == len(rows) - 1
 
 

@@ -36,7 +36,7 @@ Deterministic tie-breaking throughout: the chain DP's stage argmins
 prefer the smaller total, then the smaller first-actuated stage, then the
 smaller input, then the cheaper link, then the smaller output; the oracle
 ranks patterns by ``cost_of`` and resolves equal-cost optima by
-lexicographic pattern comparison; the cycle-stage matching scans adjacency
+lexicographic pattern comparison; the cycle-stage matching scans its rows
 in sorted order and breaks heap ties by vertex index.
 """
 
@@ -289,24 +289,25 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
     every admissible link. A link adds u'_i - y_j to input row u'_i, whose
     base is u'_i - u_i alone, so each such row is built from cost row i:
     u_i, then each admissible y_j in order, costed 0 and then the links'
-    costs. Other rows are the index's own, at cost 0. The pattern is read
-    off the input rows matched to outputs in a minimum-cost perfect
-    matching. With a state perfect matching the warm start is already
-    perfect and no shortest path runs; the certificates count the
-    shortest paths as ``augmentations``.
+    costs. Other rows are the index's ``loop_rows``, at cost 0, with the
+    unused vertex 0 matched to itself. The pattern is read off the input
+    rows matched to outputs in a minimum-cost perfect matching. With a
+    state perfect matching the warm start is already perfect and no
+    shortest path runs; the certificates count the shortest paths as
+    ``augmentations``.
     """
     costs.require_matches(system)
     n, m = system.n, system.m
     index = ClosedLoopIndex(system)
-    adjacency, weights = index.adjacency(), [None] * index.vertex_count
-    outputs = n + m  # the vertex of y_1, 0-based
-    for u, row in enumerate(costs.rows, start=n):
-        admissible = [j for j, c in enumerate(row) if c != INF]
+    rows, weights = index.loop_rows(), [None] * (index.vertex_count + 1)
+    rows[0] = [0]
+    for i, row in enumerate(costs.rows, start=1):
+        admissible = [j for j, c in enumerate(row, start=1) if c != INF]
         if admissible:
-            adjacency[u] = [u] + [outputs + j for j in admissible]
-            weights[u] = [0] + [row[j] for j in admissible]
+            rows[n + i] = [n + i] + [n + m + j for j in admissible]
+            weights[n + i] = [0] + [row[j - 1] for j in admissible]
     stats: dict = {}
-    result = min_cost_perfect_matching(adjacency, weights, stats)
+    result = min_cost_perfect_matching(rows, weights, stats)
     if result is None:
         return _infeasible(
             "matching",
@@ -315,8 +316,8 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
             {"augmentations": stats["augmentations"]},
         )
     match_left, total = result
-    matched = enumerate(match_left[n:outputs], start=1)
-    pattern = FeedbackPattern(frozenset((i, r - outputs + 1) for i, r in matched if r >= outputs))
+    matched = enumerate(match_left[n + 1 : n + m + 1], start=1)
+    pattern = FeedbackPattern(frozenset((i, r - n - m) for i, r in matched if r > n + m))
     cost = cost_of(pattern, costs)
     if cost != total:
         raise AssertionError(f"matching cost {total} != pattern cost {cost}")
@@ -326,7 +327,7 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
         cost=cost,
         method="matching",
         certificates={
-            "matching": sorted(zip(primed, map(index.labels[1:].__getitem__, match_left))),
+            "matching": sorted(zip(primed, map(index.labels.__getitem__, match_left[1:]))),
             "matching_cost": total,
             "augmentations": stats["augmentations"],
         },

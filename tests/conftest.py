@@ -835,17 +835,18 @@ def reference_condition_b_rows(system: StructuredSystem, costs: CostMatrix):
     """The cycle stage's matcher rows as it built them by overlaying link tuples.
 
     Every admissible link (i, j) becomes the bipartite edge u'_i - y_j,
-    laid over the index's base rows; a row that gains links is costed 0
+    laid over the index's ``loop_rows``; a row that gains links is costed 0
     per base edge, then each link's cost, and every other row keeps None.
+    The unused row 0 is [0], matched to itself at no cost.
     """
     index = ClosedLoopIndex(system)
     links = costs.finite_links()
-    edges = [(system.n + i - 1, system.n + system.m + j - 1) for i, j in links]
-    adjacency, base = index.adjacency(links), index.adjacency()
-    weights = [None if row is kept else [0] * len(kept) for row, kept in zip(adjacency, base)]
-    for (l, _), (i, j) in zip(edges, links):
-        weights[l].append(costs.rows[i - 1][j - 1])
-    return adjacency, weights
+    rows, base = index.loop_rows(links), index.loop_rows()
+    weights = [None if row is kept else [0] * len(kept) for row, kept in zip(rows, base)]
+    for i, j in links:
+        weights[system.n + i].append(costs.rows[i - 1][j - 1])
+    rows[0] = [0]
+    return rows, weights
 
 
 def reference_min_cost_perfect_matching(rows, stats=None) -> tuple[list[int], float] | None:

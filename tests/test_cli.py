@@ -1093,7 +1093,7 @@ def test_bench_size_outputs_match_golden_digest(tmp_path):
     assert hashlib.sha256(repr(records).encode()).hexdigest() == BENCH_SIZE_DIGEST
 
 
-def test_only_the_cycle_stage_builds_the_transposed_closed_loop_rows(capsys, monkeypatch, tmp_path):
+def test_closed_loop_commands_build_one_loop_row_list_and_solve_dp_none(capsys, monkeypatch, tmp_path):
     from feedsel.graphs import ClosedLoopIndex
 
     path = tmp_path / "nopm.json"
@@ -1101,18 +1101,18 @@ def test_only_the_cycle_stage_builds_the_transposed_closed_loop_rows(capsys, mon
         7, scc_count=4, scc_size_range=(2, 2), n_inputs=3, n_outputs=3, perfect_matching=False,
     )))
     calls = []
-    for name in ("adjacency", "loop_rows"):
-        original = getattr(ClosedLoopIndex, name)
+    original = ClosedLoopIndex.loop_rows
 
-        def spy(self, links=(), _name=name, _original=original):
-            calls.append(_name)
-            return _original(self, links)
+    def spy(self, links=()):
+        calls.append("loop_rows")
+        return original(self, links)
 
-        monkeypatch.setattr(ClosedLoopIndex, name, spy)
+    monkeypatch.setattr(ClosedLoopIndex, "loop_rows", spy)
     code, out, _ = invoke(capsys, "solve-dp", str(path), "--format", "structured")
     assert json.loads(out)["method"] == "dp-condition-a" and calls == []
     code, out, _ = invoke(capsys, "solve-two-stage", str(path), "--format", "structured")
-    assert code == 0 and "adjacency" in calls
+    # The cycle stage matches on one row list, with its input rows rebuilt from the costs.
+    assert code == 0 and calls == ["loop_rows"]
     links = ",".join(f"{i}:{j}" for i, j in json.loads(out)["links"])
     calls.clear()
     code, _, _ = invoke(capsys, "check-sfm", str(path), "--feedback", links)

@@ -15,6 +15,7 @@ from feedsel import (
     FeedbackPattern,
     StructuredSystem,
     condense,
+    dp_cover,
     reduce_set_cover,
 )
 from feedsel import graphs
@@ -60,7 +61,7 @@ def test_state_digraph_single_entry():
     system = StructuredSystem(n=2, m=0, p=0, a_edges=frozenset({(1, 2)}))
     index = ClosedLoopIndex(system)
     assert list(index.edges()) == [(2, 1)]  # x2 -> x1
-    assert index.loop_rows() == [[], [], [1]]
+    assert index.loop_rows() == [[], [2], []]  # x1's row holds its predecessor x2
 
 
 def test_state_digraph_empty():
@@ -82,7 +83,7 @@ def test_closed_loop_digraph_adds_feedback_edge():
     index = ClosedLoopIndex(system)
     # y1 is vertex 6+1+1 = 8, u1 is vertex 7
     assert index.feedback_edges([(1, 1)]) == [(8, 7)]
-    assert index.loop_rows([(1, 1)])[8] == [8, 7]  # led by y1's self-loop
+    assert index.loop_rows([(1, 1)])[7] == [7, 8]  # u1's self-loop, then y1 fed back
     assert index.labels[8] == "y1" and index.labels[7] == "u1"
 
 
@@ -93,8 +94,11 @@ def test_closed_loop_digraph_empty_pattern_has_no_feedback():
     edges = list(index.edges())
     assert len([e for e in edges if index.labels[e[0]][0] == "u"]) == 1
     assert len([e for e in edges if index.labels[e[1]][0] == "y"]) == 7
+    rows = index.loop_rows()
+    inputs = range(system.n + 1, system.n + system.m + 1)
+    assert all(rows[u] == [u] for u in inputs)
     outputs = range(system.n + system.m + 1, index.vertex_count + 1)
-    assert all(index.loop_rows()[y] == [y] for y in outputs)
+    assert all(rows[y][-1] == y and len(rows[y]) > 1 for y in outputs)
 
 
 def test_closed_loop_digraph_rejects_out_of_range_link():
@@ -108,20 +112,16 @@ def test_closed_loop_digraph_rejects_out_of_range_link():
 def test_overlay_copies_only_the_rows_its_links_change(section5):
     system, _ = section5
     index = ClosedLoopIndex(system)
-    base_succ, base_adj = index.loop_rows(), index.adjacency()
-    snapshot = ([list(row) for row in base_succ], [list(row) for row in base_adj])
-    links = [(2, 3), (1, 1), (4, 3)]
-    succ, adj = index.loop_rows(links), index.adjacency(links)
+    base = index.loop_rows()
+    snapshot = [list(row) for row in base]
+    links = [(2, 3), (1, 1), (4, 3), (2, 1)]
+    rows = index.loop_rows(links)
     y1, y3 = system.n + system.m + 1, system.n + system.m + 3
     u1, u2, u4 = system.n + 1, system.n + 2, system.n + 4
-    assert succ[y3] == [y3, u2, u4] and succ[y1] == [y1, u1]
-    assert adj[u2 - 1] == [u2 - 1, y3 - 1] and adj[u4 - 1] == [u4 - 1, y3 - 1]
-    changed_succ, changed_adj = {y1, y3}, {u1 - 1, u2 - 1, u4 - 1}
-    for v, row in enumerate(succ):
-        assert (row is base_succ[v]) == (v not in changed_succ)
-    for v, row in enumerate(adj):
-        assert (row is base_adj[v]) == (v not in changed_adj)
-    assert ([list(row) for row in index.loop_rows()], [list(row) for row in index.adjacency()]) == snapshot
+    assert rows[u2] == [u2, y3, y1] and rows[u4] == [u4, y3] and rows[u1] == [u1, y1]
+    for v, row in enumerate(rows):
+        assert (row is base[v]) == (v not in {u1, u2, u4})
+    assert [list(row) for row in index.loop_rows()] == snapshot
 
 
 def _reaches(succ, start, goal):
@@ -140,27 +140,32 @@ def _reaches(succ, start, goal):
 
 def test_closed_loop_digraph_reference_cycle(section5):
     system, _ = section5
-    succ = ClosedLoopIndex(system).loop_rows([(2, 3)])
+    rows = ClosedLoopIndex(system).loop_rows([(2, 3)])
     u2 = system.n + 2
     y3 = system.n + system.m + 3
-    assert _reaches(succ, u2, y3) and _reaches(succ, y3, u2)
+    assert _reaches(rows, u2, y3) and _reaches(rows, y3, u2)
 
 
-def _self_led(system, rows):
-    """``rows`` with each input and output row led by the vertex itself."""
-    return [row if v <= system.n else [v] + row for v, row in enumerate(rows)]
+def _self_closed(system, rows):
+    """``rows`` with the vertex itself appended to each input and output row."""
+    return [row if v <= system.n else row + [v] for v, row in enumerate(rows)]
 
 
-def _lists_from_edges(index):
-    """The base loop rows and adjacency lists built from ``index.edges()``, sorted row by row."""
+def _predecessors(succ):
+    """Successor rows turned into predecessor rows, in tail order."""
+    pred = [[] for _ in succ]
+    for tail, heads in enumerate(succ):
+        for head in heads:
+            pred[head].append(tail)
+    return pred
+
+
+def _rows_from_edges(index):
+    """The base loop rows built from ``index.edges()``, sorted row by row."""
     succ = [[] for _ in range(index.vertex_count + 1)]
-    adj = [[] for _ in range(index.vertex_count)]
     for tail, head in index.edges():
         succ[tail].append(head)
-        adj[head - 1].append(tail - 1)
-    for v in range(index.system.n, index.vertex_count):
-        adj[v].append(v)
-    return _self_led(index.system, [sorted(row) for row in succ]), [sorted(row) for row in adj]
+    return _self_closed(index.system, [sorted(row) for row in _predecessors(succ)])
 
 
 def _generated_systems():
@@ -173,15 +178,17 @@ def _generated_systems():
         )
 
 
-def test_successor_lists_agree_with_fast_builder():
+def test_loop_rows_equal_the_edge_built_reference():
     for system, costs in _generated_systems():
         index = ClosedLoopIndex(system)
         # Built from the edge fields directly, sorted row by row.
-        assert (index.loop_rows(), index.adjacency()) == _lists_from_edges(index)
+        assert index.loop_rows() == _rows_from_edges(index)
         pattern = FeedbackPattern(frozenset(costs.finite_links()[::2]))
         fast = index.loop_rows(pattern.links)
-        slow = _self_led(system, reference_successors(system, pattern))
-        assert all(fast[v][0] == v for v in range(system.n + 1, index.vertex_count + 1))
+        slow = _self_closed(system, _predecessors(reference_successors(system, pattern)))
+        inputs = range(system.n + 1, system.n + system.m + 1)
+        outputs = range(system.n + system.m + 1, index.vertex_count + 1)
+        assert all(fast[u][0] == u for u in inputs) and all(fast[y][-1] == y for y in outputs)
         assert [sorted(row) for row in fast] == [sorted(row) for row in slow]
 
 
@@ -445,6 +452,29 @@ def _chain_condensation(ell, extra=()):
     )
 
 
+def test_hand_built_condensation_rejects_inconsistent_fields():
+    f = frozenset
+    three = (f({1}), f({2}), f({3}))
+    edges = f({(1, 2), (2, 3)})
+    with pytest.raises(DimensionError, match=re.escape("input_incidence has 4 entries for 3 SCCs")):
+        Condensation(sccs=three, dag_edges=edges, input_incidence=(f({1}),) * 4,
+                     output_incidence=(f({1}),) * 3)
+    with pytest.raises(DimensionError, match=re.escape("output_incidence has 2 entries for 3 SCCs")):
+        Condensation(sccs=three, dag_edges=edges, input_incidence=(f({1}),) * 3,
+                     output_incidence=(f({1}),) * 2)
+    for edge in [(2, 5), (0, 1), (2, 1), (2, 2)]:
+        with pytest.raises(DimensionError, match=re.escape(f"DAG edge {edge} is not 1 <= source < target <= 3")):
+            Condensation(sccs=three, dag_edges=edges | {edge}, input_incidence=(f(),) * 3,
+                         output_incidence=(f(),) * 3)
+    # A chain whose incidence runs past its SCCs no longer reaches the DP.
+    with pytest.raises(DimensionError, match="input_incidence has 4 entries"):
+        dp_cover(Condensation(sccs=three, dag_edges=edges, input_incidence=(f({1}),) * 4,
+                              output_incidence=(f({1}),) * 4), CostMatrix.from_rows([[5]]))
+    consistent = Condensation(sccs=three, dag_edges=edges, input_incidence=(f({1}),) * 3,
+                              output_incidence=(f({1}),) * 3)
+    assert consistent.scc_count == 3 and dp_cover(consistent, CostMatrix.from_rows([[5]])).cost == 5
+
+
 def test_is_line_dag_reference(section5):
     system, _ = section5
     cond = condense(system)
@@ -513,14 +543,14 @@ def test_closed_loop_bipartite_pads_with_identity_edges():
         c_edges=frozenset({(1, 2)}),
     )
     index = ClosedLoopIndex(system)
-    assert hopcroft_karp(index.adjacency(), index.vertex_count)[0] == 4
+    assert hopcroft_karp(index.loop_rows(), index.vertex_count + 1)[0] == 4
 
 
 def test_closed_loop_bipartite_reference_full_pattern(section5):
     system, _ = section5
     full = FeedbackPattern(frozenset((i, j) for i in range(1, 5) for j in range(1, 4)))
     index = ClosedLoopIndex(system)
-    size, _, _ = hopcroft_karp(index.adjacency(full.sorted_links()), index.vertex_count)
+    size, _, _ = hopcroft_karp(index.loop_rows(full.sorted_links()), index.vertex_count + 1)
     assert size == system.n + system.m + system.p
 
 
@@ -595,11 +625,11 @@ def test_greedy_first_phase_matches_like_the_bfs_and_dfs_phase_on_closed_loops()
         index = ClosedLoopIndex(system)
         links = costs.finite_links()
         for chosen in (links, links[::2], links[1::3], []):
-            adjacency = index.adjacency(chosen)
-            expected = reference_hopcroft_karp(adjacency, index.vertex_count)
-            assert hopcroft_karp(adjacency, index.vertex_count) == expected
-            assert reference_greedy_start_hopcroft_karp(adjacency, index.vertex_count) == expected
-            augmented += expected[0] > _greedy_matching_size(adjacency, index.vertex_count)
+            rows = index.loop_rows(chosen)
+            expected = reference_hopcroft_karp(rows, len(rows))
+            assert hopcroft_karp(rows, len(rows)) == expected
+            assert reference_greedy_start_hopcroft_karp(rows, len(rows)) == expected
+            augmented += expected[0] > _greedy_matching_size(rows, len(rows))
     assert augmented  # some graphs need BFS and DFS phases after the greedy pass
 
 
@@ -616,7 +646,7 @@ def test_hopcroft_karp_equals_its_greedy_start_reference_on_sorted_rows(n_right,
 
 def test_carried_free_rows_match_the_greedy_start_reference_over_several_phases(monkeypatch):
     """On 60-SCC line systems without a state perfect matching the greedy pass leaves 11-21
-    rows free and two or three augmenting phases follow, each starting from the rows the
+    loop rows free and two to four augmenting phases follow, each starting from the rows the
     last one left free. Every phase builds one BFS queue, which counts the phases."""
     phases = []
 
@@ -632,7 +662,7 @@ def test_carried_free_rows_match_the_greedy_start_reference_over_several_phases(
         )
         index = ClosedLoopIndex(system)
         links = costs.finite_links()
-        for rows in (index.loop_rows(links), index.loop_rows(links[::2]), index.adjacency()):
+        for rows in (index.loop_rows(links), index.loop_rows(links[::2]), index.loop_rows()):
             phases.append(0)
             with monkeypatch.context() as patch:
                 patch.setattr(graphs, "deque", CountingDeque)

@@ -222,6 +222,45 @@ def test_coverage_kernel_agrees_with_closed_loop_sccs(family, seed, subsets):
         assert kernel.uncovered_states(links) == _uncovered_states(index, links, index.loop_rows(links))
 
 
+def _open_loop_reach(system: StructuredSystem) -> list[set[int]]:
+    """Per vertex, the vertices it reaches by DFS on the link-free ``reference_successors``."""
+    succ = reference_successors(system, FeedbackPattern())
+    reach = []
+    for source in range(len(succ)):
+        seen, stack = {source}, [source]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        reach.append(seen)
+    return reach
+
+
+def test_coverage_kernel_tables_equal_the_edge_built_reference():
+    families = ["random", "line_pm", "line_nopm", "set_cover", "input_ring", "no_inputs", "no_outputs"]
+    seen = set()
+    for family in families:
+        for seed in range(40):
+            system = _kernel_system(family, seed)
+            n, m, p = system.n, system.m, system.p
+            reach = _open_loop_reach(system)
+            kernel = CoverageKernel(ClosedLoopIndex(system))
+            states = range(1, n + 1)
+            assert kernel.SR == [0] + [
+                sum(1 << s for s in states if s in reach[n + k]) for k in range(1, m + 1)
+            ]
+            assert kernel.SQ == [0] + [
+                sum(1 << s for s in states if n + m + j in reach[s]) for j in range(1, p + 1)
+            ]
+            assert kernel.inputs_to == [0] + [
+                sum(1 << k for k in range(1, m + 1) if n + m + j in reach[n + k])
+                for j in range(1, p + 1)
+            ]
+            seen |= {family} if any(kernel.SR) and any(kernel.SQ) and any(kernel.inputs_to) else set()
+    assert seen == set(families) - {"no_inputs", "no_outputs"}
+
+
 @settings(max_examples=300, deadline=None)
 @example(seed=0, n=3, m=0, p=2, bits=0)
 @example(seed=1, n=3, m=2, p=0, bits=0)
@@ -241,13 +280,16 @@ def test_cycle_family_on_the_shared_loop_rows_agrees_with_references(seed, n, m,
     index = ClosedLoopIndex(system)
     rows = index.loop_rows(links)
     found = _has_cycle_family(rows)
+    # Checked against the other orientation: successor rows built edge by edge, with a
+    # self-loop on each input and output; row 0 stays empty and unmatched.
+    plain = reference_successors(system, FeedbackPattern(frozenset(links)))
+    self_looped = [row + [v] if v > n else row for v, row in enumerate(plain)]
     size = index.vertex_count
-    assert found == (reference_hopcroft_karp(index.adjacency(links), size)[0] == size)
+    assert found == (reference_hopcroft_karp(self_looped, size + 1)[0] == size)
     if n + m + p <= 10:
         assert found == spanning_cycle_family_exists(system, FeedbackPattern(frozenset(links)))
-    # The self-loops leading the input and output rows leave condition (a) as it was:
+    # The self-loops ending the input and output rows leave condition (a) as it was:
     # the loop rows give the same verdict as rows without self-loops, built edge by edge.
-    plain = reference_successors(system, FeedbackPattern(frozenset(links)))
     assert _uncovered_states(index, links, rows) == _uncovered_states(index, links, plain)
     assert check_no_sfm(system, FeedbackPattern(frozenset(links))).condition_b_ok == found
 
