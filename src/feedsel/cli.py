@@ -3,8 +3,7 @@
 Subcommands: check-sfm, solve-dp, solve-two-stage, solve-greedy,
 solve-exact, gen-setcover, gen-line, export-dot. Exit codes: 0 for a
 feasible solve or passing check, 1 for an infeasible outcome, 2 for usage,
-input or precondition errors; for a ``dp-condition-a`` solve, ``feasible``
-and exit 0 cover coverage only. ``--format structured`` emits JSON reports
+input or precondition errors. ``--format structured`` emits JSON reports
 for machine consumption, each exactly ``json.dumps(fields, indent=2)`` of
 its fields; generators require an explicit ``--seed``.
 """

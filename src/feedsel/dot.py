@@ -17,7 +17,8 @@ def system_to_dot(system: StructuredSystem, pattern: FeedbackPattern) -> str:
     """The closed-loop digraph of ``system`` with the feedback edges of ``pattern``."""
     index = ClosedLoopIndex(system)
     feedback = index.feedback_edges(index.check_links(pattern.links))
-    label = index.labels
+    kinds = (("x", system.n), ("u", system.m), ("y", system.p))  # in id order, from id 1
+    label = ["", *(f"{kind}{k}" for kind, count in kinds for k in range(1, count + 1))]
     lines = ["digraph system {", "  rankdir=LR;"]
     lines += [f"  {v} [shape={SHAPES[v[0]]}];" for v in label[1:]]
     lines += [f"  {label[tail]} -> {label[head]};" for tail, head in sorted(index.edges())]

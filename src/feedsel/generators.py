@@ -36,7 +36,7 @@ def _rng(seed) -> random.Random:
 
 
 def _require_size(n: int, m: int, p: int) -> None:
-    """Refuse arguments whose largest system, or its cost matrix, ``parse_system`` would refuse."""
+    """Refuse n + m + p above ``parse_system``'s cap, or m * p above it, a cap of the generators alone."""
     if max(n + m + p, m * p) > MAX_SYSTEM_VERTICES:
         raise ValueError(
             f"instance too large: n + m + p up to {n + m + p} and {m * p} cost "
@@ -105,8 +105,8 @@ def random_line_system(
     under the full pattern, and costs are integers in ``cost_range``.
 
     Raises ``ValueError`` before drawing anything when the largest system
-    the arguments allow, or its cost matrix, would exceed
-    ``fileio.MAX_SYSTEM_VERTICES``, the cap that ``parse_system`` enforces.
+    the arguments allow has n + m + p (which ``parse_system`` caps) or m * p
+    (which only the generators cap) above ``fileio.MAX_SYSTEM_VERTICES``.
     """
     rng = _rng(seed)
     if scc_count < 1 or n_inputs < 1 or n_outputs < 1:

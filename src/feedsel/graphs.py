@@ -8,7 +8,9 @@ components in the order it emits them, which is reverse topological, and
 ``condense`` orders the SCC DAG from those ids. A bipartite graph is only a
 list of adjacency rows: row l holds the right vertices joined to left
 vertex l (the closed loop's ``loop_rows`` serve as is); the min-cost
-matcher takes them sorted, with per-row costs (None for all-0 rows). Only
+matcher takes them sorted, with per-row costs (None for all-0 rows), and
+its right id per left id is the cycle stage's certificate as it stands.
+Vertices are ids throughout; only ``dot`` names them, to print them. Only
 the benchmark's ``state_bipartite`` shim shifts ids down to 0-based rows.
 """
 
@@ -52,17 +54,6 @@ class ClosedLoopIndex:
     @cached_property
     def vertex_count(self) -> int:
         return self.system.n + self.system.m + self.system.p
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        """Vertex names by digraph id (entry 0 unused)."""
-        s = self.system
-        return (
-            ("",)
-            + tuple(f"x{i}" for i in range(1, s.n + 1))
-            + tuple(f"u{i}" for i in range(1, s.m + 1))
-            + tuple(f"y{j}" for j in range(1, s.p + 1))
-        )
 
     def edges(self) -> Iterator[VertexEdge]:
         """The system's digraph edges x_j -> x_i, u_j -> x_i and x_j -> y_i."""
@@ -179,26 +170,29 @@ class Condensation:
     of the k-th SCC; output_incidence[k-1] the outputs sensing it. Instead
     of ``sccs``, built on first read, ``condense`` passes ``scc_index`` (the
     1-based SCC per state) and ``state_rows``, the rows it ran Tarjan on.
-    Given ``sccs``, the incidence lengths and DAG edges are checked.
+    Built by hand, without ``scc_index``, its incidence lengths and DAG edges
+    are checked, and ``sccs`` is readable only if passed.
     """
 
     def __init__(self, sccs=None, dag_edges=frozenset(), input_incidence=(), output_incidence=(),
                  *, scc_index: Sequence[int] = (), state_rows: Optional[list[list[int]]] = None):
         if sccs is not None:
             self.sccs = sccs
-            ell = len(sccs)
+        self.scc_count = ell = len(input_incidence if sccs is None else sccs)
+        if not scc_index:
             for name, sets in (("input", input_incidence), ("output", output_incidence)):
                 if len(sets) != ell:
                     raise DimensionError(f"{name}_incidence has {len(sets)} entries for {ell} SCCs")
             bad = sorted(e for e in dag_edges if not 1 <= e[0] < e[1] <= ell)
             if bad:
                 raise DimensionError(f"DAG edge {bad[0]} is not 1 <= source < target <= {ell}")
-        self.scc_count = len(input_incidence if sccs is None else sccs)
         self.dag_edges, self.scc_index, self.state_rows = dag_edges, scc_index, state_rows
         self.input_incidence, self.output_incidence = input_incidence, output_incidence
 
     @cached_property
     def sccs(self) -> tuple[frozenset[int], ...]:
+        if not self.scc_index:
+            raise DimensionError("this condensation was built without its SCC members")
         members: list[list[int]] = [[] for _ in range(self.scc_count + 1)]
         for s, k in enumerate(self.scc_index):
             members[k].append(s)

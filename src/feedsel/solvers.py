@@ -3,11 +3,11 @@
 Five routes to a pattern:
 
 * ``solve_dp`` / ``dp_cover``: exact chain dynamic program for systems whose
-  SCC DAG is a line (or has a line spanning path). Optimal overall when the
-  state bipartite graph has a perfect matching; otherwise optimal for the
-  SCC-coverage condition alone.
+  SCC DAG is a line (or has a line spanning path). ``dp_cover`` optimizes
+  SCC coverage alone; ``solve_dp`` refuses a coverage optimum that fails
+  cycle spanning, so every pattern it returns is optimal.
 * ``min_cost_condition_b``: cheapest pattern that puts every state on a
-  cycle, via minimum-cost perfect matching.
+  cycle, via minimum-cost perfect matching, certified by the matching.
 * ``two_stage``: union of the two stages above; within a factor 2 of the
   optimum on line systems without a perfect matching.
 * ``greedy_single_input``: weighted-set-cover greedy for single-input
@@ -45,7 +45,7 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import compress
 from operator import itemgetter
 from typing import Iterator, Optional
@@ -267,18 +267,22 @@ def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
 
 
 def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:
-    """Chain dynamic program on a full system description.
+    """Chain dynamic program on a full system description; every answer is optimal.
 
-    The method tag records the guarantee: ``dp`` is optimal overall (the
-    state bipartite graph has a perfect matching, so cycle spanning is
-    free); ``dp-condition-a`` only optimizes SCC coverage and leaves cycle
-    spanning to ``two_stage``.
+    Coverage alone is a relaxation, so its optimum is the optimum whenever
+    it spans the states with cycles, as every pattern does given a state
+    perfect matching. Without one, a feasible coverage optimum is tested
+    once: it is certified ``condition_b_checked`` or raises PreconditionError.
     """
     costs.require_matches(system)
     condensation = condense(system)
     solution = dp_cover(condensation, costs)
-    if not _has_state_perfect_matching(condensation):
-        solution = replace(solution, method="dp-condition-a")
+    if not _has_state_perfect_matching(condensation) and solution.feasible:
+        links = solution.pattern.sorted_links()
+        if not _has_cycle_family(ClosedLoopIndex(system).loop_rows(links)):
+            raise PreconditionError(f"no state perfect matching, and the coverage optimum {links} "
+                                    "fails cycle spanning; solve-two-stage handles this case")
+        solution.certificates["condition_b_checked"] = True
     return solution
 
 
@@ -291,7 +295,8 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
     u_i, then each admissible y_j in order, costed 0 and then the links'
     costs. Other rows are the index's ``loop_rows``, at cost 0, with the
     unused vertex 0 matched to itself. The pattern is read off the input
-    rows matched to outputs in a minimum-cost perfect matching. With a
+    rows matched to outputs in a minimum-cost perfect matching, certified as
+    ``matching``: the matched id per vertex id v', 0 at the unused 0. With a
     state perfect matching the warm start is already perfect and no
     shortest path runs; the certificates count the shortest paths as
     ``augmentations``.
@@ -321,13 +326,12 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
     cost = cost_of(pattern, costs)
     if cost != total:
         raise AssertionError(f"matching cost {total} != pattern cost {cost}")
-    primed = [f"{v[0]}'{v[1:]}" for v in index.labels[1:]]
     return Solution(
         pattern=pattern,
         cost=cost,
         method="matching",
         certificates={
-            "matching": sorted(zip(primed, map(index.labels.__getitem__, match_left[1:]))),
+            "matching": tuple(match_left),
             "matching_cost": total,
             "augmentations": stats["augmentations"],
         },

@@ -831,6 +831,19 @@ def reference_greedy_start_hopcroft_karp(
     return size, match_l, match_r
 
 
+def labelled_matching(system: StructuredSystem, matching) -> list[tuple[str, str]]:
+    """The cycle stage's id matching as the sorted (v', w) name pairs it was once certified by.
+
+    ``matching[v]`` is the vertex id matched to vertex id v, entry 0 the
+    unused vertex; ids 1..n name x1..xn, then u1..um, then y1..yp, and the
+    left side is primed, as in ("x'1", "x2").
+    """
+    names = [f"{kind}{k}" for kind, count in (("x", system.n), ("u", system.m), ("y", system.p))
+             for k in range(1, count + 1)]
+    primed = [f"{name[0]}'{name[1:]}" for name in names]
+    return sorted((primed[v - 1], names[w - 1]) for v, w in enumerate(matching) if v)
+
+
 def reference_condition_b_rows(system: StructuredSystem, costs: CostMatrix):
     """The cycle stage's matcher rows as it built them by overlaying link tuples.
 

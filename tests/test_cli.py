@@ -330,7 +330,8 @@ def test_gen_line_no_pm_flag(capsys, tmp_path):
     assert code == 0
     code, out, _ = invoke(capsys, "solve-dp", str(path), "--format", "structured")
     assert code == 0
-    assert json.loads(out)["method"] == "dp-condition-a"
+    report = json.loads(out)
+    assert report["method"] == "dp" and report["certificates"]["condition_b_checked"] is True
 
 
 def test_calls_in_one_process_share_no_parsed_state(capsys, fig1_file):
@@ -863,10 +864,41 @@ def test_fuzzed_inputs_exit_0_1_or_2_with_one_error_line(data):
         assert lines == warnings, (argv, lines)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32), sccs=st.integers(1, 5), inputs=st.integers(1, 3),
+    outputs=st.integers(1, 3), pm=st.booleans(),
+)
+@example(seed=3, sccs=5, inputs=3, outputs=3, pm=False)  # a coverage optimum failing (b)
+def test_every_feasible_solve_passes_check_sfm_and_every_dp_answer_is_optimal(
+    seed, sccs, inputs, outputs, pm
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "line.json")
+        assert _quiet_run([
+            "gen-line", "--seed", str(seed), "--sccs", str(sccs), "--inputs", str(inputs),
+            "--outputs", str(outputs), "--pm" if pm else "--no-pm", "-o", path,
+        ]) == 0
+        costs = {}
+        for command in ("solve-dp", "solve-two-stage", "solve-greedy", "solve-exact"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = run([command, path, "--format=structured"])
+            if code:
+                continue
+            report = json.loads(out.getvalue())
+            assert report["feasible"] is True
+            feedback = ",".join(f"{i}:{j}" for i, j in report["links"])
+            assert _quiet_run(["check-sfm", path, f"--feedback={feedback}"]) == 0, (command, feedback)
+            costs[report["method"]] = report["cost"]
+    # Every generated system is feasible, and its at most 9 links are within the oracle's budget.
+    assert costs["exact"] == costs.get("dp", costs["exact"])
+
+
 # ---------------------------------------------------------------------------
 # golden digest: exit code, stdout and stderr of every subcommand
 
-CLI_DIGEST = "3e531fbdf4c2692265724b854e7b4bd67257d0f618a9cfe96e8a17cd9766067f"
+CLI_DIGEST = "c571eb49571f2f0e3cc633e2a1499ab961812c6f941fe2d5d7087ded1e621721"
 
 # Values a single fault puts in place of a field or an entry. Non-finite
 # floats are left out: the JSON spellings Infinity and NaN are not part of
@@ -1060,7 +1092,7 @@ def test_run_restores_the_callers_collector_setting(monkeypatch, argv, code, ena
 # ---------------------------------------------------------------------------
 # golden digest at benchmark size: the fast paths on the systems they serve
 
-BENCH_SIZE_DIGEST = "c9f61b8962ca46ae639c168d4aa8f86ea7b664a545f4eb101dbb8a402c8a2c37"
+BENCH_SIZE_DIGEST = "7a421c9dd140d8f2a7dd499b82fa958889e2c37a17b4f380d968ff3e5f2fac4d"
 
 
 def _masked_run(argv: list[str]) -> tuple[int, str, str, str]:
@@ -1093,7 +1125,7 @@ def test_bench_size_outputs_match_golden_digest(tmp_path):
     assert hashlib.sha256(repr(records).encode()).hexdigest() == BENCH_SIZE_DIGEST
 
 
-def test_closed_loop_commands_build_one_loop_row_list_and_solve_dp_none(capsys, monkeypatch, tmp_path):
+def test_closed_loop_commands_build_at_most_one_loop_row_list(capsys, monkeypatch, tmp_path, section5_file):
     from feedsel.graphs import ClosedLoopIndex
 
     path = tmp_path / "nopm.json"
@@ -1108,8 +1140,14 @@ def test_closed_loop_commands_build_one_loop_row_list_and_solve_dp_none(capsys, 
         return original(self, links)
 
     monkeypatch.setattr(ClosedLoopIndex, "loop_rows", spy)
-    code, out, _ = invoke(capsys, "solve-dp", str(path), "--format", "structured")
-    assert json.loads(out)["method"] == "dp-condition-a" and calls == []
+    # solve-dp tests the state matching on the condensation's rows, and
+    # cycle spanning on the answer's loop rows only when that test fails.
+    code, _, _ = invoke(capsys, "solve-dp", section5_file)
+    assert code == 0 and calls == []
+    code, out, err = invoke(capsys, "solve-dp", str(path), "--format", "structured")
+    assert (code, out) == (2, "") and err.startswith("error: no state perfect matching")
+    assert calls == ["loop_rows"]
+    calls.clear()
     code, out, _ = invoke(capsys, "solve-two-stage", str(path), "--format", "structured")
     # The cycle stage matches on one row list, with its input rows rebuilt from the costs.
     assert code == 0 and calls == ["loop_rows"]

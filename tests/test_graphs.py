@@ -84,7 +84,7 @@ def test_closed_loop_digraph_adds_feedback_edge():
     # y1 is vertex 6+1+1 = 8, u1 is vertex 7
     assert index.feedback_edges([(1, 1)]) == [(8, 7)]
     assert index.loop_rows([(1, 1)])[7] == [7, 8]  # u1's self-loop, then y1 fed back
-    assert index.labels[8] == "y1" and index.labels[7] == "u1"
+    assert (system.n, system.m, index.vertex_count) == (6, 1, 10)  # u1 is 7, y1..y3 are 8..10
 
 
 def test_closed_loop_digraph_empty_pattern_has_no_feedback():
@@ -92,12 +92,13 @@ def test_closed_loop_digraph_empty_pattern_has_no_feedback():
     index = ClosedLoopIndex(system)
     assert index.feedback_edges([]) == []
     edges = list(index.edges())
-    assert len([e for e in edges if index.labels[e[0]][0] == "u"]) == 1
-    assert len([e for e in edges if index.labels[e[1]][0] == "y"]) == 7
-    rows = index.loop_rows()
     inputs = range(system.n + 1, system.n + system.m + 1)
-    assert all(rows[u] == [u] for u in inputs)
     outputs = range(system.n + system.m + 1, index.vertex_count + 1)
+    assert len([e for e in edges if e[0] in inputs]) == 1
+    assert len([e for e in edges if e[1] in outputs]) == 7
+    assert all(e[0] not in outputs and e[1] not in inputs for e in edges)
+    rows = index.loop_rows()
+    assert all(rows[u] == [u] for u in inputs)
     assert all(rows[y][-1] == y and len(rows[y]) > 1 for y in outputs)
 
 
@@ -473,6 +474,19 @@ def test_hand_built_condensation_rejects_inconsistent_fields():
     consistent = Condensation(sccs=three, dag_edges=edges, input_incidence=(f({1}),) * 3,
                               output_incidence=(f({1}),) * 3)
     assert consistent.scc_count == 3 and dp_cover(consistent, CostMatrix.from_rows([[5]])).cost == 5
+    # Without sccs, the SCC count is that of input_incidence, and the same checks run.
+    with pytest.raises(DimensionError, match=re.escape("output_incidence has 4 entries for 3 SCCs")):
+        dp_cover(Condensation(dag_edges=edges, input_incidence=(f({1}),) * 3,
+                              output_incidence=(f({1}),) * 4), CostMatrix.from_rows([[5]]))
+    for edge in [(2, 5), (0, 1), (2, 1)]:
+        with pytest.raises(DimensionError, match=re.escape(f"DAG edge {edge} is not 1 <= source < target <= 2")):
+            Condensation(dag_edges=f({(1, 2), edge}), input_incidence=(f(),) * 2,
+                         output_incidence=(f(),) * 2)
+    # No members were given, so there are none to read.
+    bare = Condensation(dag_edges=edges, input_incidence=(f({1}),) * 3, output_incidence=(f({1}),) * 3)
+    assert bare.scc_count == 3 and dp_cover(bare, CostMatrix.from_rows([[5]])).cost == 5
+    with pytest.raises(DimensionError, match="built without its SCC members"):
+        bare.sccs
 
 
 def test_is_line_dag_reference(section5):

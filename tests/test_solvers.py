@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import re
 import sys
 import time
 from itertools import combinations
@@ -46,9 +47,11 @@ from tests.conftest import (
     dense_cost_rows,
     dense_min_cost_assignment,
     is_cover,
+    labelled_matching,
     random_system,
     reference_condition_b_rows,
     reference_dp_cover,
+    reference_successors,
     section5_system,
     sink_only_input_system,
 )
@@ -218,11 +221,21 @@ def test_solve_dp_reference_system(section5):
     assert solution.certificates["dp_table"].stage_costs == (0, 2, 5, 5, 5)
 
 
-def test_solve_dp_tags_condition_a_only_without_matching():
+def test_solve_dp_checks_cycle_spanning_without_matching():
+    # The single link closes the only cycle family: the coverage optimum is the optimum.
     system, costs = forced_chain()
     solution = solve_dp(system, costs)
-    assert solution.method == "dp-condition-a"
-    assert solution.cost == 7
+    assert (solution.method, solution.cost) == ("dp", 7)
+    assert solution.certificates["condition_b_checked"] is True
+    assert "condition_b_checked" not in solve_dp(*section5_system()).certificates
+    # Here the coverage optimum (u3, y3) leaves a state off every cycle family.
+    system, costs = random_line_system(3, scc_count=5, perfect_matching=False)
+    assert not check_no_sfm(system, dp_cover(condense(system), costs).pattern).condition_b_ok
+    with pytest.raises(PreconditionError, match=re.escape(
+        "no state perfect matching, and the coverage optimum [(3, 3)] fails cycle spanning; "
+        "solve-two-stage handles this case"
+    )):
+        solve_dp(system, costs)
 
 
 def test_state_matching_check_equals_hopcroft_karp_on_the_state_graph():
@@ -604,7 +617,8 @@ def test_condition_b_cost_equals_dense_reference_on_acceptance_suites():
 
 
 # SHA-256 of the cycle-stage results on the acceptance suites, captured
-# before the stage moved from the labelled bipartite graph to index rows.
+# before the stage moved from the labelled bipartite graph to index rows;
+# the id matching is hashed in the labelled form it was captured in.
 CYCLE_STAGE_DIGEST = "f82d8b71032935677234eabbf6474c7260a72aade74d55df161ca780bc05f97f"
 
 
@@ -613,13 +627,14 @@ def test_condition_b_patterns_and_certificates_match_golden_digest():
     for seed, perfect_matching in [(30_000 + i, True) for i in range(200)] + [
         (40_000 + i, False) for i in range(200)
     ]:
-        solution = min_cost_condition_b(*_line_instance(seed, perfect_matching))
+        system, costs = _line_instance(seed, perfect_matching)
+        solution = min_cost_condition_b(system, costs)
         certificates = solution.certificates
         records.append(
             (
                 seed,
                 solution.pattern.sorted_links(),
-                certificates["matching"],
+                labelled_matching(system, certificates["matching"]),
                 certificates["matching_cost"],
                 certificates["augmentations"],
             )
@@ -629,8 +644,9 @@ def test_condition_b_patterns_and_certificates_match_golden_digest():
 
 # SHA-256 of the cycle-stage results on two_stage_nopm-sized chains (2-state
 # SCCs, 20 inputs, 20 outputs, no state perfect matching), captured before
-# the matcher moved from (right, cost) tuple rows to the index's int rows.
-# The narrow cost range makes equal-cost optima common.
+# the matcher moved from (right, cost) tuple rows to the index's int rows,
+# with the id matching hashed in its labelled form. The narrow cost range
+# makes equal-cost optima common.
 CONDITION_B_BENCH_SIZE_DIGEST = "710c2e9b966fd92c9a42d4689ebccb181aaa43266e9c481e0787492c077cce60"
 
 
@@ -656,12 +672,33 @@ def test_condition_b_bench_size_digest():
                         cost_range,
                         seed,
                         solution.pattern.sorted_links(),
-                        certificates["matching"],
+                        labelled_matching(system, certificates["matching"]),
                         certificates["matching_cost"],
                         certificates["augmentations"],
                     )
                 )
     assert hashlib.sha256(repr(records).encode()).hexdigest() == CONDITION_B_BENCH_SIZE_DIGEST
+
+
+def test_condition_b_matching_certificate_checks_by_vertex_id_alone():
+    # A checker needs no names: the certificate permutes the vertex ids, and
+    # each v' - w is a closed-loop edge w -> v of the answer, or v itself on
+    # an input or output. The input-output pairs are the pattern.
+    for seed, perfect_matching in [(30_000 + i, True) for i in range(40)] + [
+        (40_000 + i, False) for i in range(40)
+    ]:
+        system, costs = _line_instance(seed, perfect_matching)
+        solution = min_cost_condition_b(system, costs)
+        matching = solution.certificates["matching"]
+        n, m, size = system.n, system.m, system.n + system.m + system.p + 1
+        assert type(matching) is tuple and sorted(matching) == list(range(size))
+        assert matching[0] == 0
+        successors = reference_successors(system, solution.pattern)
+        for v, w in enumerate(matching[1:], start=1):
+            assert v in successors[w] or v == w > n, (seed, v, w)
+        links = frozenset((v - n, w - n - m) for v, w in enumerate(matching) if n < v <= n + m < w)
+        assert links == solution.pattern.links
+        assert cost_of(FeedbackPattern(links), costs) == solution.certificates["matching_cost"]
 
 
 def _matcher_rows(system, costs):
@@ -737,15 +774,17 @@ def test_condition_b_golden_result_without_state_matching():
     assert solution.cost == 62
     assert solution.method == "matching"
     assert solution.reason is None
+    # Ids: x1..x4 are 1..4, u1, u2 are 5, 6 and y1..y4 are 7..10.
     assert solution.certificates == {
-        "matching": [
-            ("u'1", "y2"), ("u'2", "u2"),
-            ("x'1", "x2"), ("x'2", "x4"), ("x'3", "u1"), ("x'4", "x3"),
-            ("y'1", "y1"), ("y'2", "x1"), ("y'3", "y3"), ("y'4", "y4"),
-        ],
+        "matching": (0, 2, 4, 5, 3, 8, 6, 7, 1, 9, 10),
         "matching_cost": 62,
         "augmentations": 1,
     }
+    assert labelled_matching(system, solution.certificates["matching"]) == [
+        ("u'1", "y2"), ("u'2", "u2"),
+        ("x'1", "x2"), ("x'2", "x4"), ("x'3", "u1"), ("x'4", "x3"),
+        ("y'1", "y1"), ("y'2", "x1"), ("y'3", "y3"), ("y'4", "y4"),
+    ]
 
 
 def test_two_stage_collapses_to_dp_with_state_matching(section5):
@@ -1440,7 +1479,10 @@ def test_dp_matches_oracle_on_matched_chains():
 
 
 def test_dp_matches_condition_a_optimum_without_matching():
+    # Each coverage optimum either spans the states with cycles, and is then
+    # the optimum, or is refused.
     rng = random.Random(202)
+    outcomes = set()
     for _ in range(15):
         system, costs = random_line_system(
             rng,
@@ -1449,10 +1491,19 @@ def test_dp_matches_condition_a_optimum_without_matching():
             n_outputs=rng.randint(2, 4),
             perfect_matching=False,
         )
-        dp = solve_dp(system, costs)
         oracle = exact_oracle(system, costs)
-        assert dp.method == "dp-condition-a"
-        assert dp.cost == oracle.certificates["condition_a_cost"]
+        coverage = dp_cover(condense(system), costs)
+        assert coverage.cost == oracle.certificates["condition_a_cost"]
+        spans = check_no_sfm(system, coverage.pattern).feasible
+        outcomes.add(spans)
+        if not spans:
+            with pytest.raises(PreconditionError, match="no state perfect matching"):
+                solve_dp(system, costs)
+            continue
+        dp = solve_dp(system, costs)
+        assert (dp.method, dp.pattern, dp.cost) == ("dp", coverage.pattern, oracle.cost)
+        assert dp.certificates["condition_b_checked"] is True
+    assert outcomes == {True, False}
 
 
 def test_two_stage_is_2_optimal_and_feasible():
