@@ -2,16 +2,16 @@
 
 ``ClosedLoopIndex`` numbers states, inputs and outputs as vertices 1..n,
 n+1..n+m and n+m+1..n+m+p, and every closed-loop id in ``sfm`` and
-``solvers`` is one of these; row 0 of the closed-loop rows is unused.
-``scc_ids`` is the one SCC routine: a Tarjan pass that numbers the
-components in the order it emits them, which is reverse topological, and
-``condense`` orders the SCC DAG from those ids. A bipartite graph is only a
-list of adjacency rows: row l holds the right vertices joined to left
-vertex l (the closed loop's ``loop_rows`` serve as is); the min-cost
-matcher takes them sorted, with per-row costs (None for all-0 rows), and
-its right id per left id is the cycle stage's certificate as it stands.
-Vertices are ids throughout; only ``dot`` names them, to print them. Only
-the benchmark's ``state_bipartite`` shim shifts ids down to 0-based rows.
+``solvers`` is one of these; row 0 of its rows is unused. Its
+``state_rows`` are the one state graph, which ``condense`` runs Tarjan on
+and the state-matching test matches. ``scc_ids`` is the one SCC routine,
+and on those predecessor rows it emits the components in topological
+order. A bipartite graph is only a list of adjacency rows: row l holds the
+right vertices joined to left vertex l (``loop_rows`` serve as is); the
+min-cost matcher takes them sorted, with per-row costs (None for all-0
+rows), and its right id per left id is the cycle stage's certificate.
+Vertices are ids throughout; only ``dot`` names them, to print them, and
+only the benchmark's ``state_bipartite`` shifts them to 0-based rows.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ class ClosedLoopIndex:
     are the sorted predecessor rows, each input and output row ending in
     the vertex itself: a self-loop merges no SCCs and adds nothing to
     reachability, and as bipartite rows v' - w, one per edge w -> v, they
-    match perfectly iff disjoint cycles span the states. Tarjan finds the
-    same SCCs on them as on successor rows. Rows are built on first use and
-    kept; a pattern's list copies only the rows its links change and shares
-    the others, so callers must not mutate them.
+    match perfectly iff disjoint cycles span the states. ``state_rows`` are
+    the same rows over the states alone, the state digraph. Rows are built
+    on first use and kept; a pattern's list copies only the rows its links
+    change and shares the others, so callers must not mutate them.
     """
 
     system: StructuredSystem
@@ -78,6 +78,16 @@ class ClosedLoopIndex:
         return [(offset + j, n + i) for i, j in links]
 
     @cached_property
+    def state_rows(self) -> list[list[int]]:
+        """Row i: the sorted j of the a_edges (i, j), the predecessors of x_i; row 0 unused."""
+        rows: list[list[int]] = [[] for _ in range(self.system.n + 1)]
+        for i, j in self.system.a_edges:
+            rows[i].append(j)
+        for row in rows:
+            row.sort()
+        return rows
+
+    @cached_property
     def _loop_rows(self) -> list[list[int]]:
         s, n = self.system, self.system.n
         rows: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
@@ -106,17 +116,18 @@ class ClosedLoopIndex:
         return rows
 
 
-def scc_ids(succ: Sequence[Sequence[int]]) -> tuple[list[int], int]:
+def scc_ids(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     """Tarjan's algorithm: (component id per vertex, component count).
 
-    ``succ`` is indexed by vertex id 1..len(succ) - 1 (entry 0 unused).
-    Components are numbered 0, 1, ... in the order Tarjan emits them,
-    which is reverse topological: an edge v -> w between two components
-    has ids[v] > ids[w]. Iterative, for deep chains: the current frame is
-    in locals, its ancestors' on ``work``. ``low`` is nonzero once a vertex
-    is reached, and above every index once it has its component.
+    ``rows`` is indexed by vertex id 1..len(rows) - 1 (entry 0 unused, id
+    -1). Components are numbered 0, 1, ... in the order Tarjan emits them:
+    w in row v, between two components, gives ids[v] > ids[w], so on
+    predecessor rows (``state_rows``) the order is topological. Iterative,
+    for deep chains: the current frame is in locals, its ancestors' on
+    ``work``. ``low`` is nonzero once a vertex is reached, and above every
+    index once it has its component.
     """
-    size = len(succ)
+    size = len(rows)
     low = [0] * size
     ids = [-1] * size
     stack: list[int] = []
@@ -125,7 +136,7 @@ def scc_ids(succ: Sequence[Sequence[int]]) -> tuple[list[int], int]:
     for root in range(1, size):
         if low[root]:
             continue
-        v, neighbors = root, iter(succ[root])
+        v, neighbors = root, iter(rows[root])
         index = low[v] = counter = counter + 1
         stack.append(v)
         work: list[tuple[int, int, Iterator[int]]] = []
@@ -134,7 +145,7 @@ def scc_ids(succ: Sequence[Sequence[int]]) -> tuple[list[int], int]:
                 low_w = low[w]
                 if not low_w:
                     work.append((v, index, neighbors))
-                    v, neighbors = w, iter(succ[w])
+                    v, neighbors = w, iter(rows[w])
                     index = low[w] = counter = counter + 1
                     stack.append(w)
                     break
@@ -169,13 +180,13 @@ class Condensation:
     target. input_incidence[k-1] is the set of inputs actuating some state
     of the k-th SCC; output_incidence[k-1] the outputs sensing it. Instead
     of ``sccs``, built on first read, ``condense`` passes ``scc_index`` (the
-    1-based SCC per state) and ``state_rows``, the rows it ran Tarjan on.
-    Built by hand, without ``scc_index``, its incidence lengths and DAG edges
-    are checked, and ``sccs`` is readable only if passed.
+    1-based SCC per state) and the ``index`` whose ``state_rows`` it ran
+    Tarjan on. Built by hand, without either, its incidence lengths and DAG
+    edges are checked, and ``sccs`` is readable only if passed.
     """
 
     def __init__(self, sccs=None, dag_edges=frozenset(), input_incidence=(), output_incidence=(),
-                 *, scc_index: Sequence[int] = (), state_rows: Optional[list[list[int]]] = None):
+                 *, scc_index: Sequence[int] = (), index: Optional[ClosedLoopIndex] = None):
         if sccs is not None:
             self.sccs = sccs
         self.scc_count = ell = len(input_incidence if sccs is None else sccs)
@@ -186,7 +197,7 @@ class Condensation:
             bad = sorted(e for e in dag_edges if not 1 <= e[0] < e[1] <= ell)
             if bad:
                 raise DimensionError(f"DAG edge {bad[0]} is not 1 <= source < target <= {ell}")
-        self.dag_edges, self.scc_index, self.state_rows = dag_edges, scc_index, state_rows
+        self.dag_edges, self.scc_index, self.index = dag_edges, scc_index, index
         self.input_incidence, self.output_incidence = input_incidence, output_incidence
 
     @cached_property
@@ -214,25 +225,22 @@ def condense(system: StructuredSystem) -> Condensation:
 
     The SCC order is topological; among admissible choices the SCC holding the
     smallest state index comes first, so the result is reproducible and
-    independent of edge iteration order. SCCs are first ranked in the reversed
-    order of ``scc_ids``. When every two consecutive ranks are joined by an
-    edge, as on a line, that order is the only topological one; only otherwise
-    does Kahn's algorithm rerank them, by a min-heap keyed by smallest state.
-    SCC sets are built only when read.
+    independent of edge iteration order. SCCs are first ranked in the order
+    ``scc_ids`` emits them on the index's ``state_rows``, which is
+    topological. When every two consecutive ranks are joined by an edge, as
+    on a line, that order is the only topological one; only otherwise does
+    Kahn's algorithm rerank them, by a min-heap keyed by smallest state. SCC
+    sets are built only when read.
     """
-    n = system.n
-    succ: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, j in system.a_edges:
-        succ[j].append(i)
-    ids, count = scc_ids(succ)
-    rank = [count - c for c in ids]  # 1-based SCC index per state
-    rank[0] = 0  # vertex 0 is unused
+    index = ClosedLoopIndex(system)
+    ids, count = scc_ids(index.state_rows)
+    rank = [c + 1 for c in ids]  # 1-based SCC index per state; 0 at the unused vertex 0
     # the edges x_j -> x_i between two SCCs, as (source rank, target rank)
     dag_edges = {(rank[j], rank[i]) for i, j in system.a_edges if rank[j] != rank[i]}
 
     if not dag_edges.issuperset(zip(range(1, count), range(2, count + 1))):
         smallest = [0] * (count + 1)  # the smallest state of each SCC
-        for s in range(n, 0, -1):
+        for s in range(system.n, 0, -1):
             smallest[rank[s]] = s
         out_adj: list[list[int]] = [[] for _ in range(count + 1)]
         indeg = [0] * (count + 1)
@@ -258,7 +266,7 @@ def condense(system: StructuredSystem) -> Condensation:
         input_incidence=_incidence(system.b_edges, rank, count),
         output_incidence=_incidence(((j, i) for i, j in system.c_edges), rank, count),
         scc_index=rank,
-        state_rows=succ,
+        index=index,
     )
 
 
@@ -299,8 +307,8 @@ def missing_path_links(condensation: Condensation) -> list[tuple[int, int]]:
 
 # Kept for the benchmark's instance builder, which counts matching deficiency with it.
 def state_bipartite(system: StructuredSystem) -> SimpleNamespace:
-    """``.adjacency``: the sorted 0-based rows x'_i - x_j, one per a_edge (i, j)."""
-    rows = ClosedLoopIndex(StructuredSystem(system.n, 0, 0, system.a_edges)).loop_rows()
+    """``.adjacency``: ``ClosedLoopIndex(system).state_rows`` shifted down to 0-based rows."""
+    rows = ClosedLoopIndex(system).state_rows
     return SimpleNamespace(adjacency=[[j - 1 for j in row] for row in rows[1:]])
 
 

@@ -35,6 +35,14 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _sums_past_float(values: Iterable[float]) -> bool:
+    """True when ``values`` sum beyond the largest float; an int sum too large to convert does."""
+    try:
+        return sum(values) > sys.float_info.max
+    except OverflowError:  # an int sum beyond the float range meets a float
+        return True
+
+
 _PAIR_TYPES = frozenset({tuple, list})
 _PAIR_LENGTH = frozenset({2})
 _INT_TYPE = frozenset({int})
@@ -158,17 +166,10 @@ class CostMatrix:
                         )
                     if not (entry >= 0):
                         raise ValueError(f"cost entry ({i}, {j}) must be >= 0, got {entry!r}")
-        overflow = False
-        if not total <= sys.float_info.max:  # inf entries, an overflow, or a NaN total
-            try:
-                overflow = sum(filter(INF.__ne__, entries)) > sys.float_info.max
-            except OverflowError:
-                overflow = True
-        if overflow:
-            raise ValueError(
-                "the finite cost entries sum beyond the largest float, "
-                "so pattern costs would overflow to inf; scale the costs down"
-            )
+        # inf entries, an overflow, or a NaN total
+        if not total <= sys.float_info.max and _sums_past_float(filter(INF.__ne__, entries)):
+            raise ValueError("the finite cost entries sum beyond the largest float, "
+                             "so pattern costs would overflow to inf; scale the costs down")
         object.__setattr__(self, "rows", rows)
 
     @classmethod
@@ -258,8 +259,8 @@ class SetCoverInstance:
 
     The union of the candidate sets must equal the universe, so a cover
     always exists. Construction checks the universe size, the set elements
-    (ints) and the weights (finite ints or floats >= 0), and never coerces:
-    a bool or other type raises.
+    (ints) and the weights (finite ints or floats >= 0, with a finite sum),
+    and never coerces: a bool or other type raises.
     """
 
     universe_size: int
@@ -291,6 +292,9 @@ class SetCoverInstance:
         for idx, w in enumerate(weights, start=1):
             if not 0 <= w <= sys.float_info.max:
                 raise ValueError(f"weight {idx} must be finite and >= 0, got {w!r}")
+        if _sums_past_float(weights):
+            raise ValueError("the weights sum beyond the largest float, "
+                             "so cover totals would overflow to inf; scale the weights down")
 
     @property
     def set_count(self) -> int:

@@ -11,7 +11,7 @@ Feasible patterns permit arbitrary (generic) pole placement; check results
 carry the offending states so callers can explain failures. ``check_no_sfm``
 runs Tarjan for (a) on one pattern's loop rows; the oracle asks
 ``CoverageKernel`` instead. (b) has one predicate, ``_has_cycle_family``, on
-the rows its caller built: loop rows, or a condensation's state rows.
+an index's rows: a pattern's ``loop_rows``, or the ``state_rows`` alone.
 """
 
 from __future__ import annotations
@@ -151,26 +151,13 @@ class CoverageKernel:
 
 
 def _has_cycle_family(rows: Sequence[Sequence[int]]) -> bool:
-    """True when the bipartite ``rows`` (row 0 empty) match perfectly: disjoint cycles span them.
-
-    Predecessor rows (``loop_rows``) and successor rows (a condensation's
-    ``state_rows``) serve alike, since a graph and its transpose match the same number."""
+    """True when an index's sorted ``rows`` (row 0 empty) match perfectly: disjoint cycles span them."""
     return hopcroft_karp(rows, len(rows))[0] == len(rows) - 1
 
 
 def _has_state_perfect_matching(condensation: Condensation) -> bool:
-    """True when disjoint cycles span the states alone: ``condensation``'s state rows, sorted in
-    place first (unsorted, Hopcroft-Karp's greedy start leaves long paths), match perfectly."""
-    rows = condensation.state_rows
-    for row in rows:
-        row.sort()
-    return _has_cycle_family(rows)
-
-
-# Kept for the benchmark's sfm.check_condition_b span hook; check_no_sfm does not call it.
-def check_condition_b(system: StructuredSystem, pattern: FeedbackPattern) -> bool:
-    """True when the closed-loop bipartite graph has a perfect matching: ``check_no_sfm``'s (b)."""
-    return check_no_sfm(system, pattern).condition_b_ok
+    """True when disjoint cycles span the states alone: the index's ``state_rows`` match perfectly."""
+    return _has_cycle_family(condensation.index.state_rows)
 
 
 def check_no_sfm(system: StructuredSystem, pattern: FeedbackPattern) -> SfmVerdict:

@@ -279,7 +279,7 @@ def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:
     solution = dp_cover(condensation, costs)
     if not _has_state_perfect_matching(condensation) and solution.feasible:
         links = solution.pattern.sorted_links()
-        if not _has_cycle_family(ClosedLoopIndex(system).loop_rows(links)):
+        if not _has_cycle_family(condensation.index.loop_rows(links)):
             raise PreconditionError(f"no state perfect matching, and the coverage optimum {links} "
                                     "fails cycle spanning; solve-two-stage handles this case")
         solution.certificates["condition_b_checked"] = True

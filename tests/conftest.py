@@ -270,6 +270,13 @@ def reference_successors(system: StructuredSystem, pattern: FeedbackPattern) -> 
     return succ
 
 
+def reference_state_bipartite_rows(system: StructuredSystem) -> list[list[int]]:
+    """The state bipartite rows as ``state_bipartite`` once built them: the ``loop_rows`` of the
+    system stripped of its inputs and outputs, shifted down to 0-based ids."""
+    rows = ClosedLoopIndex(StructuredSystem(system.n, 0, 0, system.a_edges)).loop_rows()
+    return [[j - 1 for j in row] for row in rows[1:]]
+
+
 def spanning_cycle_family_exists(system: StructuredSystem, pattern: FeedbackPattern) -> bool:
     """Exhaustive search for vertex-disjoint cycles covering every state.
 

@@ -26,7 +26,6 @@ from feedsel import (
 )
 from feedsel.generators import random_line_system, random_single_input_system
 from feedsel.graphs import hopcroft_karp, state_bipartite
-from feedsel.sfm import check_condition_b
 from tests.conftest import (
     brute_force_set_cover,
     covering_edge_set,
@@ -177,7 +176,7 @@ def test_criterion_6_matching_equals_cycle_search():
         m = rng.randint(0, min(3, 9 - n))
         p = rng.randint(0, max(0, min(3, 10 - n - m)))
         system, pattern = random_system(rng, n=n, m=m, p=p, a_density=0.3)
-        fast = check_condition_b(system, pattern)
+        fast = check_no_sfm(system, pattern).condition_b_ok
         slow = spanning_cycle_family_exists(system, pattern)
         if fast != slow:
             failures.append(

@@ -657,6 +657,16 @@ def test_oversized_set_cover_is_a_one_line_input_error(capsys, tmp_path):
     assert err.startswith("error: set cover too large") and err.count("\n") == 1
 
 
+def test_set_cover_weights_that_overflow_are_a_one_line_input_error(capsys, tmp_path):
+    # The error names the weights, not the cost entries of the reduction.
+    path = tmp_path / "overflow-cover.json"
+    path.write_text('{"universe_size": 2, "sets": [[1], [2]], "weights": [1e308, 1e308]}')
+    assert invoke(capsys, "gen-setcover", str(path)) == (
+        2, "", "error: the weights sum beyond the largest float, "
+        "so cover totals would overflow to inf; scale the weights down\n"
+    )
+
+
 def test_non_integer_set_element_is_a_one_line_input_error(capsys, tmp_path):
     path = tmp_path / "nested-cover.json"
     path.write_text('{"universe_size": 2, "sets": [[1], [[2]]], "weights": [1, 1]}')

@@ -41,6 +41,7 @@ from tests.conftest import (
     reference_greedy_start_hopcroft_karp,
     reference_hopcroft_karp,
     reference_min_cost_perfect_matching,
+    reference_state_bipartite_rows,
     reference_strongly_connected_components,
     reference_successors,
     scc_partition_by_closure,
@@ -62,6 +63,20 @@ def test_state_digraph_single_entry():
     index = ClosedLoopIndex(system)
     assert list(index.edges()) == [(2, 1)]  # x2 -> x1
     assert index.loop_rows() == [[], [2], []]  # x1's row holds its predecessor x2
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), m=st.integers(0, 3), p=st.integers(0, 3))
+def test_state_rows_equal_the_edge_built_and_loop_row_references(seed, n, m, p):
+    rng = random.Random(seed)
+    system, _ = random_system(rng, n=n, m=m, p=p, a_density=rng.uniform(0, 0.6))
+    index = ClosedLoopIndex(system)
+    rows = index.state_rows
+    # Row i: the sorted predecessors x_j of x_i, one per a_edge (i, j); row 0 unused.
+    assert rows == [[]] + [sorted(j for i, j in system.a_edges if i == l) for l in range(1, n + 1)]
+    # The loop rows of the states, with their input ids (n + 1 and up) dropped.
+    assert rows[1:] == [[w for w in row if w <= n] for row in index.loop_rows()[1:n + 1]]
+    assert state_bipartite(system).adjacency == reference_state_bipartite_rows(system)
 
 
 def test_state_digraph_empty():
@@ -589,6 +604,21 @@ def test_state_bipartite_rows_equal_the_edge_built_reference():
         seen |= {"isolated"} if len(touched) < n else set()
         seen |= {"self-loop"} if any(i == j for i, j in system.a_edges) else set()
     assert seen == {"perfect", "deficient", "isolated", "self-loop"}
+
+
+def test_state_matching_leaves_the_index_state_rows_unchanged():
+    # x_1's successors x_1, x_2, x_3 once came out of the edge set as [2, 3, 1], and
+    # the state-matching test sorted that list in place.
+    system = StructuredSystem(
+        n=3, m=0, p=0, a_edges=frozenset({(1, 1), (2, 1), (3, 1), (1, 2), (2, 3), (3, 3)})
+    )
+    condensation = condense(system)
+    rows = condensation.index.state_rows
+    before = [list(row) for row in rows]
+    assert _has_state_perfect_matching(condensation)
+    assert condensation.index.state_rows is rows
+    assert rows == before == [[], [1, 2], [1, 3], [1, 3]]
+    assert not hasattr(condensation, "state_rows")
 
 
 def test_max_matching_complete_3x3():

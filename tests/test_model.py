@@ -115,6 +115,20 @@ def test_set_cover_instance_rejects_elements_outside_the_universe():
         SetCoverInstance(2, ({1, 3}, {2}), (1, 1))
 
 
+@pytest.mark.parametrize("weights", [(1e308, 1e308), (10**308, 10**308), (10**308, 1e308)])
+def test_set_cover_weights_that_sum_beyond_the_largest_float_are_rejected(weights):
+    # Each weight is finite, but a cover of both sets would total inf.
+    with pytest.raises(ValueError) as excinfo:
+        _cover(weights=weights)
+    assert excinfo.type is ValueError
+    assert str(excinfo.value) == (
+        "the weights sum beyond the largest float, "
+        "so cover totals would overflow to inf; scale the weights down"
+    )
+    largest = _cover(weights=(1e308, 0))
+    assert cover_weight(largest, [1, 2]) == 1e308
+
+
 def test_set_cover_weight_and_cover_check(fig1_cover):
     assert cover_weight(fig1_cover, [1, 3]) == 6
     assert is_cover(fig1_cover, [1, 3])

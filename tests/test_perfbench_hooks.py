@@ -11,7 +11,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from feedsel import cli, emit_system, generators
+from feedsel import cli, emit_system, generators, parse_system
+from feedsel.graphs import state_bipartite
+from tests.conftest import reference_state_bipartite_rows
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -24,6 +26,7 @@ KNOWN_DEAD = {
     "feedsel.solvers.closed_loop_bipartite_adjacency",
     "feedsel.solvers.scc_ids",
     "feedsel.solvers.hopcroft_karp",
+    "feedsel.sfm.check_condition_b",
 }
 
 
@@ -53,9 +56,18 @@ def test_workload_builder_finds_every_library_name_it_uses(monkeypatch, tmp_path
     assert built.counts["states"] > 0 and built.counts["matching_deficiency"] > 0
 
 
-# Hooks that resolve but that no command calls: ``sfm.check_condition_b`` is
-# kept only for its span, and ``check_no_sfm`` tests (b) without it.
-KNOWN_IDLE = {"sfm.check_condition_b"}
+def test_state_bipartite_rows_equal_the_stripped_loop_rows_reference_on_oracle_small(
+    monkeypatch, tmp_path
+):
+    # The rows the builder counts matching deficiency on, for every oracle_small instance.
+    workloads = _load("workloads", monkeypatch)
+    for text in workloads.build("oracle_small", 1706, tmp_path).texts:
+        system, _, _ = parse_system(text)
+        assert state_bipartite(system).adjacency == reference_state_bipartite_rows(system)
+
+
+# Hooks that resolve but that no command calls.
+KNOWN_IDLE: set[str] = set()
 
 
 def test_every_live_span_hook_records_a_span(monkeypatch, tmp_path, capsys):

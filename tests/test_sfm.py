@@ -19,7 +19,6 @@ from feedsel.generators import random_line_system
 from feedsel.graphs import ClosedLoopIndex, state_bipartite
 from feedsel.sfm import (
     CoverageKernel, _has_cycle_family, _has_state_perfect_matching, _uncovered_states,
-    check_condition_b,
 )
 from tests.conftest import (
     fig1_cover_instance, random_system, reference_condense, reference_hopcroft_karp,
@@ -49,7 +48,7 @@ def test_condition_a_everything_uncovered_without_feedback():
 
 def test_condition_b_holds_without_feedback_when_states_cycle():
     system, _ = fig1_system()  # all states carry self-loops
-    assert check_condition_b(system, FeedbackPattern())
+    assert check_no_sfm(system, FeedbackPattern()).condition_b_ok
 
 
 def test_condition_b_fails_forever_with_isolated_state():
@@ -61,12 +60,12 @@ def test_condition_b_fails_forever_with_isolated_state():
         c_edges=frozenset({(1, 1)}),
     )
     for links in ([], [(1, 1)]):
-        assert not check_condition_b(system, FeedbackPattern(frozenset(links)))
+        assert not check_no_sfm(system, FeedbackPattern(frozenset(links))).condition_b_ok
 
 
 def test_condition_b_reference_single_link(section5):
     system, _ = section5
-    assert check_condition_b(system, FeedbackPattern.of((2, 3)))
+    assert check_no_sfm(system, FeedbackPattern.of((2, 3))).condition_b_ok
 
 
 def test_check_no_sfm_reference_optimum(section5):
@@ -117,8 +116,8 @@ def test_condition_b_ignores_links_when_state_matching_exists():
             b_edges=system.b_edges,
             c_edges=system.c_edges,
         )
-        assert check_condition_b(system, FeedbackPattern())
-        assert check_condition_b(system, pattern)
+        assert check_no_sfm(system, FeedbackPattern()).condition_b_ok
+        assert check_no_sfm(system, pattern).condition_b_ok
 
 
 def test_condition_b_matches_exhaustive_cycle_search_small():
@@ -129,10 +128,10 @@ def test_condition_b_matches_exhaustive_cycle_search_small():
         p = rng.randint(0, 3)
         system, pattern = random_system(rng, n=n, m=m, p=p, a_density=0.35)
         expected = spanning_cycle_family_exists(system, pattern)
-        assert check_condition_b(system, pattern) == expected
+        assert check_no_sfm(system, pattern).condition_b_ok == expected
 
 
-@pytest.mark.parametrize("check", [check_no_sfm, check_condition_b])
+@pytest.mark.parametrize("check", [check_no_sfm])
 @pytest.mark.parametrize("link", [(0, 1), (2, 1), (1, 5)])
 def test_checks_reject_out_of_range_links(check, link):
     # (0, 1) once read as the edge y1 -> x2 and passed; (2, 1) failed for the
@@ -308,6 +307,6 @@ def test_state_matching_on_condensation_rows_agrees_with_reference_and_default(s
     expected = reference_hopcroft_karp(state_bipartite(system).adjacency, system.n)[0] == system.n
     assert _has_state_perfect_matching(condensation) == expected
     assert _has_state_perfect_matching(condense(system)) == expected
-    # Sorting the kept rows in place changes neither a second answer nor the SCCs.
+    # A second call on the same condensation gives the same answer and leaves the SCCs as they were.
     assert _has_state_perfect_matching(condensation) == expected
     assert condensation.sccs == reference_condense(system).sccs
