@@ -4,14 +4,16 @@
 n+1..n+m and n+m+1..n+m+p, and every closed-loop id in ``sfm`` and
 ``solvers`` is one of these; row 0 of its rows is unused. Its
 ``state_rows`` are the one state graph, which ``condense`` runs Tarjan on
-and the state-matching test matches. ``scc_ids`` is the one SCC routine,
-and on those predecessor rows it emits the components in topological
-order. A bipartite graph is only a list of adjacency rows: row l holds the
-right vertices joined to left vertex l (``loop_rows`` serve as is); the
-min-cost matcher takes them sorted, with per-row costs (None for all-0
-rows), and its right id per left id is the cycle stage's certificate.
-Vertices are ids throughout; only ``dot`` names them, to print them, and
-only the benchmark's ``state_bipartite`` shifts them to 0-based rows.
+and the state-matching test matches; its ``loop_rows`` are laid over them,
+and a two-stage solve's cycle stage reads the index ``condense`` built.
+``scc_ids`` is the one SCC routine, and on those predecessor rows it emits
+the components in topological order. A bipartite graph is only a list of
+adjacency rows: row l holds the right vertices joined to left vertex l
+(``loop_rows`` serve as is); the min-cost matcher takes them sorted, with
+per-row costs (None for all-0 rows), and its right id per left id is the
+cycle stage's certificate. Vertices are ids throughout; only ``dot``
+names them, to print them, and only the benchmark's ``state_bipartite``
+shifts them to 0-based rows.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import heapq
 from collections import defaultdict, deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import compress, repeat
 from types import SimpleNamespace
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -44,9 +46,12 @@ class ClosedLoopIndex:
     the vertex itself: a self-loop merges no SCCs and adds nothing to
     reachability, and as bipartite rows v' - w, one per edge w -> v, they
     match perfectly iff disjoint cycles span the states. ``state_rows`` are
-    the same rows over the states alone, the state digraph. Rows are built
-    on first use and kept; a pattern's list copies only the rows its links
-    change and shares the others, so callers must not mutate them.
+    the same rows over the states alone, the state digraph, and the only
+    rows built from the a_edges: a state's loop row is its state row
+    object when no input actuates it, else a copy extended by the input
+    ids. Rows are built on first use and kept; a pattern's list copies only
+    the rows its links change and shares the others, so callers must not
+    mutate them.
     """
 
     system: StructuredSystem
@@ -89,20 +94,25 @@ class ClosedLoopIndex:
 
     @cached_property
     def _loop_rows(self) -> list[list[int]]:
+        # Input ids exceed every state id, so a state row extended by its
+        # inputs' ids stays sorted once those are.
         s, n = self.system, self.system.n
-        rows: list[list[int]] = [[] for _ in range(self.vertex_count + 1)]
-        for i, j in s.a_edges:
-            rows[i].append(j)
+        states = self.state_rows
+        rows = states + [[v] for v in range(n + 1, n + s.m + 1)]
         for i, j in s.b_edges:
-            rows[i].append(n + j)
-        outputs = n + s.m
+            row = rows[i]
+            if row is states[i]:
+                rows[i] = row + [n + j]
+            else:
+                row.append(n + j)
+                row.sort()
+        outputs: list[list[int]] = [[] for _ in range(s.p)]
         for i, j in s.c_edges:
-            rows[outputs + i].append(j)
-        for row in rows:
+            outputs[i - 1].append(j)
+        for v, row in enumerate(outputs, start=n + s.m + 1):
             row.sort()
-        for v in range(n + 1, len(rows)):
-            rows[v].append(v)
-        return rows
+            row.append(v)
+        return rows + outputs
 
     def loop_rows(self, links: Iterable[Edge] = ()) -> list[list[int]]:
         """The base rows plus y_j in row u_i per link (i, j); rows gaining a link are copied."""
@@ -405,26 +415,31 @@ def min_cost_perfect_matching(
     ``adjacency[l]`` is the sorted row of right vertices joined to left
     vertex l, on ``len(adjacency)`` vertices a side; ``weights[l]`` is None
     when every edge of row l costs 0, else the row's finite edge costs in
-    its order. Rows are never copied or changed. Returns the right vertex
-    matched to each left vertex and the total cost, summed in left order.
+    its order (an empty list reads as None). Rows are never copied or
+    changed. Returns the right vertex matched to each left vertex and the
+    total cost, summed in left order.
 
     Sparse successive shortest paths (Jonker & Volgenant 1987). Left
     potentials start at the row minima (0 on a None row), right ones at 0;
     a Hopcroft-Karp matching on the edges at their row minimum (a None row
     whole) is then optimal for its size, and each of the d units it lacks
     is added along a shortest augmenting path found by Dijkstra on the
-    reduced costs; O(E sqrt(V) + d E log V). Ties follow the sorted rows,
+    reduced costs; O(E sqrt(V) + d E log V). Only the rows with costs are
+    visited to set up the potentials and warm rows and to total the
+    result, the others being read as they are. Ties follow the sorted rows,
     which are scanned in order, and heap ties break by vertex index, so
     adding a constant to every cost changes nothing. When given,
     ``stats["augmentations"]`` receives the number of shortest paths run.
     """
     n = len(adjacency)
-    u = [min(costs) if costs else 0 for costs in weights]
+    weighted = list(compress(range(n), weights))  # the rows with a nonempty cost list
+    u = [0] * n
     v = [0] * n
-    warm_rows = [
-        row if costs is None else [r for r, c in zip(row, costs) if c == ul]
-        for row, costs, ul in zip(adjacency, weights, u)
-    ]
+    warm_rows = list(adjacency)
+    for l in weighted:
+        costs = weights[l]
+        u[l] = ul = min(costs)
+        warm_rows[l] = [r for r, c in zip(adjacency[l], costs) if c == ul]
     _, match_l, match_r = hopcroft_karp(warm_rows, n)
     stats = {} if stats is None else stats
     stats["augmentations"] = 0
@@ -466,7 +481,6 @@ def min_cost_perfect_matching(
             match_r[r] = l
             match_l[l], r = r, match_l[l]
     total = 0  # added one by one, as cost_of does: sum() compensates rounding from 3.12 on
-    for row, costs, r in zip(adjacency, weights, match_l):
-        if costs:
-            total += costs[row.index(r)]
+    for l in weighted:
+        total += weights[l][adjacency[l].index(match_l[l])]
     return match_l, total

@@ -286,7 +286,9 @@ def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:
     return solution
 
 
-def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solution:
+def min_cost_condition_b(
+    system: StructuredSystem, costs: CostMatrix, *, index: Optional[ClosedLoopIndex] = None
+) -> Solution:
     """Cheapest pattern that spans every state with disjoint cycles.
 
     Matches on the closed-loop bipartite rows of ``ClosedLoopIndex`` with
@@ -300,10 +302,17 @@ def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solutio
     state perfect matching the warm start is already perfect and no
     shortest path runs; the certificates count the shortest paths as
     ``augmentations``.
+
+    ``index`` is the system's ``ClosedLoopIndex`` when the caller has one,
+    as ``two_stage`` has ``condense``'s, so that its rows are built once;
+    an index of a different system is a ``ValueError``.
     """
     costs.require_matches(system)
     n, m = system.n, system.m
-    index = ClosedLoopIndex(system)
+    if index is None:
+        index = ClosedLoopIndex(system)
+    elif index.system != system:
+        raise ValueError("the closed-loop index belongs to another system")
     rows, weights = index.loop_rows(), [None] * (index.vertex_count + 1)
     rows[0] = [0]
     for i, row in enumerate(costs.rows, start=1):
@@ -343,10 +352,13 @@ def two_stage(system: StructuredSystem, costs: CostMatrix) -> Solution:
 
     Each stage alone is a lower bound on the optimum, so the union costs
     at most twice the optimum; it is feasible whenever both stages are.
+    The cycle stage matches on the condensation's ``ClosedLoopIndex``, so
+    one index serves the solve.
     """
     costs.require_matches(system)
-    stage_a = dp_cover(condense(system), costs)
-    stage_b = min_cost_condition_b(system, costs)
+    condensation = condense(system)
+    stage_a = dp_cover(condensation, costs)
+    stage_b = min_cost_condition_b(system, costs, index=condensation.index)
     certificates = {"stage_a": stage_a, "stage_b": stage_b}
     if not stage_a.feasible:
         return _infeasible("two-stage", f"coverage stage infeasible: {stage_a.reason}", certificates)
@@ -388,6 +400,32 @@ def reduce_set_cover(instance: SetCoverInstance) -> tuple[StructuredSystem, Cost
     return system, costs
 
 
+class _Ratio:
+    """A set's weight per newly covered element, ordered by cross-multiplication, ties by index."""
+
+    __slots__ = ("w", "new", "idx")
+
+    def __init__(self, w: float, new: int, idx: int) -> None:
+        self.w, self.new, self.idx = w, new, idx
+
+    def __lt__(self, other: _Ratio) -> bool:
+        # w / new < other.w / other.new, cross-multiplied
+        left, right = self.w * other.new, other.w * self.new
+        return left < right or (left == right and self.idx < other.idx)
+
+
+def _exact_products(weights: tuple[float, ...], largest: int) -> bool:
+    """True when every weight times every count up to ``largest`` is an exact product."""
+    room = 53 - largest.bit_length()  # the significand bits a float weight may use
+    for w in weights:
+        if isinstance(w, float) and w:
+            digits, _ = w.as_integer_ratio()
+            digits >>= (digits & -digits).bit_length() - 1  # drop trailing zero bits
+            if digits.bit_length() > room or math.isinf(w * largest):
+                return False
+    return True
+
+
 def greedy_set_cover(
     instance: SetCoverInstance,
 ) -> tuple[list[int], float, list[tuple[int, int, float]]]:
@@ -397,30 +435,57 @@ def greedy_set_cover(
     trace entry is (set index, newly covered count, weight). Ratio
     comparisons are done by cross-multiplication so no division is
     involved; ties prefer the smaller set index.
+
+    Lazy greedy (Minoux 1978): one heap of the sets keyed by their ratios.
+    A set's count only falls as others are picked, so a stale key is never
+    worse than the set's ratio; the top is recounted, and picked once its
+    count is fresh, re-pushed with a fresh count otherwise, dropped at 0.
+    That needs the comparison to be a strict weak order, which it is when
+    every product is exact (int weights, and floats like 2.5). A rounded
+    or overflowed product can tie two ratios that differ, so that x ties
+    y, y ties z and x beats z; each round then scans every set in index
+    order, keeping the first best, as a heap cannot.
     """
+    sets, weights = instance.sets, instance.weights
     uncovered = set(range(1, instance.universe_size + 1))
+    ratios = [_Ratio(w, len(s), idx) for idx, (s, w) in enumerate(zip(sets, weights), start=1)]
+    lazy = _exact_products(weights, max(map(len, sets)))
+    if lazy:
+        heapq.heapify(ratios)
     picked: list[int] = []
     trace: list[tuple[int, int, float]] = []
     total: float = 0
     while uncovered:
-        best_idx = -1
-        best_w: float = 0
-        best_new = 0
-        for idx in range(1, instance.set_count + 1):
-            new = len(instance.sets[idx - 1] & uncovered)
-            if new == 0:  # every picked set lands here
-                continue
-            w = instance.weights[idx - 1]
-            # w / new < best_w / best_new, cross-multiplied
-            if best_idx == -1 or w * best_new < best_w * new:
-                best_idx, best_w, best_new = idx, w, new
-        if best_idx == -1:
-            raise AssertionError("instance invariant violated: universe not coverable")
-        picked.append(best_idx)
-        trace.append((best_idx, best_new, best_w))
-        total += best_w
-        uncovered -= instance.sets[best_idx - 1]
+        best = _pop_fresh(ratios, sets, uncovered) if lazy else _scan(ratios, sets, uncovered)
+        picked.append(best.idx)
+        trace.append((best.idx, best.new, best.w))
+        total += best.w
+        uncovered -= sets[best.idx - 1]
     return picked, total, trace
+
+
+def _pop_fresh(heap: list[_Ratio], sets: tuple[frozenset[int], ...], uncovered: set[int]) -> _Ratio:
+    """Pop the heap's top once its count is fresh, recounting stale tops on the way."""
+    while True:
+        top = heap[0]
+        new = len(sets[top.idx - 1] & uncovered)
+        if new == top.new:
+            return heapq.heappop(heap)
+        if new:
+            top.new = new
+            heapq.heapreplace(heap, top)
+        else:
+            heapq.heappop(heap)
+
+
+def _scan(ratios: list[_Ratio], sets: tuple[frozenset[int], ...], uncovered: set[int]) -> _Ratio:
+    """Recount every set; the first in index order that no later one beats."""
+    best: Optional[_Ratio] = None
+    for ratio in ratios:
+        ratio.new = len(sets[ratio.idx - 1] & uncovered)
+        if ratio.new and (best is None or ratio < best):
+            best = ratio
+    return best
 
 
 def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution:

@@ -12,8 +12,9 @@ from Tarjan's component lists with Kahn's heap on every graph,
 Hopcroft-Karp with a BFS-and-DFS first phase, and again as it was with
 its greedy first phase (float layers, nested closures), the cycle
 stage's matcher rows overlaid link by link, the chain DP's sweep pushing
-every admissible link, and the min-cost matcher on (right, cost) tuple
-rows. Their results and messages must match exactly.
+every admissible link, the min-cost matcher on (right, cost) tuple rows,
+and the set-cover greedy scanning every set each round. Their results
+and messages must match exactly.
 
 ``random_system`` (unconstrained random systems with a random pattern)
 and the set-cover queries ``is_cover`` and ``cover_weight`` serve only
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import collections
 import heapq
+from contextlib import contextmanager
 import math
 import random
 import sys
@@ -38,6 +40,7 @@ from feedsel import (
     Condensation, CostMatrix, DimensionError, DpTable, FeedbackPattern, SetCoverInstance,
     StructuredSystem, full_pattern,
 )
+from feedsel import graphs, sfm, solvers
 from feedsel.fileio import SchemaError
 from feedsel.generators import _rng
 from feedsel.graphs import ClosedLoopIndex
@@ -331,6 +334,37 @@ def brute_force_set_cover(instance: SetCoverInstance) -> tuple[float, frozenset[
                     best_sets = frozenset(subset)
     assert best_weight is not None
     return best_weight, best_sets
+
+
+def reference_greedy_set_cover(
+    instance: SetCoverInstance,
+) -> tuple[list[int], float, list[tuple[int, int, float]]]:
+    """The greedy as a full scan per round: every set recounted, the first best kept.
+
+    A set replaces the best so far only when ``w * best_new < best_w * new``,
+    so ties, rounded products and products that overflow to inf all keep
+    the smaller index.
+    """
+    uncovered = set(range(1, instance.universe_size + 1))
+    picked: list[int] = []
+    trace: list[tuple[int, int, float]] = []
+    total: float = 0
+    while uncovered:
+        best_idx = -1
+        best_w: float = 0
+        best_new = 0
+        for idx in range(1, instance.set_count + 1):
+            new = len(instance.sets[idx - 1] & uncovered)
+            if new == 0:
+                continue
+            w = instance.weights[idx - 1]
+            if best_idx == -1 or w * best_new < best_w * new:
+                best_idx, best_w, best_new = idx, w, new
+        picked.append(best_idx)
+        trace.append((best_idx, best_new, best_w))
+        total += best_w
+        uncovered -= instance.sets[best_idx - 1]
+    return picked, total, trace
 
 
 def covering_edge_set(condensation, costs, k: int) -> frozenset[tuple[int, int]]:
@@ -836,6 +870,22 @@ def reference_greedy_start_hopcroft_karp(
             if match_l[u] == -1 and dfs(u):
                 size += 1
     return size, match_l, match_r
+
+
+@contextmanager
+def recorded_closed_loop_indexes() -> Iterator[list[ClosedLoopIndex]]:
+    """Yields the list of every ``ClosedLoopIndex`` the library builds in the block."""
+    made: list[ClosedLoopIndex] = []
+
+    class Recorded(ClosedLoopIndex):
+        def __init__(self, system: StructuredSystem) -> None:
+            super().__init__(system)
+            made.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (graphs, sfm, solvers):
+            patch.setattr(module, "ClosedLoopIndex", Recorded)
+        yield made
 
 
 def labelled_matching(system: StructuredSystem, matching) -> list[tuple[str, str]]:

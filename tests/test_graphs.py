@@ -13,10 +13,14 @@ from feedsel import (
     CostMatrix,
     DimensionError,
     FeedbackPattern,
+    PreconditionError,
     StructuredSystem,
+    check_no_sfm,
     condense,
     dp_cover,
+    min_cost_condition_b,
     reduce_set_cover,
+    two_stage,
 )
 from feedsel import graphs
 from feedsel.graphs import (
@@ -37,6 +41,7 @@ from tests.conftest import (
     fig1_cover_instance,
     maxflow_matching_size,
     random_system,
+    recorded_closed_loop_indexes,
     reference_condense,
     reference_greedy_start_hopcroft_karp,
     reference_hopcroft_karp,
@@ -77,6 +82,61 @@ def test_state_rows_equal_the_edge_built_and_loop_row_references(seed, n, m, p):
     # The loop rows of the states, with their input ids (n + 1 and up) dropped.
     assert rows[1:] == [[w for w in row if w <= n] for row in index.loop_rows()[1:n + 1]]
     assert state_bipartite(system).adjacency == reference_state_bipartite_rows(system)
+
+
+def _random_instance(rng, line):
+    """A random line system with its costs, or a random system with random costs."""
+    if line:
+        return random_line_system(
+            rng, scc_count=rng.randint(1, 5), n_inputs=rng.randint(1, 4),
+            n_outputs=rng.randint(1, 4), perfect_matching=rng.random() < 0.5,
+        )
+    n, m, p = rng.randint(1, 10), rng.randint(0, 3), rng.randint(0, 3)
+    system, _ = random_system(rng, n=n, m=m, p=p, a_density=rng.uniform(0, 0.6))
+    costs = [[rng.choice([1, 2, 5, math.inf]) for _ in range(p)] for _ in range(m)]
+    return system, CostMatrix.from_rows(costs)
+
+
+def _edge_built_state_rows(system):
+    return [[]] + [sorted(j for i, j in system.a_edges if i == l) for l in range(1, system.n + 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), line=st.booleans())
+def test_loop_rows_lay_the_sorted_inputs_over_the_state_rows_reference(seed, line):
+    rng = random.Random(seed)
+    system, _ = _random_instance(rng, line)
+    n = system.n
+    index = ClosedLoopIndex(system)
+    rows, states = index.loop_rows(), index.state_rows
+    for i in range(1, n + 1):
+        inputs = sorted(n + j for k, j in system.b_edges if k == i)
+        assert rows[i] == states[i] + inputs
+        if not inputs:  # shared, not copied
+            assert rows[i] is states[i]
+    assert states == _edge_built_state_rows(system)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), line=st.booleans())
+def test_state_rows_stay_the_edge_built_reference_after_every_closed_loop_use(seed, line):
+    rng = random.Random(seed)
+    system, costs = _random_instance(rng, line)
+    links = costs.finite_links()
+    chosen = [link for link in links if rng.random() < 0.5]
+    with recorded_closed_loop_indexes() as made:
+        index = condense(system).index
+        index.loop_rows(chosen)
+        index.loop_rows(links)
+        min_cost_condition_b(system, costs, index=index)
+        check_no_sfm(system, FeedbackPattern(frozenset(chosen)))
+        try:
+            two_stage(system, costs)
+        except PreconditionError:  # no line order; its condensation was still built
+            pass
+    assert len(made) == 3  # condense's, check_no_sfm's and two_stage's
+    for built in made:
+        assert built.state_rows == _edge_built_state_rows(system)
 
 
 def test_state_digraph_empty():
@@ -839,6 +899,48 @@ _square_costs = st.integers(1, 7).flatmap(
 @given(rows=_square_costs)
 def test_min_cost_matching_agrees_with_dense_reference_on_square_costs(rows):
     _assert_agrees_with_dense_reference(rows)
+
+
+@st.composite
+def _mostly_unweighted_rows(draw):
+    """A square cost matrix, mostly all-0 rows, and the matcher's rows for it.
+
+    An all-0 row is handed over as None or as an explicit list of zeros, and
+    a row without edges as None or as []; a few rows carry costs.
+    """
+    n = draw(st.integers(0, 8))
+    matrix, weights = [], []
+    for _ in range(n):
+        present = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        if draw(st.integers(0, 4)) == 0:  # a costed row
+            row = [draw(st.sampled_from([0, 1, 2, 5])) if keep else math.inf for keep in present]
+            costs = [c for c in row if c != math.inf]
+        else:
+            row = [0 if keep else math.inf for keep in present]
+            costs = draw(st.sampled_from([None, [0.0] * sum(present)]))
+        matrix.append(row)
+        weights.append(costs)
+    return matrix, weights
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_mostly_unweighted_rows())
+def test_min_cost_matching_agrees_with_dense_reference_on_mostly_unweighted_rows(case):
+    matrix, weights = case
+    adjacency, canonical = _cost_rows(matrix)
+    _assert_agrees_with_dense_reference(matrix)
+    # None, [] and a list of zeros are the same all-0 row to the matcher.
+    assert min_cost_perfect_matching(adjacency, weights) == min_cost_perfect_matching(
+        adjacency, canonical
+    )
+
+
+def test_min_cost_matching_reads_all_zero_and_empty_cost_lists_as_unweighted():
+    adjacency = [[0, 1], [0, 1], [0, 2], []]
+    for weights in ([None, [0, 0], [3, 1], None], [[0, 0], [0, 0], [3, 1], []]):
+        assert min_cost_perfect_matching(adjacency[:3], weights[:3]) == ([0, 1, 2], 1)
+        assert min_cost_perfect_matching(adjacency, weights) is None  # row 3 has no edge
+    assert min_cost_perfect_matching([], []) == ([], 0)
 
 
 @settings(max_examples=150, deadline=None)

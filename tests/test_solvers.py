@@ -49,8 +49,10 @@ from tests.conftest import (
     is_cover,
     labelled_matching,
     random_system,
+    recorded_closed_loop_indexes,
     reference_condition_b_rows,
     reference_dp_cover,
+    reference_greedy_set_cover,
     reference_successors,
     section5_system,
     sink_only_input_system,
@@ -787,6 +789,38 @@ def test_condition_b_golden_result_without_state_matching():
     ]
 
 
+def test_two_stage_builds_one_closed_loop_index(section5):
+    instances = [section5] + [_line_instance(40_000 + idx, perfect_matching=idx % 2 == 0)
+                              for idx in range(20)]
+    for system, costs in instances:
+        with recorded_closed_loop_indexes() as made:
+            solution = two_stage(system, costs)
+        assert len(made) == 1
+        assert solution.feasible and check_no_sfm(system, solution.pattern).feasible
+
+
+def test_condition_b_on_the_condensation_index_equals_a_fresh_index_on_the_acceptance_suite():
+    for idx in range(200):  # criterion 4's two-stage suite
+        system, costs = _line_instance(40_000 + idx, perfect_matching=False)
+        fresh = min_cost_condition_b(system, costs)
+        shared = min_cost_condition_b(system, costs, index=condense(system).index)
+        assert shared.pattern == fresh.pattern
+        assert (shared.cost, shared.method, shared.reason) == (fresh.cost, fresh.method, fresh.reason)
+        assert shared.certificates == fresh.certificates
+
+
+def test_condition_b_refuses_an_index_of_another_system(section5):
+    system, costs = section5
+    other, _ = _line_instance(40_000, perfect_matching=False)
+    with pytest.raises(ValueError, match="another system"):
+        min_cost_condition_b(system, costs, index=ClosedLoopIndex(other))
+    # An index of an equal system serves.
+    twin = StructuredSystem(n=system.n, m=system.m, p=system.p, a_edges=system.a_edges,
+                            b_edges=system.b_edges, c_edges=system.c_edges)
+    shared = min_cost_condition_b(system, costs, index=ClosedLoopIndex(twin))
+    assert shared.certificates == min_cost_condition_b(system, costs).certificates
+
+
 def test_two_stage_collapses_to_dp_with_state_matching(section5):
     system, costs = section5
     combined = two_stage(system, costs)
@@ -979,6 +1013,88 @@ def test_greedy_set_cover_cross_multiplication_ties():
     # All ratios tie at 1/2; the smallest index wins each round.
     assert picked == [1, 2]
     assert total == 2
+
+
+_MAX = sys.float_info.max
+# Tie-heavy weights: exact products (ints, halves) and rounded ones. 0.1 * 3
+# rounds to 0.30000000000000004, so those two tie by cross-multiplication,
+# though 0.1 / 1 < 0.30000000000000004 / 3 exactly.
+_SMALL_WEIGHTS = (0, 1, 2, 3, 4, 6, 0.5, 1.5, 2.5, 0.1, 0.2, 0.3, 0.30000000000000004)
+# Weights near the float limit, where w * new overflows to inf; any two sum
+# to at most the largest float, as SetCoverInstance requires.
+_HUGE_WEIGHTS = (_MAX / 2, 0.4 * _MAX, _MAX / 3, 0.099 * _MAX, _MAX / 11, 2.0**1020, 10**307, 1e300)
+
+
+@st.composite
+def _tie_heavy_covers(draw):
+    size = draw(st.integers(1, 12))
+    sets = draw(st.lists(st.frozensets(st.integers(1, size), min_size=1), min_size=1, max_size=10))
+    missing = frozenset(range(1, size + 1)).difference(*sets)
+    sets[-1] |= missing
+    weights = draw(st.lists(st.sampled_from(_SMALL_WEIGHTS), min_size=len(sets), max_size=len(sets)))
+    for k in draw(st.lists(st.integers(0, len(sets) - 1), max_size=2, unique=True)):
+        weights[k] = draw(st.sampled_from(_HUGE_WEIGHTS))
+    return SetCoverInstance(universe_size=size, sets=tuple(sets), weights=tuple(weights))
+
+
+@settings(max_examples=600, deadline=None)
+@given(instance=_tie_heavy_covers())
+def test_greedy_set_cover_equals_the_scanning_reference(instance):
+    assert greedy_set_cover(instance) == reference_greedy_set_cover(instance)
+
+
+def test_greedy_set_cover_keeps_the_scan_order_where_products_round_or_overflow():
+    # 0.1 / 1 is below 0.30000000000000004 / 3 exactly, but 0.1 * 3 rounds
+    # to 0.30000000000000004, a tie by cross-multiplication: the scan keeps
+    # set 1, where a heap over the exact ratios would pop set 2.
+    rounded = SetCoverInstance(
+        universe_size=4, sets=(frozenset({1, 2, 3}), frozenset({4})),
+        weights=(0.30000000000000004, 0.1),
+    )
+    # Set 3 beats set 1 (0.297 * max < inf), but 1 ties 2 and 2 ties 3, both
+    # products of each pair overflowing to inf. The scan keeps 1, then takes
+    # 3; a heap ordered by the same comparison would pop 1 first.
+    overflowed = SetCoverInstance(
+        universe_size=11,
+        sets=(frozenset({4, 5, 6}), frozenset(range(1, 12)), frozenset({1, 2, 3})),
+        weights=(0.4 * _MAX, _MAX / 2, 0.099 * _MAX),
+    )
+    for instance, picks in ((rounded, [1, 2]), (overflowed, [3, 1, 2])):
+        expected = reference_greedy_set_cover(instance)
+        assert expected[0] == picks
+        assert greedy_set_cover(instance) == expected
+
+
+def test_greedy_set_cover_scans_every_set_only_where_a_product_rounds_or_overflows(monkeypatch):
+    popped = []
+    real = solvers._pop_fresh
+
+    def spy(*args):
+        popped.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solvers, "_pop_fresh", spy)
+    sets = (frozenset({1, 2}), frozenset({2, 3}), frozenset({3}))
+    for weights, lazy in (
+        ((1, 2, 3), True),
+        ((0.5, 2.5, 0.0), True),  # short significands: exact products
+        ((10**307, 10**307, 1), True),  # int products are exact
+        ((0.1, 2, 3), False),  # a 52-bit significand: too long for exactness to be shown
+        ((0.6 * _MAX, 1, 1), False),  # 0.6 * _MAX * 2 overflows
+    ):
+        popped.clear()
+        instance = SetCoverInstance(universe_size=3, sets=sets, weights=weights)
+        assert greedy_set_cover(instance) == reference_greedy_set_cover(instance)
+        assert bool(popped) is lazy, weights
+
+
+def test_greedy_single_input_is_near_linear_in_the_branches():
+    # A full scan per round took 2.1 s at 4000 branches (CPython 3.11, 2-vCPU Xeon).
+    instance = random_single_input_system(7, n_branches=4000)
+    start = time.perf_counter()
+    solution = greedy_single_input(*instance)
+    assert time.perf_counter() - start < 1.0
+    assert solution.feasible
 
 
 # SHA-256 of greedy_single_input's answers on a few hundred branches,
