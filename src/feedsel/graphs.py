@@ -95,24 +95,24 @@ class ClosedLoopIndex:
     @cached_property
     def _loop_rows(self) -> list[list[int]]:
         # Input ids exceed every state id, so a state row extended by its
-        # inputs' ids stays sorted once those are.
+        # inputs' ids in increasing order stays sorted.
         s, n = self.system, self.system.n
         states = self.state_rows
         rows = states + [[v] for v in range(n + 1, n + s.m + 1)]
-        for i, j in s.b_edges:
-            row = rows[i]
-            if row is states[i]:
-                rows[i] = row + [n + j]
+        for i, j in sorted(s.b_edges):
+            if rows[i] is states[i]:
+                rows[i] = states[i] + [n + j]
             else:
-                row.append(n + j)
-                row.sort()
-        outputs: list[list[int]] = [[] for _ in range(s.p)]
+                rows[i].append(n + j)
+        rows.extend([] for _ in range(s.p))
+        outputs = n + s.m
         for i, j in s.c_edges:
-            outputs[i - 1].append(j)
-        for v, row in enumerate(outputs, start=n + s.m + 1):
+            rows[outputs + i].append(j)
+        for v in range(outputs + 1, len(rows)):
+            row = rows[v]
             row.sort()
             row.append(v)
-        return rows + outputs
+        return rows
 
     def loop_rows(self, links: Iterable[Edge] = ()) -> list[list[int]]:
         """The base rows plus y_j in row u_i per link (i, j); rows gaining a link are copied."""

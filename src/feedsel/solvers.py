@@ -401,29 +401,22 @@ def reduce_set_cover(instance: SetCoverInstance) -> tuple[StructuredSystem, Cost
 
 
 class _Ratio:
-    """A set's weight per newly covered element, ordered by cross-multiplication, ties by index."""
+    """A set's weight per newly covered element, compared exactly; ties by index."""
 
-    __slots__ = ("w", "new", "idx")
+    __slots__ = ("num", "den", "new", "per", "idx")
 
     def __init__(self, w: float, new: int, idx: int) -> None:
-        self.w, self.new, self.idx = w, new, idx
+        self.num, self.den = w.as_integer_ratio()
+        self.idx = idx
+        self.count(new)
+
+    def count(self, new: int) -> None:
+        self.new, self.per = new, self.den * new
 
     def __lt__(self, other: _Ratio) -> bool:
-        # w / new < other.w / other.new, cross-multiplied
-        left, right = self.w * other.new, other.w * self.new
+        # num / per < other.num / other.per, per = den * new, in ints
+        left, right = self.num * other.per, other.num * self.per
         return left < right or (left == right and self.idx < other.idx)
-
-
-def _exact_products(weights: tuple[float, ...], largest: int) -> bool:
-    """True when every weight times every count up to ``largest`` is an exact product."""
-    room = 53 - largest.bit_length()  # the significand bits a float weight may use
-    for w in weights:
-        if isinstance(w, float) and w:
-            digits, _ = w.as_integer_ratio()
-            digits >>= (digits & -digits).bit_length() - 1  # drop trailing zero bits
-            if digits.bit_length() > room or math.isinf(w * largest):
-                return False
-    return True
 
 
 def greedy_set_cover(
@@ -432,60 +425,40 @@ def greedy_set_cover(
     """Greedy weighted set cover: repeatedly take the best weight-per-new-element set.
 
     Returns (picked set indices in pick order, total weight, trace); each
-    trace entry is (set index, newly covered count, weight). Ratio
-    comparisons are done by cross-multiplication so no division is
-    involved; ties prefer the smaller set index.
+    trace entry is (set index, newly covered count, weight). Ratios are
+    compared exactly, by cross-multiplying the weights' integer ratios, so
+    no division or float rounding is involved; ties prefer the smaller set
+    index.
 
     Lazy greedy (Minoux 1978): one heap of the sets keyed by their ratios.
     A set's count only falls as others are picked, so a stale key is never
     worse than the set's ratio; the top is recounted, and picked once its
     count is fresh, re-pushed with a fresh count otherwise, dropped at 0.
-    That needs the comparison to be a strict weak order, which it is when
-    every product is exact (int weights, and floats like 2.5). A rounded
-    or overflowed product can tie two ratios that differ, so that x ties
-    y, y ties z and x beats z; each round then scans every set in index
-    order, keeping the first best, as a heap cannot.
     """
     sets, weights = instance.sets, instance.weights
     uncovered = set(range(1, instance.universe_size + 1))
-    ratios = [_Ratio(w, len(s), idx) for idx, (s, w) in enumerate(zip(sets, weights), start=1)]
-    lazy = _exact_products(weights, max(map(len, sets)))
-    if lazy:
-        heapq.heapify(ratios)
+    heap = [_Ratio(w, len(s), idx) for idx, (s, w) in enumerate(zip(sets, weights), start=1)]
+    heapq.heapify(heap)
     picked: list[int] = []
     trace: list[tuple[int, int, float]] = []
     total: float = 0
     while uncovered:
-        best = _pop_fresh(ratios, sets, uncovered) if lazy else _scan(ratios, sets, uncovered)
-        picked.append(best.idx)
-        trace.append((best.idx, best.new, best.w))
-        total += best.w
-        uncovered -= sets[best.idx - 1]
-    return picked, total, trace
-
-
-def _pop_fresh(heap: list[_Ratio], sets: tuple[frozenset[int], ...], uncovered: set[int]) -> _Ratio:
-    """Pop the heap's top once its count is fresh, recounting stale tops on the way."""
-    while True:
         top = heap[0]
         new = len(sets[top.idx - 1] & uncovered)
-        if new == top.new:
-            return heapq.heappop(heap)
-        if new:
-            top.new = new
-            heapq.heapreplace(heap, top)
-        else:
-            heapq.heappop(heap)
-
-
-def _scan(ratios: list[_Ratio], sets: tuple[frozenset[int], ...], uncovered: set[int]) -> _Ratio:
-    """Recount every set; the first in index order that no later one beats."""
-    best: Optional[_Ratio] = None
-    for ratio in ratios:
-        ratio.new = len(sets[ratio.idx - 1] & uncovered)
-        if ratio.new and (best is None or ratio < best):
-            best = ratio
-    return best
+        if new != top.new:
+            if new:
+                top.count(new)
+                heapq.heapreplace(heap, top)
+            else:
+                heapq.heappop(heap)
+            continue
+        heapq.heappop(heap)
+        w = weights[top.idx - 1]
+        picked.append(top.idx)
+        trace.append((top.idx, new, w))
+        total += w
+        uncovered -= sets[top.idx - 1]
+    return picked, total, trace
 
 
 def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution:

@@ -13,8 +13,8 @@ Hopcroft-Karp with a BFS-and-DFS first phase, and again as it was with
 its greedy first phase (float layers, nested closures), the cycle
 stage's matcher rows overlaid link by link, the chain DP's sweep pushing
 every admissible link, the min-cost matcher on (right, cost) tuple rows,
-and the set-cover greedy scanning every set each round. Their results
-and messages must match exactly.
+and the set-cover greedy scanning every set each round, in exact
+rationals. Their results and messages must match exactly.
 
 ``random_system`` (unconstrained random systems with a random pattern)
 and the set-cover queries ``is_cover`` and ``cover_weight`` serve only
@@ -26,6 +26,7 @@ from __future__ import annotations
 import collections
 import heapq
 from contextlib import contextmanager
+from fractions import Fraction
 import math
 import random
 import sys
@@ -341,9 +342,9 @@ def reference_greedy_set_cover(
 ) -> tuple[list[int], float, list[tuple[int, int, float]]]:
     """The greedy as a full scan per round: every set recounted, the first best kept.
 
-    A set replaces the best so far only when ``w * best_new < best_w * new``,
-    so ties, rounded products and products that overflow to inf all keep
-    the smaller index.
+    A set replaces the best so far only when ``w * best_new < best_w * new``
+    in exact rationals, so ties keep the smaller index. Where every float
+    product is exact, this is the scan the library ran before its heap.
     """
     uncovered = set(range(1, instance.universe_size + 1))
     picked: list[int] = []
@@ -358,7 +359,7 @@ def reference_greedy_set_cover(
             if new == 0:
                 continue
             w = instance.weights[idx - 1]
-            if best_idx == -1 or w * best_new < best_w * new:
+            if best_idx == -1 or Fraction(w) * best_new < Fraction(best_w) * new:
                 best_idx, best_w, best_new = idx, w, new
         picked.append(best_idx)
         trace.append((best_idx, best_new, best_w))
