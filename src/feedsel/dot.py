@@ -7,7 +7,7 @@ two exports of the same graph are byte-identical and diffable.
 
 from __future__ import annotations
 
-from .graphs import ClosedLoopIndex, Condensation
+from .graphs import Condensation
 from .model import FeedbackPattern, StructuredSystem
 
 SHAPES = {"x": "circle", "u": "box", "y": "diamond"}
@@ -15,13 +15,12 @@ SHAPES = {"x": "circle", "u": "box", "y": "diamond"}
 
 def system_to_dot(system: StructuredSystem, pattern: FeedbackPattern) -> str:
     """The closed-loop digraph of ``system`` with the feedback edges of ``pattern``."""
-    index = ClosedLoopIndex(system)
-    feedback = index.feedback_edges(index.check_links(pattern.links))
+    feedback = system.feedback_edges(system.check_links(pattern.links))
     kinds = (("x", system.n), ("u", system.m), ("y", system.p))  # in id order, from id 1
     label = ["", *(f"{kind}{k}" for kind, count in kinds for k in range(1, count + 1))]
     lines = ["digraph system {", "  rankdir=LR;"]
     lines += [f"  {v} [shape={SHAPES[v[0]]}];" for v in label[1:]]
-    lines += [f"  {label[tail]} -> {label[head]};" for tail, head in sorted(index.edges())]
+    lines += [f"  {label[tail]} -> {label[head]};" for tail, head in sorted(system.edges())]
     lines += [f"  {label[t]} -> {label[h]} [style=dashed];" for t, h in sorted(feedback)]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -77,8 +77,8 @@ def _redraw(
     for _ in range(MAX_TRIES):
         system, costs = draw()
         if (
-            shape_ok(condensation := condense(system))
-            and _has_state_perfect_matching(condensation) == perfect_matching
+            shape_ok(condense(system))
+            and _has_state_perfect_matching(system) == perfect_matching
             and check_no_sfm(system, full_pattern(costs)).feasible
         ):
             return system, costs

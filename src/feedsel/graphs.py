@@ -1,26 +1,24 @@
-"""Graph machinery: the closed-loop index, SCC condensation, bipartite matchings.
+"""Graph machinery: SCCs, the condensation, bipartite matchings.
 
-``ClosedLoopIndex`` numbers states, inputs and outputs as vertices 1..n,
-n+1..n+m and n+m+1..n+m+p, and every closed-loop id in ``sfm`` and
-``solvers`` is one of these; row 0 of its rows is unused. Its
-``state_rows`` are the one state graph, which ``condense`` runs Tarjan on
-and the state-matching test matches; its ``loop_rows`` are laid over them,
-and a two-stage solve's cycle stage reads the index ``condense`` built.
-``scc_ids`` is the one SCC routine, and on those predecessor rows it emits
-the components in topological order. A bipartite graph is only a list of
-adjacency rows: row l holds the right vertices joined to left vertex l
-(``loop_rows`` serve as is); the min-cost matcher takes them sorted, with
-per-row costs (None for all-0 rows), and its right id per left id is the
-cycle stage's certificate. Vertices are ids throughout; only ``dot``
-names them, to print them, and only the benchmark's ``state_bipartite``
-shifts them to 0-based rows.
+Every graph here is a list of int rows, and every closed-loop id in
+``sfm`` and ``solvers`` is one of ``StructuredSystem``'s vertex ids:
+states 1..n, inputs n+1..n+m, outputs n+m+1..n+m+p, row 0 unused. The
+system's ``state_rows`` are the one state graph, which ``condense`` runs
+Tarjan on and the state-matching test matches; its ``loop_rows`` are laid
+over them. ``scc_ids`` is the one SCC routine, and on those predecessor
+rows it emits the components in topological order. A bipartite graph is
+only a list of adjacency rows: row l holds the right vertices joined to
+left vertex l (``loop_rows`` serve as is); the min-cost matcher takes them
+sorted, with per-row costs (None for all-0 rows), and its right id per
+left id is the cycle stage's certificate. Vertices are ids throughout;
+only ``dot`` names them, to print them, and only the benchmark's
+``state_bipartite`` shifts them to 0-based rows.
 """
 
 from __future__ import annotations
 
 import heapq
 from collections import defaultdict, deque
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 from types import SimpleNamespace
@@ -28,102 +26,9 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .model import DimensionError, Edge, INF, StructuredSystem
 
-VertexEdge = tuple[int, int]
-
 
 # ---------------------------------------------------------------------------
-# the closed-loop graph
-
-
-@dataclass(frozen=True, eq=False)
-class ClosedLoopIndex:
-    """The closed-loop graph of one system, with feedback links laid over it.
-
-    Digraph vertex ids: states x_1..x_n are 1..n, inputs u_1..u_m are
-    n+1..n+m and outputs y_1..y_p are n+m+1..n+m+p (entry 0 of the rows is
-    unused); a feedback link (i, j) adds the edge y_j -> u_i. ``loop_rows``
-    are the sorted predecessor rows, each input and output row ending in
-    the vertex itself: a self-loop merges no SCCs and adds nothing to
-    reachability, and as bipartite rows v' - w, one per edge w -> v, they
-    match perfectly iff disjoint cycles span the states. ``state_rows`` are
-    the same rows over the states alone, the state digraph, and the only
-    rows built from the a_edges: a state's loop row is its state row
-    object when no input actuates it, else a copy extended by the input
-    ids. Rows are built on first use and kept; a pattern's list copies only
-    the rows its links change and shares the others, so callers must not
-    mutate them.
-    """
-
-    system: StructuredSystem
-
-    @cached_property
-    def vertex_count(self) -> int:
-        return self.system.n + self.system.m + self.system.p
-
-    def edges(self) -> Iterator[VertexEdge]:
-        """The system's digraph edges x_j -> x_i, u_j -> x_i and x_j -> y_i."""
-        s, n = self.system, self.system.n
-        yield from ((j, i) for i, j in s.a_edges)
-        yield from ((n + j, i) for i, j in s.b_edges)
-        yield from ((j, n + s.m + i) for i, j in s.c_edges)
-
-    def check_links(self, links: Iterable[Edge]) -> list[Edge]:
-        """The links as a list; DimensionError if one lies outside 1..m x 1..p."""
-        m, p = self.system.m, self.system.p
-        links = list(links)
-        for i, j in links:
-            if not (1 <= i <= m and 1 <= j <= p):
-                raise DimensionError(f"feedback link ({i}, {j}) out of range for m={m}, p={p}")
-        return links
-
-    def feedback_edges(self, links: Iterable[Edge]) -> list[VertexEdge]:
-        """Digraph edges y_j -> u_i of the links (not range-checked)."""
-        n = self.system.n
-        offset = n + self.system.m
-        return [(offset + j, n + i) for i, j in links]
-
-    @cached_property
-    def state_rows(self) -> list[list[int]]:
-        """Row i: the sorted j of the a_edges (i, j), the predecessors of x_i; row 0 unused."""
-        rows: list[list[int]] = [[] for _ in range(self.system.n + 1)]
-        for i, j in self.system.a_edges:
-            rows[i].append(j)
-        for row in rows:
-            row.sort()
-        return rows
-
-    @cached_property
-    def _loop_rows(self) -> list[list[int]]:
-        # Input ids exceed every state id, so a state row extended by its
-        # inputs' ids in increasing order stays sorted.
-        s, n = self.system, self.system.n
-        states = self.state_rows
-        rows = states + [[v] for v in range(n + 1, n + s.m + 1)]
-        for i, j in sorted(s.b_edges):
-            if rows[i] is states[i]:
-                rows[i] = states[i] + [n + j]
-            else:
-                rows[i].append(n + j)
-        rows.extend([] for _ in range(s.p))
-        outputs = n + s.m
-        for i, j in s.c_edges:
-            rows[outputs + i].append(j)
-        for v in range(outputs + 1, len(rows)):
-            row = rows[v]
-            row.sort()
-            row.append(v)
-        return rows
-
-    def loop_rows(self, links: Iterable[Edge] = ()) -> list[list[int]]:
-        """The base rows plus y_j in row u_i per link (i, j); rows gaining a link are copied."""
-        base = self._loop_rows
-        rows = list(base)
-        for y, u in self.feedback_edges(links):
-            if rows[u] is base[u]:
-                rows[u] = base[u] + [y]
-            else:
-                rows[u].append(y)
-        return rows
+# strongly connected components
 
 
 def scc_ids(rows: Sequence[Sequence[int]]) -> tuple[list[int], int]:
@@ -190,13 +95,13 @@ class Condensation:
     target. input_incidence[k-1] is the set of inputs actuating some state
     of the k-th SCC; output_incidence[k-1] the outputs sensing it. Instead
     of ``sccs``, built on first read, ``condense`` passes ``scc_index`` (the
-    1-based SCC per state) and the ``index`` whose ``state_rows`` it ran
-    Tarjan on. Built by hand, without either, its incidence lengths and DAG
-    edges are checked, and ``sccs`` is readable only if passed.
+    1-based SCC per state). Built by hand, without it, its incidence
+    lengths and DAG edges are checked, and ``sccs`` is readable only if
+    passed.
     """
 
     def __init__(self, sccs=None, dag_edges=frozenset(), input_incidence=(), output_incidence=(),
-                 *, scc_index: Sequence[int] = (), index: Optional[ClosedLoopIndex] = None):
+                 *, scc_index: Sequence[int] = ()):
         if sccs is not None:
             self.sccs = sccs
         self.scc_count = ell = len(input_incidence if sccs is None else sccs)
@@ -207,7 +112,7 @@ class Condensation:
             bad = sorted(e for e in dag_edges if not 1 <= e[0] < e[1] <= ell)
             if bad:
                 raise DimensionError(f"DAG edge {bad[0]} is not 1 <= source < target <= {ell}")
-        self.dag_edges, self.scc_index, self.index = dag_edges, scc_index, index
+        self.dag_edges, self.scc_index = dag_edges, scc_index
         self.input_incidence, self.output_incidence = input_incidence, output_incidence
 
     @cached_property
@@ -236,14 +141,13 @@ def condense(system: StructuredSystem) -> Condensation:
     The SCC order is topological; among admissible choices the SCC holding the
     smallest state index comes first, so the result is reproducible and
     independent of edge iteration order. SCCs are first ranked in the order
-    ``scc_ids`` emits them on the index's ``state_rows``, which is
+    ``scc_ids`` emits them on the system's ``state_rows``, which is
     topological. When every two consecutive ranks are joined by an edge, as
     on a line, that order is the only topological one; only otherwise does
     Kahn's algorithm rerank them, by a min-heap keyed by smallest state. SCC
     sets are built only when read.
     """
-    index = ClosedLoopIndex(system)
-    ids, count = scc_ids(index.state_rows)
+    ids, count = scc_ids(system.state_rows)
     rank = [c + 1 for c in ids]  # 1-based SCC index per state; 0 at the unused vertex 0
     # the edges x_j -> x_i between two SCCs, as (source rank, target rank)
     dag_edges = {(rank[j], rank[i]) for i, j in system.a_edges if rank[j] != rank[i]}
@@ -276,7 +180,6 @@ def condense(system: StructuredSystem) -> Condensation:
         input_incidence=_incidence(system.b_edges, rank, count),
         output_incidence=_incidence(((j, i) for i, j in system.c_edges), rank, count),
         scc_index=rank,
-        index=index,
     )
 
 
@@ -317,8 +220,8 @@ def missing_path_links(condensation: Condensation) -> list[tuple[int, int]]:
 
 # Kept for the benchmark's instance builder, which counts matching deficiency with it.
 def state_bipartite(system: StructuredSystem) -> SimpleNamespace:
-    """``.adjacency``: ``ClosedLoopIndex(system).state_rows`` shifted down to 0-based rows."""
-    rows = ClosedLoopIndex(system).state_rows
+    """``.adjacency``: the system's ``state_rows`` shifted down to 0-based rows."""
+    rows = system.state_rows
     return SimpleNamespace(adjacency=[[j - 1 for j in row] for row in rows[1:]])
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Iterable, Iterator
 
 INF = math.inf
 
 Edge = tuple[int, int]
+VertexEdge = tuple[int, int]  # (tail, head) closed-loop vertex ids
 
 
 class DimensionError(ValueError):
@@ -97,8 +99,24 @@ class StructuredSystem:
     edge field takes any iterable of pairs and is frozen into a set, so
     repeated pairs collapse; ``_edge_set`` checks a well-formed field whole
     and falls back to checking each pair only to name a fault. The range
-    problems raise one ``DimensionError`` naming each. Instances are
-    immutable and safe to share between threads.
+    problems raise one ``DimensionError`` naming each.
+
+    The system is also its closed-loop digraph. Vertex ids: states
+    x_1..x_n are 1..n, inputs u_1..u_m are n+1..n+m and outputs y_1..y_p
+    are n+m+1..n+m+p (entry 0 of the rows is unused); a feedback link
+    (i, j) adds the edge y_j -> u_i. ``loop_rows`` are the sorted
+    predecessor rows, each input and output row ending in the vertex
+    itself: a self-loop merges no SCCs and adds nothing to reachability,
+    and as bipartite rows v' - w, one per edge w -> v, they match
+    perfectly iff disjoint cycles span the states. ``state_rows`` are the
+    same rows over the states alone, the state digraph, and the only rows
+    built from the a_edges: a state's loop row is its state row object
+    when no input actuates it, else a copy extended by the input ids. Rows
+    are built on first use and kept, as plain int lists, so a system makes
+    no reference cycle; a pattern's list copies only the rows its links
+    change and shares the others, so callers must not mutate them.
+    Instances are immutable and safe to share between threads: two
+    threads that build the same rows at once build equal ones.
     """
 
     n: int
@@ -127,6 +145,75 @@ class StructuredSystem:
             ]
         if problems:
             raise DimensionError("; ".join(problems))
+
+    @property
+    def vertex_count(self) -> int:
+        return self.n + self.m + self.p
+
+    def edges(self) -> Iterator[VertexEdge]:
+        """The digraph edges x_j -> x_i, u_j -> x_i and x_j -> y_i, as vertex ids."""
+        n = self.n
+        yield from ((j, i) for i, j in self.a_edges)
+        yield from ((n + j, i) for i, j in self.b_edges)
+        yield from ((j, n + self.m + i) for i, j in self.c_edges)
+
+    def check_links(self, links: Iterable[Edge]) -> list[Edge]:
+        """The links as a list; DimensionError if one lies outside 1..m x 1..p."""
+        m, p = self.m, self.p
+        links = list(links)
+        for i, j in links:
+            if not (1 <= i <= m and 1 <= j <= p):
+                raise DimensionError(f"feedback link ({i}, {j}) out of range for m={m}, p={p}")
+        return links
+
+    def feedback_edges(self, links: Iterable[Edge]) -> list[VertexEdge]:
+        """Digraph edges y_j -> u_i of the links (not range-checked)."""
+        n = self.n
+        offset = n + self.m
+        return [(offset + j, n + i) for i, j in links]
+
+    @cached_property
+    def state_rows(self) -> list[list[int]]:
+        """Row i: the sorted j of the a_edges (i, j), the predecessors of x_i; row 0 unused."""
+        rows: list[list[int]] = [[] for _ in range(self.n + 1)]
+        for i, j in self.a_edges:
+            rows[i].append(j)
+        for row in rows:
+            row.sort()
+        return rows
+
+    @cached_property
+    def _loop_rows(self) -> list[list[int]]:
+        # Input ids exceed every state id, so a state row extended by its
+        # inputs' ids in increasing order stays sorted.
+        n = self.n
+        states = self.state_rows
+        rows = states + [[v] for v in range(n + 1, n + self.m + 1)]
+        for i, j in sorted(self.b_edges):
+            if rows[i] is states[i]:
+                rows[i] = states[i] + [n + j]
+            else:
+                rows[i].append(n + j)
+        rows.extend([] for _ in range(self.p))
+        outputs = n + self.m
+        for i, j in self.c_edges:
+            rows[outputs + i].append(j)
+        for v in range(outputs + 1, len(rows)):
+            row = rows[v]
+            row.sort()
+            row.append(v)
+        return rows
+
+    def loop_rows(self, links: Iterable[Edge] = ()) -> list[list[int]]:
+        """The base rows plus y_j in row u_i per link (i, j); rows gaining a link are copied."""
+        base = self._loop_rows
+        rows = list(base)
+        for y, u in self.feedback_edges(links):
+            if rows[u] is base[u]:
+                rows[u] = base[u] + [y]
+            else:
+                rows[u].append(y)
+        return rows
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ A pattern is feasible when both graph conditions hold on the closed loop:
       closed-loop bipartite graph has a perfect matching.
 
 Feasible patterns permit arbitrary (generic) pole placement; check results
-carry the offending states so callers can explain failures. ``check_no_sfm``
-runs Tarjan for (a) on one pattern's loop rows; the oracle asks
-``CoverageKernel`` instead. (b) has one predicate, ``_has_cycle_family``, on
-an index's rows: a pattern's ``loop_rows``, or the ``state_rows`` alone.
+carry the offending states so callers can explain failures. Both read
+the rows the system builds once and keeps. ``check_no_sfm`` runs Tarjan for
+(a) on one pattern's loop rows; the oracle asks ``CoverageKernel`` instead.
+(b) has one predicate, ``_has_cycle_family``, on a system's rows: a
+pattern's ``loop_rows``, or the ``state_rows`` alone.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import ClosedLoopIndex, Condensation, hopcroft_karp, scc_ids
+from .graphs import hopcroft_karp, scc_ids
 from .model import Edge, FeedbackPattern, StructuredSystem
 
 
@@ -46,13 +47,13 @@ class SfmVerdict:
 
 
 def _uncovered_states(
-    index: ClosedLoopIndex, links: Sequence[Edge], rows: Sequence[Sequence[int]]
+    system: StructuredSystem, links: Sequence[Edge], rows: Sequence[Sequence[int]]
 ) -> tuple[int, ...]:
     """States whose SCC on the closed-loop ``rows`` of ``links`` holds no link's edge."""
     ids, _ = scc_ids(rows)
     # A feedback edge is inside an SCC exactly when its endpoints share one.
-    covered = {ids[u] for y, u in index.feedback_edges(links) if ids[y] == ids[u]}
-    return tuple([s for s in range(1, index.system.n + 1) if ids[s] not in covered])
+    covered = {ids[u] for y, u in system.feedback_edges(links) if ids[y] == ids[u]}
+    return tuple([s for s in range(1, system.n + 1) if ids[s] not in covered])
 
 
 def _reachable(rows: Sequence[Sequence[int]], source: int) -> set[int]:
@@ -92,7 +93,7 @@ class CoverageKernel:
     y_j -> u_i after it: u_k ~> s and s ~> y_j are open-loop paths, so s
     is in SR[k] and SQ[j], and u_i ~> u_k ~> s ~> y_j -> u_i puts k and i
     in one SCC of the input graph. Conversely those memberships close
-    that walk. One reverse search per output on the index's ``loop_rows``
+    that walk. One reverse search per output on the system's ``loop_rows``
     fills SQ and ``inputs_to``; SR comes from forward searches on their
     transpose. Building the tables costs O((m + p) * (n + E)); each call
     then costs O(|L| + m^2) big-int operations and O(n) to list the states,
@@ -100,16 +101,15 @@ class CoverageKernel:
     across many patterns.
     """
 
-    def __init__(self, index: ClosedLoopIndex) -> None:
-        s = index.system
-        n, m = s.n, s.m
-        pred = index.loop_rows()
+    def __init__(self, system: StructuredSystem) -> None:
+        n, m, p = system.n, system.m, system.p
+        pred = system.loop_rows()
         self.n = n
-        self.SQ = [0] * (s.p + 1)
+        self.SQ = [0] * (p + 1)
         # OR stored transposed: bit k of inputs_to[j] is set when y_j is in
         # OR[k], so a link (i, j) adds the input-graph edges inputs_to[j] -> i.
-        self.inputs_to = [0] * (s.p + 1)
-        for j in range(1, s.p + 1):
+        self.inputs_to = [0] * (p + 1)
+        for j in range(1, p + 1):
             for v in _reachable(pred, n + m + j):
                 if v <= n:
                     self.SQ[j] |= 1 << v
@@ -151,18 +151,17 @@ class CoverageKernel:
 
 
 def _has_cycle_family(rows: Sequence[Sequence[int]]) -> bool:
-    """True when an index's sorted ``rows`` (row 0 empty) match perfectly: disjoint cycles span them."""
+    """True when a system's sorted ``rows`` (row 0 empty) match perfectly: disjoint cycles span them."""
     return hopcroft_karp(rows, len(rows))[0] == len(rows) - 1
 
 
-def _has_state_perfect_matching(condensation: Condensation) -> bool:
-    """True when disjoint cycles span the states alone: the index's ``state_rows`` match perfectly."""
-    return _has_cycle_family(condensation.index.state_rows)
+def _has_state_perfect_matching(system: StructuredSystem) -> bool:
+    """True when disjoint cycles span the states alone: the system's ``state_rows`` match perfectly."""
+    return _has_cycle_family(system.state_rows)
 
 
 def check_no_sfm(system: StructuredSystem, pattern: FeedbackPattern) -> SfmVerdict:
     """Run both feasibility conditions on one closed-loop row list; the combined verdict."""
-    index = ClosedLoopIndex(system)
-    links = index.check_links(pattern.links)
-    rows = index.loop_rows(links)
-    return SfmVerdict(_uncovered_states(index, links, rows), _has_cycle_family(rows))
+    links = system.check_links(pattern.links)
+    rows = system.loop_rows(links)
+    return SfmVerdict(_uncovered_states(system, links, rows), _has_cycle_family(rows))

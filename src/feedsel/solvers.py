@@ -51,7 +51,6 @@ from operator import itemgetter
 from typing import Iterator, Optional
 
 from .graphs import (
-    ClosedLoopIndex,
     Condensation,
     condense,
     min_cost_perfect_matching,
@@ -275,45 +274,34 @@ def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:
     once: it is certified ``condition_b_checked`` or raises PreconditionError.
     """
     costs.require_matches(system)
-    condensation = condense(system)
-    solution = dp_cover(condensation, costs)
-    if not _has_state_perfect_matching(condensation) and solution.feasible:
+    solution = dp_cover(condense(system), costs)
+    if not _has_state_perfect_matching(system) and solution.feasible:
         links = solution.pattern.sorted_links()
-        if not _has_cycle_family(condensation.index.loop_rows(links)):
+        if not _has_cycle_family(system.loop_rows(links)):
             raise PreconditionError(f"no state perfect matching, and the coverage optimum {links} "
                                     "fails cycle spanning; solve-two-stage handles this case")
         solution.certificates["condition_b_checked"] = True
     return solution
 
 
-def min_cost_condition_b(
-    system: StructuredSystem, costs: CostMatrix, *, index: Optional[ClosedLoopIndex] = None
-) -> Solution:
+def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solution:
     """Cheapest pattern that spans every state with disjoint cycles.
 
-    Matches on the closed-loop bipartite rows of ``ClosedLoopIndex`` with
-    every admissible link. A link adds u'_i - y_j to input row u'_i, whose
+    Matches on the system's closed-loop bipartite rows with every
+    admissible link. A link adds u'_i - y_j to input row u'_i, whose
     base is u'_i - u_i alone, so each such row is built from cost row i:
     u_i, then each admissible y_j in order, costed 0 and then the links'
-    costs. Other rows are the index's ``loop_rows``, at cost 0, with the
+    costs. Other rows are the system's ``loop_rows``, at cost 0, with the
     unused vertex 0 matched to itself. The pattern is read off the input
     rows matched to outputs in a minimum-cost perfect matching, certified as
     ``matching``: the matched id per vertex id v', 0 at the unused 0. With a
     state perfect matching the warm start is already perfect and no
     shortest path runs; the certificates count the shortest paths as
     ``augmentations``.
-
-    ``index`` is the system's ``ClosedLoopIndex`` when the caller has one,
-    as ``two_stage`` has ``condense``'s, so that its rows are built once;
-    an index of a different system is a ``ValueError``.
     """
     costs.require_matches(system)
     n, m = system.n, system.m
-    if index is None:
-        index = ClosedLoopIndex(system)
-    elif index.system != system:
-        raise ValueError("the closed-loop index belongs to another system")
-    rows, weights = index.loop_rows(), [None] * (index.vertex_count + 1)
+    rows, weights = system.loop_rows(), [None] * (system.vertex_count + 1)
     rows[0] = [0]
     for i, row in enumerate(costs.rows, start=1):
         admissible = [j for j, c in enumerate(row, start=1) if c != INF]
@@ -352,13 +340,10 @@ def two_stage(system: StructuredSystem, costs: CostMatrix) -> Solution:
 
     Each stage alone is a lower bound on the optimum, so the union costs
     at most twice the optimum; it is feasible whenever both stages are.
-    The cycle stage matches on the condensation's ``ClosedLoopIndex``, so
-    one index serves the solve.
     """
     costs.require_matches(system)
-    condensation = condense(system)
-    stage_a = dp_cover(condensation, costs)
-    stage_b = min_cost_condition_b(system, costs, index=condensation.index)
+    stage_a = dp_cover(condense(system), costs)
+    stage_b = min_cost_condition_b(system, costs)
     certificates = {"stage_a": stage_a, "stage_b": stage_b}
     if not stage_a.feasible:
         return _infeasible("two-stage", f"coverage stage infeasible: {stage_a.reason}", certificates)
@@ -475,7 +460,7 @@ def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution
     problems = []
     if system.m != 1:
         problems.append(f"requires a single input, got m={system.m}")
-    if not _has_state_perfect_matching(condensation):
+    if not _has_state_perfect_matching(system):
         problems.append("requires a perfect matching in the state bipartite graph")
     sources = condensation.non_top_linked_sccs()
     if len(sources) != 1:
@@ -683,7 +668,6 @@ def exact_oracle(
             f"(2^{n_links} patterns); the budget can be raised up to {MAX_ORACLE_LINKS}"
         )
 
-    index = ClosedLoopIndex(system)
     certificates = {
         "admissible_links": n_links,
         "condition_a_cost": INF,
@@ -692,11 +676,11 @@ def exact_oracle(
     # Both conditions are monotone in the link set: a feedback edge only
     # merges SCCs and adds bipartite edges. So the full link set decides
     # whether any pattern passes each one.
-    kernel = CoverageKernel(index)
+    kernel = CoverageKernel(system)
     if kernel.uncovered_states(links):
         return _infeasible("exact", _NO_FEASIBLE_PATTERN, certificates)
-    base_b_ok = _has_cycle_family(index.loop_rows())
-    full_b_ok = base_b_ok or _has_cycle_family(index.loop_rows(links))
+    base_b_ok = _has_cycle_family(system.loop_rows())
+    full_b_ok = base_b_ok or _has_cycle_family(system.loop_rows(links))
 
     link_costs = [costs.cost(i, j) for i, j in links]
     # The hitting constraints of (a): bit s when x_s is in SQ[j], bit n + s
@@ -722,7 +706,7 @@ def exact_oracle(
             cover_cost, cover = c, chosen
         # With a state perfect matching every pattern passes (b).
         if full_b_ok and (best is None or (c, chosen) < (best_cost, best)) and (
-            base_b_ok or _has_cycle_family(index.loop_rows(chosen))
+            base_b_ok or _has_cycle_family(system.loop_rows(chosen))
         ):
             best_cost, best = c, chosen
         stop = min((best_cost if full_b_ok else cover_cost) * (1 + 2**-40), sys.float_info.max)

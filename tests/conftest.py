@@ -27,6 +27,7 @@ import collections
 import heapq
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import cached_property
 import math
 import random
 import sys
@@ -41,10 +42,8 @@ from feedsel import (
     Condensation, CostMatrix, DimensionError, DpTable, FeedbackPattern, SetCoverInstance,
     StructuredSystem, full_pattern,
 )
-from feedsel import graphs, sfm, solvers
 from feedsel.fileio import SchemaError
 from feedsel.generators import _rng
-from feedsel.graphs import ClosedLoopIndex
 from feedsel.model import INF
 
 
@@ -258,8 +257,8 @@ def _has_spanning_permutation(vertices: list[int], succ) -> bool:
 def reference_successors(system: StructuredSystem, pattern: FeedbackPattern) -> list[list[int]]:
     """Closed-loop successor lists built edge family by edge family.
 
-    Independent of ``ClosedLoopIndex``: states are 1..n, inputs n+1..n+m,
-    outputs n+m+1..n+m+p, and entry 0 is unused.
+    Independent of the system's own rows: states are 1..n, inputs
+    n+1..n+m, outputs n+m+1..n+m+p, and entry 0 is unused.
     """
     n, m = system.n, system.m
     succ: list[list[int]] = [[] for _ in range(n + m + system.p + 1)]
@@ -274,10 +273,25 @@ def reference_successors(system: StructuredSystem, pattern: FeedbackPattern) -> 
     return succ
 
 
+def reference_state_rows(system: StructuredSystem) -> list[list[int]]:
+    """Row i: the sorted j of the a_edges (i, j), built edge by edge; row 0 unused."""
+    return [[]] + [sorted(j for i, j in system.a_edges if i == l) for l in range(1, system.n + 1)]
+
+
+def reference_loop_rows(system: StructuredSystem) -> list[list[int]]:
+    """The link-free loop rows from ``reference_successors``: sorted predecessors per vertex,
+    each input and output row ending in the vertex itself."""
+    pred: list[list[int]] = [[] for _ in range(system.n + system.m + system.p + 1)]
+    for tail, heads in enumerate(reference_successors(system, FeedbackPattern())):
+        for head in heads:
+            pred[head].append(tail)
+    return [sorted(row) + ([v] if v > system.n else []) for v, row in enumerate(pred)]
+
+
 def reference_state_bipartite_rows(system: StructuredSystem) -> list[list[int]]:
     """The state bipartite rows as ``state_bipartite`` once built them: the ``loop_rows`` of the
     system stripped of its inputs and outputs, shifted down to 0-based ids."""
-    rows = ClosedLoopIndex(StructuredSystem(system.n, 0, 0, system.a_edges)).loop_rows()
+    rows = StructuredSystem(system.n, 0, 0, system.a_edges).loop_rows()
     return [[j - 1 for j in row] for row in rows[1:]]
 
 
@@ -539,7 +553,7 @@ def closed_loop_cost_rows(
 ) -> list[list[tuple[int, float]]]:
     """Closed-loop bipartite cost rows over every admissible link.
 
-    Built from ``reference_successors``, not ``ClosedLoopIndex``: row v - 1
+    Built from ``reference_successors``, not the system's rows: row v - 1
     holds (w - 1, cost) for each edge w -> v, plus (v - 1, 0) on inputs and
     outputs. A feedback edge y_j -> u_i costs link (i, j), every other edge
     0, and each row is sorted by right vertex.
@@ -874,19 +888,20 @@ def reference_greedy_start_hopcroft_karp(
 
 
 @contextmanager
-def recorded_closed_loop_indexes() -> Iterator[list[ClosedLoopIndex]]:
-    """Yields the list of every ``ClosedLoopIndex`` the library builds in the block."""
-    made: list[ClosedLoopIndex] = []
+def counted_state_row_builds() -> Iterator[list[StructuredSystem]]:
+    """Yields the list of systems whose ``state_rows`` are built in the block, one entry a build."""
+    built: list[StructuredSystem] = []
+    build = StructuredSystem.__dict__["state_rows"].func
 
-    class Recorded(ClosedLoopIndex):
-        def __init__(self, system: StructuredSystem) -> None:
-            super().__init__(system)
-            made.append(self)
+    def counted(system: StructuredSystem) -> list[list[int]]:
+        built.append(system)
+        return build(system)
 
+    spy = cached_property(counted)
+    spy.__set_name__(StructuredSystem, "state_rows")
     with pytest.MonkeyPatch.context() as patch:
-        for module in (graphs, sfm, solvers):
-            patch.setattr(module, "ClosedLoopIndex", Recorded)
-        yield made
+        patch.setattr(StructuredSystem, "state_rows", spy)
+        yield built
 
 
 def labelled_matching(system: StructuredSystem, matching) -> list[tuple[str, str]]:
@@ -906,13 +921,12 @@ def reference_condition_b_rows(system: StructuredSystem, costs: CostMatrix):
     """The cycle stage's matcher rows as it built them by overlaying link tuples.
 
     Every admissible link (i, j) becomes the bipartite edge u'_i - y_j,
-    laid over the index's ``loop_rows``; a row that gains links is costed 0
+    laid over the system's ``loop_rows``; a row that gains links is costed 0
     per base edge, then each link's cost, and every other row keeps None.
     The unused row 0 is [0], matched to itself at no cost.
     """
-    index = ClosedLoopIndex(system)
     links = costs.finite_links()
-    rows, base = index.loop_rows(links), index.loop_rows()
+    rows, base = system.loop_rows(links), system.loop_rows()
     weights = [None if row is kept else [0] * len(kept) for row, kept in zip(rows, base)]
     for i, j in links:
         weights[system.n + i].append(costs.rows[i - 1][j - 1])
@@ -923,7 +937,7 @@ def reference_condition_b_rows(system: StructuredSystem, costs: CostMatrix):
 def reference_min_cost_perfect_matching(rows, stats=None) -> tuple[list[int], float] | None:
     """Sparse successive shortest paths on (right vertex, cost) tuple rows.
 
-    The form the cycle stage's matcher had before it read the index's int
+    The form the cycle stage's matcher had before it read the int loop
     rows with per-row costs: every row is a list of (right, cost) pairs
     sorted by right vertex, potentials start at the row minima, the warm
     start matches the edges at their row minimum, and one Dijkstra runs per

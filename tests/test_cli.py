@@ -21,11 +21,14 @@ from feedsel import (
     INF, CostMatrix, SetCoverInstance, StructuredSystem, cost_of, parse_system, reduce_set_cover,
     solve_dp,
 )
-from feedsel import cli
+from feedsel import cli, generators
 from feedsel.cli import parse_feedback_arg, run
 from feedsel.fileio import SchemaError, emit_system
 from feedsel.generators import random_line_system, random_single_input_system
-from tests.conftest import fig1_cover_instance, section5_system, sink_only_input_system
+from feedsel.graphs import missing_path_links
+from tests.conftest import (
+    counted_state_row_builds, fig1_cover_instance, section5_system, sink_only_input_system,
+)
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -1136,21 +1139,19 @@ def test_bench_size_outputs_match_golden_digest(tmp_path):
 
 
 def test_closed_loop_commands_build_at_most_one_loop_row_list(capsys, monkeypatch, tmp_path, section5_file):
-    from feedsel.graphs import ClosedLoopIndex
-
     path = tmp_path / "nopm.json"
     path.write_text(emit_system(*random_line_system(
         7, scc_count=4, scc_size_range=(2, 2), n_inputs=3, n_outputs=3, perfect_matching=False,
     )))
     calls = []
-    original = ClosedLoopIndex.loop_rows
+    original = StructuredSystem.loop_rows
 
     def spy(self, links=()):
         calls.append("loop_rows")
         return original(self, links)
 
-    monkeypatch.setattr(ClosedLoopIndex, "loop_rows", spy)
-    # solve-dp tests the state matching on the condensation's rows, and
+    monkeypatch.setattr(StructuredSystem, "loop_rows", spy)
+    # solve-dp tests the state matching on the system's state rows, and
     # cycle spanning on the answer's loop rows only when that test fails.
     code, _, _ = invoke(capsys, "solve-dp", section5_file)
     assert code == 0 and calls == []
@@ -1166,3 +1167,40 @@ def test_closed_loop_commands_build_at_most_one_loop_row_list(capsys, monkeypatc
     code, _, _ = invoke(capsys, "check-sfm", str(path), "--feedback", links)
     # One row list per pattern, shared by both conditions.
     assert code == 0 and calls == ["loop_rows"]
+
+
+def test_state_row_builds_per_command_match_the_one_per_system_reference(capsys, tmp_path, section5_file):
+    nopm, single, line = (str(tmp_path / name) for name in ("nopm.json", "single.json", "line.json"))
+    Path(nopm).write_text(emit_system(*random_line_system(
+        7, scc_count=4, scc_size_range=(2, 2), n_inputs=3, n_outputs=3, perfect_matching=False,
+    )))
+    Path(single).write_text(emit_system(*random_single_input_system(5, n_branches=3)))
+    # (argv, exit code, systems whose state rows the command builds)
+    cases = [
+        (["solve-dp", section5_file], 0, 1),
+        (["solve-dp", nopm], 2, 1),  # the coverage optimum's cycle test reads the same rows
+        (["solve-two-stage", nopm], 0, 1),
+        (["solve-greedy", single], 0, 1),  # the state matching and the answer's check share them
+        (["solve-exact", nopm], 0, 1),
+        (["check-sfm", section5_file, "--feedback", "2:3"], 0, 1),
+        (["export-dot", section5_file, "--feedback", "2:3"], 0, 0),  # edges only, no rows
+        (["export-dot", section5_file, "--condensation"], 0, 1),
+        (["gen-line", "--seed", "3", "--sccs", "30", "--no-pm", "-o", line], 0, 1),
+    ]
+    for argv, code, systems in cases:
+        with counted_state_row_builds() as built:
+            assert invoke(capsys, *argv)[0] == code, argv
+        assert len(built) == systems, argv
+    # Every draw of a generator, whichever test rejects it, builds its rows once.
+    good = StructuredSystem(1, 1, 1, {(1, 1)}, {(1, 1)}, {(1, 1)})
+    draws = iter([
+        StructuredSystem(2, 1, 1, {(1, 1), (2, 2)}, {(1, 1)}, {(1, 1)}),  # two SCCs, no edge
+        StructuredSystem(1, 1, 1, set(), {(1, 1)}, {(1, 1)}),  # no state matching
+        StructuredSystem(1, 1, 1, {(1, 1)}, set(), {(1, 1)}),  # the full pattern fails coverage
+        good,
+    ])
+    with counted_state_row_builds() as built:
+        drawn = generators._redraw(lambda: (next(draws), CostMatrix.from_rows([[1]])),
+                                   lambda c: not missing_path_links(c))
+    assert drawn[0] is good
+    assert len(built) == 4 and len({id(system) for system in built}) == 4

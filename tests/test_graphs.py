@@ -18,13 +18,15 @@ from feedsel import (
     check_no_sfm,
     condense,
     dp_cover,
+    exact_oracle,
     min_cost_condition_b,
     reduce_set_cover,
+    solve_dp,
     two_stage,
 )
 from feedsel import graphs
+from feedsel.dot import condensation_to_dot, system_to_dot
 from feedsel.graphs import (
-    ClosedLoopIndex,
     hopcroft_karp,
     min_cost_perfect_matching,
     missing_path_links,
@@ -41,12 +43,13 @@ from tests.conftest import (
     fig1_cover_instance,
     maxflow_matching_size,
     random_system,
-    recorded_closed_loop_indexes,
     reference_condense,
     reference_greedy_start_hopcroft_karp,
     reference_hopcroft_karp,
+    reference_loop_rows,
     reference_min_cost_perfect_matching,
     reference_state_bipartite_rows,
+    reference_state_rows,
     reference_strongly_connected_components,
     reference_successors,
     scc_partition_by_closure,
@@ -60,14 +63,13 @@ def fig1_system():
 
 
 # ---------------------------------------------------------------------------
-# the closed-loop index
+# the closed-loop rows of a system
 
 
 def test_state_digraph_single_entry():
     system = StructuredSystem(n=2, m=0, p=0, a_edges=frozenset({(1, 2)}))
-    index = ClosedLoopIndex(system)
-    assert list(index.edges()) == [(2, 1)]  # x2 -> x1
-    assert index.loop_rows() == [[], [2], []]  # x1's row holds its predecessor x2
+    assert list(system.edges()) == [(2, 1)]  # x2 -> x1
+    assert system.loop_rows() == [[], [2], []]  # x1's row holds its predecessor x2
 
 
 @settings(max_examples=200, deadline=None)
@@ -75,12 +77,11 @@ def test_state_digraph_single_entry():
 def test_state_rows_equal_the_edge_built_and_loop_row_references(seed, n, m, p):
     rng = random.Random(seed)
     system, _ = random_system(rng, n=n, m=m, p=p, a_density=rng.uniform(0, 0.6))
-    index = ClosedLoopIndex(system)
-    rows = index.state_rows
+    rows = system.state_rows
     # Row i: the sorted predecessors x_j of x_i, one per a_edge (i, j); row 0 unused.
-    assert rows == [[]] + [sorted(j for i, j in system.a_edges if i == l) for l in range(1, n + 1)]
+    assert rows == reference_state_rows(system)
     # The loop rows of the states, with their input ids (n + 1 and up) dropped.
-    assert rows[1:] == [[w for w in row if w <= n] for row in index.loop_rows()[1:n + 1]]
+    assert rows[1:] == [[w for w in row if w <= n] for row in system.loop_rows()[1:n + 1]]
     assert state_bipartite(system).adjacency == reference_state_bipartite_rows(system)
 
 
@@ -97,57 +98,57 @@ def _random_instance(rng, line):
     return system, CostMatrix.from_rows(costs)
 
 
-def _edge_built_state_rows(system):
-    return [[]] + [sorted(j for i, j in system.a_edges if i == l) for l in range(1, system.n + 1)]
-
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), line=st.booleans())
 def test_loop_rows_lay_the_sorted_inputs_over_the_state_rows_reference(seed, line):
     rng = random.Random(seed)
     system, _ = _random_instance(rng, line)
     n = system.n
-    index = ClosedLoopIndex(system)
-    rows, states = index.loop_rows(), index.state_rows
+    rows, states = system.loop_rows(), system.state_rows
     for i in range(1, n + 1):
         inputs = sorted(n + j for k, j in system.b_edges if k == i)
         assert rows[i] == states[i] + inputs
         if not inputs:  # shared, not copied
             assert rows[i] is states[i]
-    assert states == _edge_built_state_rows(system)
+    assert states == reference_state_rows(system)
 
 
 @settings(max_examples=150, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), line=st.booleans())
 def test_state_rows_stay_the_edge_built_reference_after_every_closed_loop_use(seed, line):
+    # One system object through every reader of its cached rows: none may change them.
     rng = random.Random(seed)
     system, costs = _random_instance(rng, line)
     links = costs.finite_links()
-    chosen = [link for link in links if rng.random() < 0.5]
-    with recorded_closed_loop_indexes() as made:
-        index = condense(system).index
-        index.loop_rows(chosen)
-        index.loop_rows(links)
-        min_cost_condition_b(system, costs, index=index)
-        check_no_sfm(system, FeedbackPattern(frozenset(chosen)))
+    chosen = FeedbackPattern(frozenset(link for link in links if rng.random() < 0.5))
+    states, base = system.state_rows, system.loop_rows()
+    condense(system)
+    system.loop_rows(chosen.links)
+    system.loop_rows(links)
+    min_cost_condition_b(system, costs)
+    check_no_sfm(system, chosen)
+    for solver in (two_stage, solve_dp):
         try:
-            two_stage(system, costs)
-        except PreconditionError:  # no line order; its condensation was still built
+            solver(system, costs)
+        except PreconditionError:  # no line order, or solve_dp's failed cycle test
             pass
-    assert len(made) == 3  # condense's, check_no_sfm's and two_stage's
-    for built in made:
-        assert built.state_rows == _edge_built_state_rows(system)
+    assert len(links) <= 24
+    exact_oracle(system, costs, budget=24)
+    system_to_dot(system, chosen)
+    condensation_to_dot(condense(system))
+    assert system.state_rows is states and system.state_rows == reference_state_rows(system)
+    assert system.loop_rows() == base == reference_loop_rows(system)
 
 
 def test_state_digraph_empty():
     system = StructuredSystem(n=3, m=0, p=0)
-    assert list(ClosedLoopIndex(system).edges()) == []
+    assert list(system.edges()) == []
 
 
 def test_state_digraph_fig1_topology():
     system, _ = fig1_system()
     n = system.n
-    state_edges = {(t, h) for t, h in ClosedLoopIndex(system).edges() if t <= n and h <= n}
+    state_edges = {(t, h) for t, h in system.edges() if t <= n and h <= n}
     self_loops = {(v, v) for v in range(1, 7)}
     hub_edges = {(6, i) for i in range(1, 6)}
     assert state_edges == self_loops | hub_edges
@@ -155,24 +156,22 @@ def test_state_digraph_fig1_topology():
 
 def test_closed_loop_digraph_adds_feedback_edge():
     system, _ = fig1_system()
-    index = ClosedLoopIndex(system)
     # y1 is vertex 6+1+1 = 8, u1 is vertex 7
-    assert index.feedback_edges([(1, 1)]) == [(8, 7)]
-    assert index.loop_rows([(1, 1)])[7] == [7, 8]  # u1's self-loop, then y1 fed back
-    assert (system.n, system.m, index.vertex_count) == (6, 1, 10)  # u1 is 7, y1..y3 are 8..10
+    assert system.feedback_edges([(1, 1)]) == [(8, 7)]
+    assert system.loop_rows([(1, 1)])[7] == [7, 8]  # u1's self-loop, then y1 fed back
+    assert (system.n, system.m, system.vertex_count) == (6, 1, 10)  # u1 is 7, y1..y3 are 8..10
 
 
 def test_closed_loop_digraph_empty_pattern_has_no_feedback():
     system, _ = fig1_system()
-    index = ClosedLoopIndex(system)
-    assert index.feedback_edges([]) == []
-    edges = list(index.edges())
+    assert system.feedback_edges([]) == []
+    edges = list(system.edges())
     inputs = range(system.n + 1, system.n + system.m + 1)
-    outputs = range(system.n + system.m + 1, index.vertex_count + 1)
+    outputs = range(system.n + system.m + 1, system.vertex_count + 1)
     assert len([e for e in edges if e[0] in inputs]) == 1
     assert len([e for e in edges if e[1] in outputs]) == 7
     assert all(e[0] not in outputs and e[1] not in inputs for e in edges)
-    rows = index.loop_rows()
+    rows = system.loop_rows()
     assert all(rows[u] == [u] for u in inputs)
     assert all(rows[y][-1] == y and len(rows[y]) > 1 for y in outputs)
 
@@ -181,23 +180,22 @@ def test_closed_loop_digraph_rejects_out_of_range_link():
     system, _ = fig1_system()
     for link in [(2, 1), (0, 1), (1, 0), (1, 4)]:
         with pytest.raises(DimensionError, match=re.escape(f"link {link} out of range for m=1, p=3")):
-            ClosedLoopIndex(system).check_links([(1, 1), link])
-    assert ClosedLoopIndex(system).check_links({(1, 3)}) == [(1, 3)]
+            system.check_links([(1, 1), link])
+    assert system.check_links({(1, 3)}) == [(1, 3)]
 
 
 def test_overlay_copies_only_the_rows_its_links_change(section5):
     system, _ = section5
-    index = ClosedLoopIndex(system)
-    base = index.loop_rows()
+    base = system.loop_rows()
     snapshot = [list(row) for row in base]
     links = [(2, 3), (1, 1), (4, 3), (2, 1)]
-    rows = index.loop_rows(links)
+    rows = system.loop_rows(links)
     y1, y3 = system.n + system.m + 1, system.n + system.m + 3
     u1, u2, u4 = system.n + 1, system.n + 2, system.n + 4
     assert rows[u2] == [u2, y3, y1] and rows[u4] == [u4, y3] and rows[u1] == [u1, y1]
     for v, row in enumerate(rows):
         assert (row is base[v]) == (v not in {u1, u2, u4})
-    assert [list(row) for row in index.loop_rows()] == snapshot
+    assert [list(row) for row in system.loop_rows()] == snapshot
 
 
 def _reaches(succ, start, goal):
@@ -216,7 +214,7 @@ def _reaches(succ, start, goal):
 
 def test_closed_loop_digraph_reference_cycle(section5):
     system, _ = section5
-    rows = ClosedLoopIndex(system).loop_rows([(2, 3)])
+    rows = system.loop_rows([(2, 3)])
     u2 = system.n + 2
     y3 = system.n + system.m + 3
     assert _reaches(rows, u2, y3) and _reaches(rows, y3, u2)
@@ -236,12 +234,12 @@ def _predecessors(succ):
     return pred
 
 
-def _rows_from_edges(index):
-    """The base loop rows built from ``index.edges()``, sorted row by row."""
-    succ = [[] for _ in range(index.vertex_count + 1)]
-    for tail, head in index.edges():
+def _rows_from_edges(system):
+    """The base loop rows built from ``system.edges()``, sorted row by row."""
+    succ = [[] for _ in range(system.vertex_count + 1)]
+    for tail, head in system.edges():
         succ[tail].append(head)
-    return _self_closed(index.system, [sorted(row) for row in _predecessors(succ)])
+    return _self_closed(system, [sorted(row) for row in _predecessors(succ)])
 
 
 def _generated_systems():
@@ -256,14 +254,13 @@ def _generated_systems():
 
 def test_loop_rows_equal_the_edge_built_reference():
     for system, costs in _generated_systems():
-        index = ClosedLoopIndex(system)
         # Built from the edge fields directly, sorted row by row.
-        assert index.loop_rows() == _rows_from_edges(index)
+        assert system.loop_rows() == _rows_from_edges(system) == reference_loop_rows(system)
         pattern = FeedbackPattern(frozenset(costs.finite_links()[::2]))
-        fast = index.loop_rows(pattern.links)
+        fast = system.loop_rows(pattern.links)
         slow = _self_closed(system, _predecessors(reference_successors(system, pattern)))
         inputs = range(system.n + 1, system.n + system.m + 1)
-        outputs = range(system.n + system.m + 1, index.vertex_count + 1)
+        outputs = range(system.n + system.m + 1, system.vertex_count + 1)
         assert all(fast[u][0] == u for u in inputs) and all(fast[y][-1] == y for y in outputs)
         assert [sorted(row) for row in fast] == [sorted(row) for row in slow]
 
@@ -631,15 +628,13 @@ def test_closed_loop_bipartite_pads_with_identity_edges():
         b_edges=frozenset({(1, 1)}),
         c_edges=frozenset({(1, 2)}),
     )
-    index = ClosedLoopIndex(system)
-    assert hopcroft_karp(index.loop_rows(), index.vertex_count + 1)[0] == 4
+    assert hopcroft_karp(system.loop_rows(), system.vertex_count + 1)[0] == 4
 
 
 def test_closed_loop_bipartite_reference_full_pattern(section5):
     system, _ = section5
     full = FeedbackPattern(frozenset((i, j) for i in range(1, 5) for j in range(1, 4)))
-    index = ClosedLoopIndex(system)
-    size, _, _ = hopcroft_karp(index.loop_rows(full.sorted_links()), index.vertex_count + 1)
+    size, _, _ = hopcroft_karp(system.loop_rows(full.sorted_links()), system.vertex_count + 1)
     assert size == system.n + system.m + system.p
 
 
@@ -658,7 +653,7 @@ def test_state_bipartite_rows_equal_the_edge_built_reference():
         rows = state_bipartite(system).adjacency
         assert rows == reference
         perfect = hopcroft_karp(rows, n)[0] == n
-        assert perfect == _has_state_perfect_matching(condense(system))
+        assert perfect == _has_state_perfect_matching(system)
         touched = {v for edge in system.a_edges for v in edge}
         seen |= {"perfect" if perfect else "deficient"}
         seen |= {"isolated"} if len(touched) < n else set()
@@ -673,10 +668,10 @@ def test_state_matching_leaves_the_index_state_rows_unchanged():
         n=3, m=0, p=0, a_edges=frozenset({(1, 1), (2, 1), (3, 1), (1, 2), (2, 3), (3, 3)})
     )
     condensation = condense(system)
-    rows = condensation.index.state_rows
+    rows = system.state_rows
     before = [list(row) for row in rows]
-    assert _has_state_perfect_matching(condensation)
-    assert condensation.index.state_rows is rows
+    assert _has_state_perfect_matching(system)
+    assert system.state_rows is rows
     assert rows == before == [[], [1, 2], [1, 3], [1, 3]]
     assert not hasattr(condensation, "state_rows")
 
@@ -726,10 +721,9 @@ def _greedy_matching_size(adjacency, n_right: int) -> int:
 def test_greedy_first_phase_matches_like_the_bfs_and_dfs_phase_on_closed_loops():
     augmented = 0
     for system, costs in _generated_systems():
-        index = ClosedLoopIndex(system)
         links = costs.finite_links()
         for chosen in (links, links[::2], links[1::3], []):
-            rows = index.loop_rows(chosen)
+            rows = system.loop_rows(chosen)
             expected = reference_hopcroft_karp(rows, len(rows))
             assert hopcroft_karp(rows, len(rows)) == expected
             assert reference_greedy_start_hopcroft_karp(rows, len(rows)) == expected
@@ -764,9 +758,8 @@ def test_carried_free_rows_match_the_greedy_start_reference_over_several_phases(
         system, costs = random_line_system(
             seed, scc_count=60, scc_size_range=(2, 2), n_inputs=5, n_outputs=5, perfect_matching=False,
         )
-        index = ClosedLoopIndex(system)
         links = costs.finite_links()
-        for rows in (index.loop_rows(links), index.loop_rows(links[::2]), index.loop_rows()):
+        for rows in (system.loop_rows(links), system.loop_rows(links[::2]), system.loop_rows()):
             phases.append(0)
             with monkeypatch.context() as patch:
                 patch.setattr(graphs, "deque", CountingDeque)
@@ -814,8 +807,8 @@ def test_tarjan_numbers_components_as_the_reference_emits_them(rows):
 def _cost_rows(matrix):
     """The matcher's (adjacency, weights) for a square cost matrix, inf where no edge.
 
-    A row whose finite entries all cost 0 gets None weights, as the rows
-    the closed-loop index shares with the cycle stage do.
+    A row whose finite entries all cost 0 gets None weights, as the
+    system's loop rows do in the cycle stage.
     """
     adjacency = [[r for r, c in enumerate(row) if c != math.inf] for row in matrix]
     weights = [

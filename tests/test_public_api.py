@@ -39,3 +39,9 @@ def test_readme_graph_helpers_paragraph_names_only_existing_helpers():
     assert named
     for name in named:
         assert _resolve(name) is not None, name
+
+
+def test_readme_python_block_runs_as_the_reference_example():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})

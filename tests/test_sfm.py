@@ -16,7 +16,7 @@ from feedsel import (
 )
 from feedsel import condense
 from feedsel.generators import random_line_system
-from feedsel.graphs import ClosedLoopIndex, state_bipartite
+from feedsel.graphs import state_bipartite
 from feedsel.sfm import (
     CoverageKernel, _has_cycle_family, _has_state_perfect_matching, _uncovered_states,
 )
@@ -152,11 +152,10 @@ def test_coverage_kernel_joins_inputs_on_one_cycle_through_three_of_them():
     # every state, though no two inputs have direct edges both ways.
     ring = frozenset({(1, 1), (2, 2), (3, 3)})
     system = StructuredSystem(n=3, m=3, p=3, a_edges=frozenset(), b_edges=ring, c_edges=ring)
-    index = ClosedLoopIndex(system)
-    kernel = CoverageKernel(index)
+    kernel = CoverageKernel(system)
     links = [(2, 1), (3, 2), (1, 3)]
     assert kernel.uncovered_states(links) == () == _uncovered_states(
-        index, links, index.loop_rows(links)
+        system, links, system.loop_rows(links)
     )
     assert kernel.uncovered_states([(2, 1), (3, 2)]) == (1, 2, 3)
 
@@ -213,12 +212,11 @@ def _kernel_system(family: str, seed: int) -> StructuredSystem:
 )
 def test_coverage_kernel_agrees_with_closed_loop_sccs(family, seed, subsets):
     system = _kernel_system(family, seed)
-    index = ClosedLoopIndex(system)
-    kernel = CoverageKernel(index)
+    kernel = CoverageKernel(system)
     every_link = [(i, j) for i in range(1, system.m + 1) for j in range(1, system.p + 1)]
     for bits in subsets + [(1 << len(every_link)) - 1]:
         links = [link for b, link in enumerate(every_link) if bits >> b & 1]
-        assert kernel.uncovered_states(links) == _uncovered_states(index, links, index.loop_rows(links))
+        assert kernel.uncovered_states(links) == _uncovered_states(system, links, system.loop_rows(links))
 
 
 def _open_loop_reach(system: StructuredSystem) -> list[set[int]]:
@@ -244,7 +242,7 @@ def test_coverage_kernel_tables_equal_the_edge_built_reference():
             system = _kernel_system(family, seed)
             n, m, p = system.n, system.m, system.p
             reach = _open_loop_reach(system)
-            kernel = CoverageKernel(ClosedLoopIndex(system))
+            kernel = CoverageKernel(system)
             states = range(1, n + 1)
             assert kernel.SR == [0] + [
                 sum(1 << s for s in states if s in reach[n + k]) for k in range(1, m + 1)
@@ -276,20 +274,19 @@ def test_cycle_family_on_the_shared_loop_rows_agrees_with_references(seed, n, m,
     system, _ = random_system(rng, n=n, m=m, p=p, a_density=rng.uniform(0, 0.5))
     every_link = [(i, j) for i in range(1, m + 1) for j in range(1, p + 1)]
     links = [link for b, link in enumerate(every_link) if bits >> b & 1]
-    index = ClosedLoopIndex(system)
-    rows = index.loop_rows(links)
+    rows = system.loop_rows(links)
     found = _has_cycle_family(rows)
     # Checked against the other orientation: successor rows built edge by edge, with a
     # self-loop on each input and output; row 0 stays empty and unmatched.
     plain = reference_successors(system, FeedbackPattern(frozenset(links)))
     self_looped = [row + [v] if v > n else row for v, row in enumerate(plain)]
-    size = index.vertex_count
+    size = system.vertex_count
     assert found == (reference_hopcroft_karp(self_looped, size + 1)[0] == size)
     if n + m + p <= 10:
         assert found == spanning_cycle_family_exists(system, FeedbackPattern(frozenset(links)))
     # The self-loops ending the input and output rows leave condition (a) as it was:
     # the loop rows give the same verdict as rows without self-loops, built edge by edge.
-    assert _uncovered_states(index, links, rows) == _uncovered_states(index, links, plain)
+    assert _uncovered_states(system, links, rows) == _uncovered_states(system, links, plain)
     assert check_no_sfm(system, FeedbackPattern(frozenset(links))).condition_b_ok == found
 
 
@@ -305,8 +302,10 @@ def test_state_matching_on_condensation_rows_agrees_with_reference_and_default(s
         system, _ = random_system(rng, n=n, m=1, p=1, a_density=rng.uniform(0, 0.6))
     condensation = condense(system)
     expected = reference_hopcroft_karp(state_bipartite(system).adjacency, system.n)[0] == system.n
-    assert _has_state_perfect_matching(condensation) == expected
-    assert _has_state_perfect_matching(condense(system)) == expected
-    # A second call on the same condensation gives the same answer and leaves the SCCs as they were.
-    assert _has_state_perfect_matching(condensation) == expected
+    # On the rows condense ran Tarjan on, and on an equal system that never condensed.
+    assert _has_state_perfect_matching(system) == expected
+    twin = StructuredSystem(system.n, system.m, system.p, system.a_edges, system.b_edges, system.c_edges)
+    assert _has_state_perfect_matching(twin) == expected
+    # A second call on the same system gives the same answer and leaves the SCCs as they were.
+    assert _has_state_perfect_matching(system) == expected
     assert condensation.sccs == reference_condense(system).sccs

@@ -3,6 +3,7 @@ import math
 import random
 import re
 import sys
+import threading
 import time
 from itertools import combinations
 from pathlib import Path
@@ -27,6 +28,7 @@ from feedsel import (
     cost_of,
     dp_cover,
     exact_oracle,
+    full_pattern,
     greedy_set_cover,
     greedy_single_input,
     load_setcover,
@@ -38,7 +40,7 @@ from feedsel import (
 )
 from feedsel import graphs, sfm
 from feedsel.generators import random_line_system, random_single_input_system
-from feedsel.graphs import ClosedLoopIndex, hopcroft_karp, missing_path_links, state_bipartite
+from feedsel.graphs import hopcroft_karp, missing_path_links, state_bipartite
 from tests.conftest import (
     brute_force_set_cover,
     closed_loop_cost_rows,
@@ -50,7 +52,6 @@ from tests.conftest import (
     is_cover,
     labelled_matching,
     random_system,
-    recorded_closed_loop_indexes,
     reference_condition_b_rows,
     reference_dp_cover,
     reference_greedy_set_cover,
@@ -255,7 +256,7 @@ def test_state_matching_check_equals_hopcroft_karp_on_the_state_graph():
     verdicts = []
     for system in systems:
         expected = hopcroft_karp(state_bipartite(system).adjacency, system.n)[0] == system.n
-        assert solvers._has_state_perfect_matching(condense(system)) == expected
+        assert solvers._has_state_perfect_matching(system) == expected
         verdicts.append(expected)
     assert verdicts.count(True) >= 30 and verdicts.count(False) >= 30
 
@@ -620,7 +621,7 @@ def test_condition_b_cost_equals_dense_reference_on_acceptance_suites():
 
 
 # SHA-256 of the cycle-stage results on the acceptance suites, captured
-# before the stage moved from the labelled bipartite graph to index rows;
+# before the stage moved from the labelled bipartite graph to id rows;
 # the id matching is hashed in the labelled form it was captured in.
 CYCLE_STAGE_DIGEST = "f82d8b71032935677234eabbf6474c7260a72aade74d55df161ca780bc05f97f"
 
@@ -647,7 +648,7 @@ def test_condition_b_patterns_and_certificates_match_golden_digest():
 
 # SHA-256 of the cycle-stage results on two_stage_nopm-sized chains (2-state
 # SCCs, 20 inputs, 20 outputs, no state perfect matching), captured before
-# the matcher moved from (right, cost) tuple rows to the index's int rows,
+# the matcher moved from (right, cost) tuple rows to the int loop rows,
 # with the id matching hashed in its labelled form. The narrow cost range
 # makes equal-cost optima common.
 CONDITION_B_BENCH_SIZE_DIGEST = "710c2e9b966fd92c9a42d4689ebccb181aaa43266e9c481e0787492c077cce60"
@@ -790,36 +791,47 @@ def test_condition_b_golden_result_without_state_matching():
     ]
 
 
-def test_two_stage_builds_one_closed_loop_index(section5):
-    instances = [section5] + [_line_instance(40_000 + idx, perfect_matching=idx % 2 == 0)
-                              for idx in range(20)]
-    for system, costs in instances:
-        with recorded_closed_loop_indexes() as made:
-            solution = two_stage(system, costs)
-        assert len(made) == 1
-        assert solution.feasible and check_no_sfm(system, solution.pattern).feasible
+def test_threads_sharing_one_fresh_system_match_the_serial_reference():
+    # Systems are shared across threads, and from CPython 3.12 on cached_property
+    # takes no lock, so the threads may build one fresh system's rows at once.
+    # Half of them check first, half solve first, so rows are read while others build.
+    generated, costs = random_line_system(
+        4, scc_count=150, scc_size_range=(2, 2), n_inputs=20, n_outputs=20, perfect_matching=False,
+    )
 
+    def outcome(system, check_first=True):
+        if check_first:
+            verdict = check_no_sfm(system, full_pattern(costs))
+        solution = two_stage(system, costs)
+        if not check_first:
+            verdict = check_no_sfm(system, full_pattern(costs))
+        stages = [solution.certificates[stage] for stage in ("stage_a", "stage_b")]
+        return verdict, solution.pattern, solution.cost, [(s.pattern, s.certificates) for s in stages]
 
-def test_condition_b_on_the_condensation_index_equals_a_fresh_index_on_the_acceptance_suite():
-    for idx in range(200):  # criterion 4's two-stage suite
-        system, costs = _line_instance(40_000 + idx, perfect_matching=False)
-        fresh = min_cost_condition_b(system, costs)
-        shared = min_cost_condition_b(system, costs, index=condense(system).index)
-        assert shared.pattern == fresh.pattern
-        assert (shared.cost, shared.method, shared.reason) == (fresh.cost, fresh.method, fresh.reason)
-        assert shared.certificates == fresh.certificates
+    serial = outcome(generated)
+    assert serial[0].feasible and serial[2] < INF
+    shared = StructuredSystem(generated.n, generated.m, generated.p,
+                              generated.a_edges, generated.b_edges, generated.c_edges)
+    assert "state_rows" not in vars(shared)
+    barrier = threading.Barrier(8, timeout=60)
+    results = [None] * 8
 
+    def work(k):
+        barrier.wait()
+        results[k] = outcome(shared, check_first=k % 2 == 0)
 
-def test_condition_b_refuses_an_index_of_another_system(section5):
-    system, costs = section5
-    other, _ = _line_instance(40_000, perfect_matching=False)
-    with pytest.raises(ValueError, match="another system"):
-        min_cost_condition_b(system, costs, index=ClosedLoopIndex(other))
-    # An index of an equal system serves.
-    twin = StructuredSystem(n=system.n, m=system.m, p=system.p, a_edges=system.a_edges,
-                            b_edges=system.b_edges, c_edges=system.c_edges)
-    shared = min_cost_condition_b(system, costs, index=ClosedLoopIndex(twin))
-    assert shared.certificates == min_cost_condition_b(system, costs).certificates
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the row builds too
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [serial] * 8
 
 
 def test_two_stage_collapses_to_dp_with_state_matching(section5):
@@ -1227,8 +1239,7 @@ def test_oracle_certifies_coverage_when_no_pattern_spans_cycles(monkeypatch):
     assert solution.certificates["condition_a_cost"] == coverage[0]
     assert solution.certificates["condition_a_pattern"] == coverage[1]
     # One check without links and one with all of them; no per-pattern scan.
-    index = ClosedLoopIndex(system)
-    assert matching_checks == [index.loop_rows(), index.loop_rows(costs.finite_links())]
+    assert matching_checks == [system.loop_rows(), system.loop_rows(costs.finite_links())]
 
 
 def test_oracle_tests_coverage_with_the_kernel_alone(monkeypatch):
@@ -1459,7 +1470,7 @@ def test_oracle_both_answers_equal_naive_enumeration(instance):
 
 def test_oracle_enumerates_once_without_state_matching(monkeypatch):
     system, costs = random_line_system(5, scc_count=3, perfect_matching=False)
-    assert not solvers._has_state_perfect_matching(condense(system))
+    assert not solvers._has_state_perfect_matching(system)
     subsets_by_cost = solvers._subsets_by_cost
     calls = []
 
