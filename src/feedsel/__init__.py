@@ -15,7 +15,6 @@ from .graphs import Condensation, condense
 from .sfm import SfmVerdict, check_no_sfm
 from .solvers import (
     BudgetExceededError,
-    DpTable,
     Solution,
     dp_cover,
     exact_oracle,
@@ -44,7 +43,6 @@ __all__ = [
     "Condensation",
     "CostMatrix",
     "DimensionError",
-    "DpTable",
     "FeedbackPattern",
     "PreconditionError",
     "SchemaError",

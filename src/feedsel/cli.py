@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import itertools
 import math
 import sys
 import time
@@ -32,7 +31,6 @@ from .graphs import condense
 from .model import FeedbackPattern, cost_of
 from .sfm import check_no_sfm
 from .solvers import (
-    DpTable,
     Solution,
     exact_oracle,
     greedy_single_input,
@@ -53,15 +51,6 @@ def _text_cost(value: float) -> str:
 def _jsonable(obj):
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in sorted(obj.items(), key=lambda kv: str(kv[0]))}
-    if isinstance(obj, DpTable):
-        # [first, last, cost, input, output, predecessor] per maximal run of
-        # stages that share one cost and one choice; nulls for no choice.
-        runs, first = [], 0
-        for (cost, choice), run in itertools.groupby(zip(obj.stage_costs, obj.choices)):
-            last = first + len(list(run)) - 1
-            runs.append([first, last, _json_cost(cost), *(choice or (None, None, None))])
-            first = last + 1
-        return {"runs": runs}
     if isinstance(obj, Solution):
         return {
             "method": obj.method,
@@ -122,8 +111,9 @@ def _report_text(solution: Solution) -> str:
     if solution.reason:
         lines.append(f"reason:   {solution.reason}")
     table = solution.certificates.get("dp_table")
-    if isinstance(table, DpTable):
-        stages = " ".join(_text_cost(w) for w in table.stage_costs)
+    if table:
+        stages = " ".join(" ".join([_text_cost(w)] * (last - first + 1))
+                          for first, last, w, *_ in table["runs"])
         lines.append(f"stages:   [{stages}]")
     trace = solution.certificates.get("trace")
     if trace:

@@ -208,7 +208,7 @@ class StructuredSystem:
         """The base rows plus y_j in row u_i per link (i, j); rows gaining a link are copied."""
         base = self._loop_rows
         rows = list(base)
-        for y, u in self.feedback_edges(links):
+        for y, u in self.feedback_edges(sorted(links)):  # so rows stay sorted in any link order
             if rows[u] is base[u]:
                 rows[u] = base[u] + [y]
             else:

@@ -91,21 +91,6 @@ _NO_FEASIBLE_PATTERN = "no feasible pattern exists (optimal cost is infinite)"
 MAX_ORACLE_LINKS = 24
 
 
-@dataclass(frozen=True)
-class DpTable:
-    """Stage table of the chain dynamic program.
-
-    ``stage_costs[k]`` is the cheapest way to cover the first k SCCs
-    (``stage_costs[0] == 0``). ``choices[k]`` records the argmin edge as
-    (input, output, predecessor stage), or None when stage k is
-    unreachable with admissible links. The stages of one run of an
-    unchanged argmin may hold one shared tuple.
-    """
-
-    stage_costs: tuple[float, ...]
-    choices: tuple[Optional[tuple[int, int, int]], ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Solution:
     """A solver outcome: the selected pattern, its cost, and provenance."""
@@ -146,12 +131,17 @@ def _check_incidence_ranges(condensation: Condensation, costs: CostMatrix) -> No
             raise DimensionError(f"{vertex}{first} outside cost matrix with {size}={top}")
 
 
+def _first_ten(pairs: list[Edge]) -> str:
+    """``pairs`` as a list, cut after the first 10 with the total named when longer."""
+    return str(pairs) if len(pairs) <= 10 else f"{str(pairs[:10])[:-1]}, ...] ({len(pairs)} in all)"
+
+
 def _require_line_order(condensation: Condensation) -> None:
     missing = missing_path_links(condensation)
     if missing:
         raise PreconditionError(
-            "SCC DAG admits no line spanning path; consecutive SCC pairs "
-            f"without an edge: {missing}; DAG edges: {sorted(condensation.dag_edges)}"
+            "SCC DAG admits no line spanning path; consecutive SCC pairs without an "
+            f"edge: {_first_ten(missing)}; DAG edges: {_first_ten(sorted(condensation.dag_edges))}"
         )
 
 
@@ -176,10 +166,15 @@ def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
 
     The top changes only at an event: a stage where some input is first
     actuated, or the stage after the top's interval ends. So the sweep
-    jumps from event to event and fills the stages between with one slice
-    each, every choice of a run being one shared tuple. After the
-    condensation it costs O(m * p + events * log L) Python steps, L the
-    admissible links, and the l stages only C-level list work.
+    jumps from event to event, and the stages between share one cost and
+    one argmin. After the condensation it costs O(m * p + events * log L)
+    Python steps, L the admissible links, whatever the chain's length l.
+
+    The stage table is certified as ``dp_table``: ``{"runs": runs}``, runs
+    ``(first, last, cost, input, output, predecessor)`` tiling stages 0..l,
+    each a maximal run of stages that share one cost (the cheapest cover of
+    SCCs 1..k, inf if unreachable) and one argmin link (u_input, y_output)
+    on top of stage ``predecessor``; None for no link (stage 0, unreachable).
 
     Dominance: an input's links all start at the same stage on the same
     prior stage, so among them the smaller (cost, output) has the smaller
@@ -210,15 +205,14 @@ def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
             actuated |= inputs
     starts = [*fresh, ell + 1]
 
-    stage_costs: list[float] = [0] + [INF] * ell
-    choices: list[Optional[tuple[int, int, int]]] = [None] * (ell + 1)
+    runs: list[tuple] = [(0, 0, 0, None, None, None)]
     # The link cost sits before the output in the key, so each input keeps
     # its (cost, output) argmin even when float rounding ties two totals.
     heap: list[tuple[float, int, int, float, int, int]] = []
     k, e = 1, 0
     while k <= ell:
         if k == starts[e]:
-            prior = stage_costs[k - 1]
+            prior = runs[-1][2]
             for i in fresh[k]:
                 row = costs.rows[i - 1]
                 best_cost, best_j = INF, 0  # so forbidden links are never pushed
@@ -233,35 +227,31 @@ def dp_cover(condensation: Condensation, costs: CostMatrix) -> Solution:
         while heap and heap[0][5] < k:
             heapq.heappop(heap)
         if not heap:
-            break
+            runs.append((k, ell, INF, None, None, None))
+            return _infeasible(
+                "dp",
+                f"SCC coverage unachievable: no admissible feedback link covers SCC {k}",
+                {"dp_table": {"runs": tuple(runs)}},
+            )
         total, start, i, _, j, last = heap[0]
         end = min(last + 1, starts[e])  # the next event
-        stage_costs[k:end] = [total] * (end - k)
-        choices[k:end] = [(i, j, start - 1)] * (end - k)
+        if runs[-1][2:] == (total, i, j, start - 1):  # the last run goes on
+            k = runs.pop()[0]
+        runs.append((k, end - 1, total, i, j, start - 1))
         k = end
-
-    table = DpTable(stage_costs=tuple(stage_costs), choices=tuple(choices))
-
-    if math.isinf(stage_costs[ell]):
-        return _infeasible(
-            "dp",
-            "SCC coverage unachievable: no admissible feedback link covers "
-            f"SCC {stage_costs.index(INF)}",
-            {"dp_table": table},
-        )
 
     links: set[Edge] = set()
     k = ell
-    while k > 0:
-        i, j, predecessor = choices[k]
-        links.add((i, j))
-        k = predecessor
+    for first, _, _, i, j, predecessor in reversed(runs):
+        if k and first <= k:  # the run holding stage k
+            links.add((i, j))
+            k = predecessor
     pattern = FeedbackPattern(frozenset(links))
     return Solution(
         pattern=pattern,
         cost=cost_of(pattern, costs),
         method="dp",
-        certificates={"dp_table": table},
+        certificates={"dp_table": {"runs": tuple(runs)}},
     )
 
 
@@ -679,7 +669,7 @@ def exact_oracle(
     kernel = CoverageKernel(system)
     if kernel.uncovered_states(links):
         return _infeasible("exact", _NO_FEASIBLE_PATTERN, certificates)
-    base_b_ok = _has_cycle_family(system.loop_rows())
+    base_b_ok = _has_state_perfect_matching(system)
     full_b_ok = base_b_ok or _has_cycle_family(system.loop_rows(links))
 
     link_costs = [costs.cost(i, j) for i, j in links]

@@ -39,7 +39,7 @@ import pytest
 from hypothesis import strategies as st
 
 from feedsel import (
-    Condensation, CostMatrix, DimensionError, DpTable, FeedbackPattern, SetCoverInstance,
+    Condensation, CostMatrix, DimensionError, FeedbackPattern, SetCoverInstance,
     StructuredSystem, full_pattern,
 )
 from feedsel.fileio import SchemaError
@@ -396,13 +396,30 @@ def covering_edge_set(condensation, costs, k: int) -> frozenset[tuple[int, int]]
     )
 
 
-def reference_dp_cover(condensation, costs) -> tuple[DpTable, FeedbackPattern]:
-    """The chain DP's stage table and pattern, every admissible link pushed.
+def expand_runs(runs) -> tuple[tuple, tuple]:
+    """Stage costs and choices of a chain DP table's runs, one entry per stage.
+
+    ``runs`` is a ``dp_table`` certificate's, as ``dp_cover`` builds them
+    or as a structured report prints them; a choice is (input, output,
+    predecessor), or None for no link. The runs must tile the stages from
+    0 and be maximal: two neighbours differ in cost or choice.
+    """
+    stage_costs, choices = [], []
+    for first, last, cost, *choice in runs:
+        assert first == len(stage_costs) and last >= first, runs
+        stage_costs += [cost] * (last - first + 1)
+        choices += [None if choice == [None] * 3 else tuple(choice)] * (last - first + 1)
+    assert all(a[2:] != b[2:] for a, b in zip(runs, runs[1:])), runs
+    return tuple(stage_costs), tuple(choices)
+
+
+def reference_dp_cover(condensation, costs) -> tuple[tuple[tuple, tuple], FeedbackPattern]:
+    """The chain DP's stage costs and choices, per stage, and pattern, every admissible link pushed.
 
     The interval sweep of ``dp_cover`` without its dominance rule: each
     newly actuated input pushes a heap entry for every output sensing at or
-    after the current stage. The pattern is empty when some SCC stays
-    uncovered.
+    after the current stage, and each stage is filled on its own. The
+    pattern is empty when some SCC stays uncovered.
     """
     last_stage: dict[int, int] = {}
     for k, incidence in enumerate(condensation.output_incidence, start=1):
@@ -434,7 +451,7 @@ def reference_dp_cover(condensation, costs) -> tuple[DpTable, FeedbackPattern]:
     while k > 0:
         i, j, k = choices[k]
         links.add((i, j))
-    return DpTable(stage_costs=tuple(stage_costs), choices=tuple(choices)), FeedbackPattern(frozenset(links))
+    return (tuple(stage_costs), tuple(choices)), FeedbackPattern(frozenset(links))
 
 
 def naive_pattern_optimum(system, costs, predicate) -> tuple[float, FeedbackPattern] | None:

@@ -27,7 +27,8 @@ from feedsel.fileio import SchemaError, emit_system
 from feedsel.generators import random_line_system, random_single_input_system
 from feedsel.graphs import missing_path_links
 from tests.conftest import (
-    counted_state_row_builds, fig1_cover_instance, section5_system, sink_only_input_system,
+    counted_state_row_builds, expand_runs, fig1_cover_instance, section5_system,
+    sink_only_input_system,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -86,14 +87,19 @@ def test_solve_dp_reference_structured(capsys, section5_file):
     ]
 
 
-def _expand_runs(runs) -> tuple[list, list]:
-    """Stage costs and choices of a structured DP table's runs, which must tile from stage 0."""
-    stage_costs, choices = [], []
-    for first, last, cost, *choice in runs:
-        assert first == len(stage_costs) and last >= first, runs
-        stage_costs += [cost] * (last - first + 1)
-        choices += [None if choice == [None] * 3 else tuple(choice)] * (last - first + 1)
-    return stage_costs, choices
+def test_a_non_line_error_is_one_line_under_1_kb(tmp_path, capsys):
+    # 200 disjoint sets of 100 reduce to 20 001 one-state SCCs that only the hub joins:
+    # 19 999 consecutive pairs lack an edge, and the DAG has 20 000 edges.
+    sets = tuple(frozenset(range(100 * k + 1, 100 * k + 101)) for k in range(200))
+    path = tmp_path / "cover.json"
+    path.write_text(emit_system(*reduce_set_cover(SetCoverInstance(20_000, sets, (1,) * 200))))
+    for command in ("solve-dp", "solve-two-stage"):
+        code, out, err = invoke(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and err.endswith("\n") and len(err) < 1024, len(err)
+        assert "without an edge: [(2, 3), (3, 4)," in err
+        assert "(11, 12), ...] (19999 in all); DAG edges: [(1, 2), " in err
+        assert err.endswith("(1, 11), ...] (20000 in all)\n")
 
 
 @settings(max_examples=150, deadline=None)
@@ -114,7 +120,7 @@ def test_structured_dp_runs_expand_to_the_stage_table(seed, sccs, inputs, output
         [cost if entries[4 * i + j] is None else entries[4 * i + j] for j, cost in enumerate(row)]
         for i, row in enumerate(costs.rows)
     ])
-    table = solve_dp(system, costs).certificates["dp_table"]
+    stage_costs, choices = expand_runs(solve_dp(system, costs).certificates["dp_table"]["runs"])
     with tempfile.TemporaryDirectory() as directory:
         path = Path(directory) / "line.json"
         path.write_text(emit_system(system, costs))
@@ -123,12 +129,10 @@ def test_structured_dp_runs_expand_to_the_stage_table(seed, sccs, inputs, output
             code = run(["solve-dp", str(path), "--format=structured"])
     report = json.loads(out.getvalue())
     assert code == (0 if report["feasible"] else 1)
-    runs = report["certificates"]["dp_table"]["runs"]
-    stage_costs, choices = _expand_runs(runs)
+    printed_costs, printed_choices = expand_runs(report["certificates"]["dp_table"]["runs"])
     # repr tells 5 from 5.0, which compare equal.
-    assert repr(stage_costs) == repr(["inf" if math.isinf(w) else w for w in table.stage_costs])
-    assert choices == list(table.choices)
-    assert all(a[2:] != b[2:] for a, b in zip(runs, runs[1:]))  # each run is maximal
+    assert repr(printed_costs) == repr(tuple("inf" if math.isinf(w) else w for w in stage_costs))
+    assert printed_choices == choices
 
 
 _JSON_NUMBERS = (

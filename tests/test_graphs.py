@@ -24,7 +24,7 @@ from feedsel import (
     solve_dp,
     two_stage,
 )
-from feedsel import graphs
+from feedsel import graphs, sfm
 from feedsel.dot import condensation_to_dot, system_to_dot
 from feedsel.graphs import (
     hopcroft_karp,
@@ -34,7 +34,7 @@ from feedsel.graphs import (
     state_bipartite,
 )
 from feedsel.generators import random_line_system
-from feedsel.sfm import _has_state_perfect_matching
+from feedsel.sfm import _has_cycle_family, _has_state_perfect_matching
 from tests.conftest import (
     brute_force_min_cost_perfect_matching,
     closed_loop_cost_rows,
@@ -192,10 +192,32 @@ def test_overlay_copies_only_the_rows_its_links_change(section5):
     rows = system.loop_rows(links)
     y1, y3 = system.n + system.m + 1, system.n + system.m + 3
     u1, u2, u4 = system.n + 1, system.n + 2, system.n + 4
-    assert rows[u2] == [u2, y3, y1] and rows[u4] == [u4, y3] and rows[u1] == [u1, y1]
+    assert rows[u2] == [u2, y1, y3] and rows[u4] == [u4, y3] and rows[u1] == [u1, y1]
     for v, row in enumerate(rows):
         assert (row is base[v]) == (v not in {u1, u2, u4})
     assert [list(row) for row in system.loop_rows()] == snapshot
+
+
+def test_loop_rows_sort_the_links_they_are_given(monkeypatch):
+    # n = 1, m = 1, p = 8: u1 is vertex 2 and y_j is vertex 2 + j.
+    system = StructuredSystem(
+        n=1, m=1, p=8, a_edges={(1, 1)}, b_edges={(1, 1)}, c_edges={(j, 1) for j in range(1, 9)},
+    )
+    assert system.loop_rows([(1, 6), (1, 1)])[2] == [2, 3, 8]
+    # check_no_sfm hands a pattern's links over in set order; the rows it matches stay sorted.
+    matched = []
+
+    def recording(rows):
+        matched.append(rows)
+        return _has_cycle_family(rows)
+
+    monkeypatch.setattr(sfm, "_has_cycle_family", recording)
+    rng = random.Random(6)
+    every_link = [(1, j) for j in range(1, 9)]
+    for _ in range(100):
+        check_no_sfm(system, FeedbackPattern(frozenset(rng.sample(every_link, rng.randint(2, 8)))))
+    assert len(matched) == 100
+    assert all(row == sorted(row) for rows in matched for row in rows)
 
 
 def _reaches(succ, start, goal):
@@ -740,6 +762,30 @@ def test_hopcroft_karp_equals_its_greedy_start_reference_on_sorted_rows(n_right,
     adjacency = [sorted({v % n_right for v in row}) for row in rows]
     expected = reference_greedy_start_hopcroft_karp(adjacency, n_right)
     assert hopcroft_karp(adjacency, n_right) == expected
+
+
+def test_rows_the_greedy_pass_matches_fully_run_no_bfs_phase(monkeypatch):
+    """Row u leads with its own right vertex, so the greedy pass matches every row and no
+    phase follows: no BFS queue is built."""
+    queues = []
+
+    class CountingDeque(graphs.deque):
+        def __init__(self, *args):
+            queues.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(graphs, "deque", CountingDeque)
+    rng = random.Random(11)
+    for _ in range(50):
+        n = rng.randint(1, 12)
+        own = rng.sample(range(n), n)
+        adjacency = [[own[u]] + sorted(rng.sample(range(n), rng.randint(0, n))) for u in range(n)]
+        size, match_l, _ = hopcroft_karp(adjacency, n)
+        assert (size, match_l) == (n, own)
+    assert queues == []
+    # The greedy pass gives row 0 vertex 0, the second row's only one: one phase augments.
+    assert hopcroft_karp([[0, 1], [0]], 2)[:2] == (2, [1, 0])
+    assert len(queues) == 1
 
 
 def test_carried_free_rows_match_the_greedy_start_reference_over_several_phases(monkeypatch):

@@ -13,6 +13,7 @@ from feedsel import (
     StructuredSystem,
     cost_of,
 )
+from feedsel import model
 from feedsel.model import _edge_set
 from tests.conftest import (
     IntSub, ListSub, cover_weight, faulty_cost_rows, is_cover, reference_cost_rows,
@@ -272,6 +273,22 @@ def test_edge_set_agrees_with_per_entry_reference(edges, dims):
     assert fast == slow
     if fast[0] == "ok":
         assert list(fast[1][0]) == list(slow[1][0])  # the same iteration order
+
+
+@pytest.mark.parametrize("rows, cols, edges", [
+    (3, 3, [(1, 3), (3, 1), (2, 2)]),  # rows == cols: one range test over the flat list
+    (3, 5, [(3, 5), (1, 1)]),  # rows != cols: the first coordinates reach rows
+    (4, 2, [[4, 1], [1, 2]]),
+])
+def test_a_well_formed_field_reaching_the_last_row_is_decided_whole(monkeypatch, rows, cols, edges):
+    calls = []
+    is_int = model._is_int
+    monkeypatch.setattr(model, "_is_int", lambda value: calls.append(value) or is_int(value))
+    assert _edge_set("a_edges", edges, rows, cols) == (frozenset(map(tuple, edges)), [])
+    assert calls == []
+    # One index past the last row sends the field to the per-entry loop, which names it.
+    assert _edge_set("a_edges", edges + [(rows + 1, 1)], rows, cols)[1] == [(rows + 1, 1)]
+    assert calls
 
 
 def test_edge_set_names_a_nested_list_without_hashing_it():

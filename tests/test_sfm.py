@@ -290,6 +290,22 @@ def test_cycle_family_on_the_shared_loop_rows_agrees_with_references(seed, n, m,
     assert check_no_sfm(system, FeedbackPattern(frozenset(links))).condition_b_ok == found
 
 
+def test_link_free_loop_rows_have_a_cycle_family_exactly_when_the_states_do():
+    # A link-free input row holds only its own id and no other row holds an output's id, so
+    # the inputs and outputs match themselves and the states must match among themselves.
+    with_matching = 0
+    for seed in range(2000):
+        rng = random.Random(seed)
+        system, _ = random_system(
+            rng, n=rng.randint(1, 8), m=rng.randint(0, 3), p=rng.randint(0, 3),
+            a_density=rng.uniform(0, 0.6),
+        )
+        found = _has_state_perfect_matching(system)
+        assert _has_cycle_family(system.loop_rows()) == found, seed
+        with_matching += found
+    assert 200 < with_matching < 1800
+
+
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), line=st.booleans())
 def test_state_matching_on_condensation_rows_agrees_with_reference_and_default(seed, n, line):

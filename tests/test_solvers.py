@@ -49,6 +49,7 @@ from tests.conftest import (
     covering_edge_set,
     dense_cost_rows,
     dense_min_cost_assignment,
+    expand_runs,
     is_cover,
     labelled_matching,
     random_system,
@@ -109,8 +110,8 @@ def forced_chain() -> tuple[StructuredSystem, CostMatrix]:
 
 def test_dp_reference_table_and_pattern():
     solution = dp_cover(reference_condensation(), REFERENCE_COSTS)
-    table = solution.certificates["dp_table"]
-    assert table.stage_costs == (0, 2, 5, 5, 5)
+    stage_costs, _ = expand_runs(solution.certificates["dp_table"]["runs"])
+    assert stage_costs == (0, 2, 5, 5, 5)
     assert solution.pattern == FeedbackPattern.of((2, 3))
     assert solution.cost == 5
     assert solution.feasible
@@ -133,7 +134,9 @@ def test_dp_all_forbidden_is_infeasible():
     costs = CostMatrix.from_rows([[INF] * 3] * 4)
     solution = dp_cover(reference_condensation(), costs)
     assert not solution.feasible
-    assert math.isinf(solution.certificates["dp_table"].stage_costs[4])
+    assert solution.certificates["dp_table"]["runs"] == (
+        (0, 0, 0, None, None, None), (1, 4, INF, None, None, None),
+    )
     assert "SCC" in solution.reason
 
 
@@ -146,6 +149,22 @@ def test_dp_rejects_non_line_condensation():
     )
     with pytest.raises(PreconditionError, match=r"\(2, 3\)"):
         dp_cover(condensation, CostMatrix.from_rows([[1]]))
+
+
+@pytest.mark.parametrize("ell, listed", [
+    (11, "[(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11)]"),
+    (12, "[(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 10), (10, 11), ...]"
+         " (11 in all)"),
+])
+def test_dp_names_at_most_ten_pairs_of_each_list(ell, listed):
+    # Ten missing pairs print whole; eleven print the first ten and the total.
+    condensation = Condensation(
+        dag_edges=frozenset(), input_incidence=(frozenset(),) * ell, output_incidence=(frozenset(),) * ell,
+    )
+    message = ("SCC DAG admits no line spanning path; consecutive SCC pairs without an edge: "
+               f"{listed}; DAG edges: []")
+    with pytest.raises(PreconditionError, match=f"^{re.escape(message)}$"):
+        dp_cover(condensation, CostMatrix.from_rows([]))
 
 
 def _two_scc_chain(inputs, outputs) -> Condensation:
@@ -175,7 +194,9 @@ def test_dp_on_an_empty_cost_matrix_skips_the_output_check():
     assert solution.method == "dp"
     assert not solution.feasible
     assert solution.pattern == FeedbackPattern()
-    assert solution.certificates["dp_table"].stage_costs == (0, INF, INF)
+    assert solution.certificates["dp_table"]["runs"] == (
+        (0, 0, 0, None, None, None), (1, 2, INF, None, None, None),
+    )
     with pytest.raises(DimensionError, match=r"^input u1 outside cost matrix with m=0$"):
         dp_cover(_two_scc_chain([{1}, set()], [{5}, {9}]), CostMatrix.from_rows([]))
 
@@ -211,8 +232,9 @@ def test_dp_infinite_stage_is_not_fatal_when_spanned_later():
     )
     costs = CostMatrix.from_rows([[3]])
     solution = dp_cover(condensation, costs)
-    table = solution.certificates["dp_table"]
-    assert table.stage_costs == (0, 3, 3, 3)
+    assert solution.certificates["dp_table"]["runs"] == (
+        (0, 0, 0, None, None, None), (1, 3, 3, 1, 1, 0),
+    )
     assert solution.cost == 3
 
 
@@ -222,7 +244,7 @@ def test_solve_dp_reference_system(section5):
     assert solution.method == "dp"
     assert solution.cost == 5
     assert solution.pattern == FeedbackPattern.of((2, 3))
-    assert solution.certificates["dp_table"].stage_costs == (0, 2, 5, 5, 5)
+    assert expand_runs(solution.certificates["dp_table"]["runs"])[0] == (0, 2, 5, 5, 5)
 
 
 def test_solve_dp_checks_cycle_spanning_without_matching():
@@ -348,7 +370,7 @@ ROUNDING_TIE_CHAIN = (
 def test_dp_stage_recurrence_invariant(chain):
     condensation, costs = chain
     solution = dp_cover(condensation, costs)
-    table = solution.certificates["dp_table"]
+    stage_costs, choices = expand_runs(solution.certificates["dp_table"]["runs"])
     first = _first_stage_map(condensation)
     # Plain O(l * L) recurrence: each stage takes its cheapest covering link
     # on top of the stage just before the link's first actuated SCC, ties
@@ -367,16 +389,16 @@ def test_dp_stage_recurrence_invariant(chain):
         reference.append(best[0])
         reference_choices.append(None if best[0] == INF else (best[2], best[4], best[1] - 1))
         for i, j in edges:
-            bound = costs.cost(i, j) + table.stage_costs[first[i] - 1]
-            assert table.stage_costs[k] <= bound
-        choice = table.choices[k]
+            bound = costs.cost(i, j) + stage_costs[first[i] - 1]
+            assert stage_costs[k] <= bound
+        choice = choices[k]
         if choice is not None:
             i, j, predecessor = choice
             assert (i, j) in edges
             assert predecessor == first[i] - 1
-            assert table.stage_costs[k] == costs.cost(i, j) + table.stage_costs[predecessor]
-    assert table.stage_costs == tuple(reference)
-    assert table.choices == tuple(reference_choices)
+            assert stage_costs[k] == costs.cost(i, j) + stage_costs[predecessor]
+    assert stage_costs == tuple(reference)
+    assert choices == tuple(reference_choices)
     blocked = next(
         (
             k
@@ -422,7 +444,7 @@ def test_dp_skipping_dominated_links_matches_pushing_every_link(chain):
     solution = dp_cover(condensation, costs)
     table, pattern = reference_dp_cover(condensation, costs)
     # repr tells 0 from 0.0, so the stage costs keep their types too
-    assert repr(solution.certificates["dp_table"]) == repr(table)
+    assert repr(expand_runs(solution.certificates["dp_table"]["runs"])) == repr(table)
     assert solution.pattern == pattern
 
 
@@ -477,9 +499,9 @@ def test_dp_on_long_sparse_chains_matches_reference_sweep(chain):
     condensation, costs = chain
     solution = dp_cover(condensation, costs)
     table, pattern = reference_dp_cover(condensation, costs)
-    assert repr(solution.certificates["dp_table"]) == repr(table)
+    assert repr(expand_runs(solution.certificates["dp_table"]["runs"])) == repr(table)
     assert solution.pattern == pattern
-    assert solution.feasible == (table.stage_costs[-1] != INF)
+    assert solution.feasible == (table[0][-1] != INF)
 
 
 def test_dp_scaling_leaves_choices_invariant():
@@ -495,22 +517,20 @@ def test_dp_scaling_leaves_choices_invariant():
                 [[lam * c for c in row] for row in costs.rows]
             )
             scaled = dp_cover(condensation, scaled_costs)
-            base_table = base.certificates["dp_table"]
-            scaled_table = scaled.certificates["dp_table"]
-            assert scaled_table.choices == base_table.choices
-            assert scaled_table.stage_costs == tuple(
-                lam * w for w in base_table.stage_costs
-            )
+            base_costs, base_choices = expand_runs(base.certificates["dp_table"]["runs"])
+            scaled_costs, scaled_choices = expand_runs(scaled.certificates["dp_table"]["runs"])
+            assert scaled_choices == base_choices
+            assert scaled_costs == tuple(lam * w for w in base_costs)
             assert scaled.pattern == base.pattern
 
 
 def _dp_record(seed, system, costs):
     solution = dp_cover(condense(system), costs)
-    table = solution.certificates["dp_table"]
+    stage_costs, choices = expand_runs(solution.certificates["dp_table"]["runs"])
     return (
         seed,
-        table.stage_costs,
-        table.choices,
+        stage_costs,
+        choices,
         solution.pattern.sorted_links(),
         solution.cost,
         solution.reason,
@@ -1230,16 +1250,18 @@ def test_oracle_certifies_coverage_when_no_pattern_spans_cycles(monkeypatch):
         matching_checks.append(rows)
         return has_cycle_family(rows)
 
-    monkeypatch.setattr(solvers, "_has_cycle_family", counted)
-    solution = exact_oracle(system, costs)
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_has_cycle_family", counted)
+        patch.setattr(sfm, "_has_cycle_family", counted)
+        solution = exact_oracle(system, costs)
     assert not solution.feasible
     assert naive_pattern_optimum(system, costs, lambda s, k: check_no_sfm(s, k).feasible) is None
     coverage = naive_pattern_optimum(system, costs, lambda s, k: check_no_sfm(s, k).condition_a_ok)
     assert coverage == (2, FeedbackPattern.of((1, 2), (1, 3)))
     assert solution.certificates["condition_a_cost"] == coverage[0]
     assert solution.certificates["condition_a_pattern"] == coverage[1]
-    # One check without links and one with all of them; no per-pattern scan.
-    assert matching_checks == [system.loop_rows(), system.loop_rows(costs.finite_links())]
+    # One check of the states alone and one with all the links; no per-pattern scan.
+    assert matching_checks == [system.state_rows, system.loop_rows(costs.finite_links())]
 
 
 def test_oracle_tests_coverage_with_the_kernel_alone(monkeypatch):
