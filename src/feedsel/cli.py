@@ -204,9 +204,14 @@ def _cmd_export_dot(args) -> int:
     return 0
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The feedsel argument parser, built once per process and shared: do not modify it."""
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The feedsel parser and its command parsers by name, as ``build_parser`` shares them."""
     parser = argparse.ArgumentParser(
         prog="feedsel",
         description="Minimum-cost feedback pattern selection for arbitrary pole placement",
@@ -272,11 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
     p.set_defaults(handler=_cmd_export_dot)
 
-    return parser
+    return parser, sub.choices
 
 
 def run(argv=None) -> int:
     """Run one feedsel command and return its exit code.
+
+    ``argv`` defaults to ``sys.argv[1:]``. A line that starts with a
+    command is parsed once, by that command's parser. The full parser
+    parses it again only if the command's parser leaves something
+    unrecognized, and it parses every line that starts with no command.
+    So help, usage and error text and exit codes are the full parser's.
 
     The cyclic garbage collector is paused while the command runs, whose
     many containers form no reference cycles, and then set back as the
@@ -285,9 +296,14 @@ def run(argv=None) -> int:
     collecting = gc.isenabled()
     gc.disable()
     try:
-        parser = build_parser()
+        parser, commands = _parsers()
+        argv = sys.argv[1:] if argv is None else list(argv)
+        command = commands.get(argv[0]) if argv else None
         try:
-            args = parser.parse_args(argv)
+            if command is not None:
+                args, unrecognized = command.parse_known_args(argv[1:])
+            if command is None or unrecognized:
+                args = parser.parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
         try:

@@ -16,6 +16,11 @@ every admissible link, the min-cost matcher on (right, cost) tuple rows,
 and the set-cover greedy scanning every set each round, in exact
 rationals. Their results and messages must match exactly.
 
+``reference_fixed_modes`` shares no graph code at all: it counts fixed
+modes by algebra, from the characteristic polynomials of A + BKC for
+random values mod a prime. ``reference_cli_run`` is ``feedsel.cli.run``
+with every command line through the full parser.
+
 ``random_system`` (unconstrained random systems with a random pattern)
 and the set-cover queries ``is_cover`` and ``cover_weight`` serve only
 tests, so they live here and not in the library.
@@ -24,6 +29,7 @@ tests, so they live here and not in the library.
 from __future__ import annotations
 
 import collections
+import gc
 import heapq
 from contextlib import contextmanager
 from fractions import Fraction
@@ -42,6 +48,7 @@ from feedsel import (
     Condensation, CostMatrix, DimensionError, FeedbackPattern, SetCoverInstance,
     StructuredSystem, full_pattern,
 )
+from feedsel.cli import build_parser
 from feedsel.fileio import SchemaError
 from feedsel.generators import _rng
 from feedsel.model import INF
@@ -311,6 +318,107 @@ def spanning_cycle_family_exists(system: StructuredSystem, pattern: FeedbackPatt
             if _has_spanning_permutation(states + list(extra), succ):
                 return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# fixed modes by algebra: no graph code
+
+
+FIXED_MODE_PRIME = 2**61 - 1
+
+
+def _closed_loop_matrix(system: StructuredSystem, values: dict, gains: dict, q: int):
+    """A + BKC mod q; ``values`` maps each ("a" | "b" | "c", edge) to its entry, ``gains`` each link."""
+    sensed = collections.defaultdict(list)  # output -> (state, C entry)
+    for output, state in system.c_edges:
+        sensed[output].append((state, values["c", (output, state)]))
+    matrix = [[0] * system.n for _ in range(system.n)]
+    for i, j in system.a_edges:
+        matrix[i - 1][j - 1] = values["a", (i, j)]
+    for state, u in system.b_edges:
+        row = matrix[state - 1]
+        for (i, output), gain in gains.items():
+            if i == u:
+                for col, c_value in sensed[output]:
+                    row[col - 1] = (row[col - 1] + values["b", (state, u)] * gain * c_value) % q
+    return matrix
+
+
+def _characteristic_polynomial(matrix, q: int) -> list[int]:
+    """det(xI - M) mod q, lowest coefficient first: Hessenberg reduction, then its recurrence."""
+    n = len(matrix)
+    h = [row[:] for row in matrix]
+    for col in range(n - 2):
+        pivot = next((r for r in range(col + 1, n) if h[r][col]), None)
+        if pivot is None:
+            continue
+        top = col + 1
+        h[pivot], h[top] = h[top], h[pivot]
+        for row in h:
+            row[pivot], row[top] = row[top], row[pivot]
+        inverse = pow(h[top][col], q - 2, q)
+        for r in range(top + 1, n):
+            factor = h[r][col] * inverse % q
+            if factor:
+                h[r] = [(x - factor * y) % q for x, y in zip(h[r], h[top])]
+                for row in h:
+                    row[top] = (row[top] + factor * row[r]) % q
+    # p_{k+1} = (x - h_kk) p_k - sum over i < k of h_ik * h_(i+1)i ... h_k(k-1) * p_i
+    polys = [[1]]
+    for k in range(n):
+        poly = [0] + polys[k]
+        for d, coefficient in enumerate(polys[k]):
+            poly[d] = (poly[d] - h[k][k] * coefficient) % q
+        below = 1
+        for i in range(k - 1, -1, -1):
+            below = below * h[i + 1][i] % q
+            scale = h[i][k] * below % q
+            for d, coefficient in enumerate(polys[i]):
+                poly[d] = (poly[d] - scale * coefficient) % q
+        polys.append(poly)
+    return polys[n]
+
+
+def _gcd_degree(f: list[int], g: list[int], q: int) -> int:
+    """Degree of gcd(f, g) over GF(q), for f and g not both zero."""
+    f, g = f[:], g[:]
+    while g:
+        inverse = pow(g[-1], q - 2, q)
+        while len(f) >= len(g):
+            scale, shift = f[-1] * inverse % q, len(f) - len(g)
+            for d, coefficient in enumerate(g):
+                f[shift + d] = (f[shift + d] - scale * coefficient) % q
+            while f and not f[-1]:
+                f.pop()
+        f, g = g, f
+    return len(f) - 1
+
+
+def reference_fixed_modes(system: StructuredSystem, links, seed) -> int:
+    """How many fixed modes the links leave, counted with multiplicity; 0 means none.
+
+    Wang and Davison's definition: lambda is a fixed mode when it is an
+    eigenvalue of A + BKC for every K whose nonzero entries are the links
+    (input i, output j). Every entry of A, B and C and of two such
+    matrices K1 and K2 gets a random nonzero value mod q = 2^61 - 1, and
+    the answer is the degree of the gcd of the two closed-loop
+    characteristic polynomials. A structurally fixed mode is a common root
+    for every choice of values, so 0 proves there is none. Without one,
+    the resultant of the two polynomials is a nonzero polynomial of degree
+    at most 6 n^2 in the drawn values, so a positive degree is wrong with
+    probability at most 6 n^2 / q (Schwartz-Zippel).
+    """
+    q, rng = FIXED_MODE_PRIME, random.Random(seed)
+    values = {
+        (field, edge): rng.randrange(1, q)
+        for field, edges in (("a", system.a_edges), ("b", system.b_edges), ("c", system.c_edges))
+        for edge in sorted(edges)
+    }
+    first, second = (
+        _characteristic_polynomial(_closed_loop_matrix(system, values, gains, q), q)
+        for gains in [{link: rng.randrange(1, q) for link in sorted(links)} for _ in range(2)]
+    )
+    return _gcd_degree(first, second, q)
 
 
 def _chosen(instance: SetCoverInstance, selected: Iterable[int]) -> set[int]:
@@ -1007,6 +1115,37 @@ def reference_min_cost_perfect_matching(rows, stats=None) -> tuple[list[int], fl
     for row, matched in zip(rows, match_l):
         total += next(c for r, c in row if r == matched)
     return match_l, total
+
+
+# ---------------------------------------------------------------------------
+# the command line through the full parser
+
+
+def reference_cli_run(argv) -> int:
+    """``feedsel.cli.run`` as it was when every line went through the full parser.
+
+    The top-level parser names the command and hands the rest to that
+    command's parser; the collector pause and the error handling are
+    ``run``'s own. Exit code, stdout and stderr must match ``run``'s.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
+        try:
+            return args.handler(args)
+        except (ValueError, OSError, RuntimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except MemoryError:
+            print("error: out of memory; the input is too large", file=sys.stderr)
+            return 2
+    finally:
+        if collecting:
+            gc.enable()
 
 
 # ---------------------------------------------------------------------------

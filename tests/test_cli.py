@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import gc
@@ -27,8 +28,8 @@ from feedsel.fileio import SchemaError, emit_system
 from feedsel.generators import random_line_system, random_single_input_system
 from feedsel.graphs import missing_path_links
 from tests.conftest import (
-    counted_state_row_builds, expand_runs, fig1_cover_instance, section5_system,
-    sink_only_input_system,
+    counted_state_row_builds, expand_runs, fig1_cover_instance, reference_cli_run,
+    section5_system, sink_only_input_system,
 )
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -1112,11 +1113,11 @@ def test_run_restores_the_callers_collector_setting(monkeypatch, argv, code, ena
 BENCH_SIZE_DIGEST = "7a421c9dd140d8f2a7dd499b82fa958889e2c37a17b4f380d968ff3e5f2fac4d"
 
 
-def _masked_run(argv: list[str]) -> tuple[int, str, str, str]:
-    """Exit code, stdout with ``elapsed_sec`` masked, stderr, and the raw stdout of ``argv``."""
+def _masked_run(argv: list[str] | None, runner=run) -> tuple[int, str, str, str]:
+    """Exit code, stdout with ``elapsed_sec`` masked, stderr, and the raw stdout of ``runner(argv)``."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run(argv)
+        code = runner(argv)
     masked = re.sub(r'"elapsed_sec": [^,\n]*', '"elapsed_sec": _', out.getvalue())
     return code, masked, err.getvalue(), out.getvalue()
 
@@ -1208,3 +1209,93 @@ def test_state_row_builds_per_command_match_the_one_per_system_reference(capsys,
                                    lambda c: not missing_path_links(c))
     assert drawn[0] is good
     assert len(built) == 4 and len({id(system) for system in built}) == 4
+
+
+# ---------------------------------------------------------------------------
+# one parse per command line: the command's own parser, the full one as fallback
+
+COMMANDS = (
+    "check-sfm", "solve-dp", "solve-two-stage", "solve-greedy", "solve-exact",
+    "gen-setcover", "gen-line", "export-dot",
+)
+SECTION5 = str(DATA / "section5.json")
+
+
+def _valid_argv(command: str, tmp_path: Path) -> list[str]:
+    if command == "gen-setcover":
+        return [command, str(DATA / "fig1_cover.json"), "-o", str(tmp_path / "fig1.json")]
+    if command == "gen-line":
+        return [command, "--seed", "1", "-o", str(tmp_path / "line.json")]
+    if command == "solve-greedy":  # a single-input system
+        path = tmp_path / "fig1-system.json"
+        path.write_text(emit_system(*reduce_set_cover(fig1_cover_instance())))
+        return [command, str(path)]
+    if command == "check-sfm":
+        return [command, SECTION5, "--feedback", "2:3"]
+    return [command, SECTION5]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_valid_command_line_is_parsed_once(monkeypatch, tmp_path, command):
+    calls = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(parser, *args, **kwargs):
+        calls.append(parser.prog)
+        return parse_known_args(parser, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    assert _quiet_run(_valid_argv(command, tmp_path)) == 0
+    assert calls == [f"feedsel {command}"]
+
+
+def _reference_table() -> list[list[str]]:
+    table = [[], ["-h"], ["--help"], ["bogus"], ["--"], ["--", "solve-dp", SECTION5], ["-x"]]
+    for command in COMMANDS:
+        table += [[command, "-h"], [command]]
+    table += [["solve-dp", SECTION5, "--format=bad"], ["solve-exact", SECTION5, "--budget", "x"]]
+    for command in ("check-sfm", "solve-dp", "solve-exact"):
+        table += [
+            [command, SECTION5, "--bogus"],
+            [command, SECTION5, "extra"],
+            [command, SECTION5, "--bogus", "--format=bad"],  # the command's error comes first
+            [command, SECTION5, "-h", "--bogus"],
+            [command, "--", SECTION5],
+            [command, SECTION5, "--", "extra"],
+            [command, SECTION5, "--format", "structured"],
+        ]
+    table += [
+        ["solve-dp", SECTION5, "--fo", "structured"],
+        ["check-sfm", SECTION5, "--feed=1:1"],
+        ["check-sfm", SECTION5, "--feedback="],
+        ["check-sfm", SECTION5, "--feedback", "2:3", "--format", "structured"],
+        ["check-sfm", SECTION5, "--feedback"],
+        ["gen-line"],
+        ["gen-line", "--sccs", "2"],
+        ["gen-line", "--seed", "1", "--pm", "--no-pm"],
+        ["gen-line", "--seed", "1", "--sc", "2"],
+        ["export-dot", SECTION5, "--condensation"],
+        ["gen-setcover", str(DATA / "fig1_cover.json")],
+    ]
+    return table
+
+
+def test_cli_run_matches_the_full_parser_reference():
+    for argv in _reference_table():
+        assert _masked_run(argv)[:3] == _masked_run(argv, reference_cli_run)[:3], argv
+
+
+def test_run_without_argv_reads_sys_argv(monkeypatch):
+    argv = ["check-sfm", SECTION5, "--feedback", "2:3"]
+    monkeypatch.setattr(sys, "argv", ["feedsel", *argv])
+    assert _masked_run(None)[:3] == _masked_run(argv)[:3] == (
+        0, "condition a: pass; condition b: pass; feasible\n", ""
+    )
+
+
+def test_an_unrecognized_argument_from_sys_argv_is_the_full_parsers_error(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["feedsel", "check-sfm", SECTION5, "--bogus"])
+    code, out, err = _masked_run(None)[:3]
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: feedsel [-h]\n")
+    assert err.endswith("\nfeedsel: error: unrecognized arguments: --bogus\n")

@@ -21,8 +21,8 @@ from feedsel.sfm import (
     CoverageKernel, _has_cycle_family, _has_state_perfect_matching, _uncovered_states,
 )
 from tests.conftest import (
-    fig1_cover_instance, random_system, reference_condense, reference_hopcroft_karp,
-    reference_successors, spanning_cycle_family_exists,
+    fig1_cover_instance, random_system, reference_condense, reference_fixed_modes,
+    reference_hopcroft_karp, reference_successors, spanning_cycle_family_exists,
 )
 
 
@@ -325,3 +325,27 @@ def test_state_matching_on_condensation_rows_agrees_with_reference_and_default(s
     # A second call on the same system gives the same answer and leaves the SCCs as they were.
     assert _has_state_perfect_matching(system) == expected
     assert condensation.sccs == reference_condense(system).sccs
+
+
+def test_check_no_sfm_matches_the_algebraic_fixed_mode_reference():
+    """Verdicts from the graph conditions against A + BKC mod a prime, which shares no graph code.
+
+    Half the systems are conftest's sparse defaults with its random
+    pattern; the other half are denser, each link taken with probability
+    0.7, so both verdicts are common.
+    """
+    rng = random.Random(20261020)
+    verdicts = []
+    for k in range(5000):
+        n, m, p = rng.randint(1, 10), rng.randint(1, 3), rng.randint(1, 3)
+        if k % 2:
+            system, pattern = random_system(rng, n=n, m=m, p=p)
+        else:
+            system, _ = random_system(rng, n=n, m=m, p=p, a_density=0.3, b_density=0.4, c_density=0.4)
+            pattern = FeedbackPattern(frozenset(
+                (i, j) for i in range(1, m + 1) for j in range(1, p + 1) if rng.random() < 0.7
+            ))
+        feasible = check_no_sfm(system, pattern).feasible
+        assert feasible == (reference_fixed_modes(system, pattern.links, k) == 0), (k, system, pattern)
+        verdicts.append(feasible)
+    assert 1000 < sum(verdicts) < 4000

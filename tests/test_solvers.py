@@ -55,6 +55,7 @@ from tests.conftest import (
     random_system,
     reference_condition_b_rows,
     reference_dp_cover,
+    reference_fixed_modes,
     reference_greedy_set_cover,
     reference_successors,
     section5_system,
@@ -1667,3 +1668,31 @@ def test_two_stage_is_2_optimal_and_feasible():
         assert combined.feasible
         assert check_no_sfm(system, combined.pattern).feasible
         assert combined.cost <= 2 * oracle.cost
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(["any", "line", "single-input"]))
+def test_every_feasible_answer_leaves_no_fixed_mode_by_the_algebraic_reference(seed, kind):
+    """Each solver's answer against A + BKC mod a prime; an infeasible oracle verdict too."""
+    rng = random.Random(seed)
+    if kind == "line":
+        system, costs = random_line_system(
+            rng, scc_count=rng.randint(1, 4), perfect_matching=rng.random() < 0.5
+        )
+    elif kind == "single-input":
+        system, costs = random_single_input_system(rng, n_branches=rng.randint(1, 3))
+    else:
+        n, m, p = rng.randint(1, 8), rng.randint(1, 3), rng.randint(1, 3)
+        system, _ = random_system(rng, n=n, m=m, p=p, a_density=rng.uniform(0.1, 0.5))
+        costs = CostMatrix.from_rows(
+            [[INF if rng.random() < 0.2 else rng.randint(1, 9) for _ in range(p)] for _ in range(m)]
+        )
+    for solver in (solve_dp, two_stage, greedy_single_input, exact_oracle):
+        try:
+            solution = solver(system, costs)
+        except (PreconditionError, BudgetExceededError):
+            continue
+        if solution.feasible:
+            assert reference_fixed_modes(system, solution.pattern.links, seed) == 0, solver
+        elif solver is exact_oracle:  # no admissible pattern, so not the full one either
+            assert reference_fixed_modes(system, full_pattern(costs).links, seed) > 0
