@@ -14,6 +14,7 @@ import argparse
 import functools
 import gc
 import math
+import re
 import sys
 import time
 from pathlib import Path
@@ -69,6 +70,11 @@ def _jsonable(obj):
     return str(obj)
 
 
+# One link: two signed ASCII integers around a colon, spaces allowed. int()
+# alone would also take underscores ("1_0") and non-ASCII digits.
+_LINK = re.compile(r"\s*([+-]?[0-9]+)\s*:\s*([+-]?[0-9]+)\s*")
+
+
 def parse_feedback_arg(arg: str) -> FeedbackPattern:
     """Parse a link list like "2:3,1:1" (input:output pairs); "" is empty."""
     links = set()
@@ -76,13 +82,10 @@ def parse_feedback_arg(arg: str) -> FeedbackPattern:
         token = token.strip()
         if not token:
             continue
-        try:
-            i_text, j_text = token.split(":")
-            links.add((int(i_text), int(j_text)))
-        except ValueError:
-            raise SchemaError(
-                f"bad feedback link {token!r}; expected input:output, e.g. 2:3"
-            ) from None
+        link = _LINK.fullmatch(token)
+        if link is None:
+            raise SchemaError(f"bad feedback link {token!r}; expected input:output, e.g. 2:3")
+        links.add((int(link[1]), int(link[2])))
     return FeedbackPattern(frozenset(links))
 
 

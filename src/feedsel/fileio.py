@@ -27,7 +27,6 @@ import math
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import Any
 
 from .model import INF, CostMatrix, SetCoverInstance, StructuredSystem, _is_int
@@ -131,11 +130,29 @@ def parse_system(text: str) -> tuple[StructuredSystem, CostMatrix, list[str]]:
     return system, costs, warnings
 
 
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+def _float(value: float) -> str:
+    return float.__repr__(value) if -INF < value < INF else json.dumps(value)
+
+
+# The renderer of each exact scalar type, as json.dumps renders its values.
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda value: "null",
+}
+_JSON_SCALARS = frozenset(_SCALARS)
 
 
 def _dumps(obj, level: int = 0) -> str:
-    """Exactly ``json.dumps(obj, indent=2)``, with the lists encoded in C.
+    """Exactly ``json.dumps(obj, indent=2)``, with scalars rendered here and lists in C.
+
+    A value of exact type ``str``, ``int``, ``bool`` or ``None``, or a
+    finite ``float``, is rendered as ``json.dumps`` renders it:
+    ``encode_basestring_ascii``, ``int.__repr__``, ``float.__repr__`` or one
+    of the literals ``true``, ``false`` and ``null``. Any other scalar, a
+    subclass, an infinity or a NaN, goes to ``json.dumps`` itself.
 
     Before CPython 3.13, ``indent`` sends json to its pure-Python encoder.
     Here dicts are walked in Python, and a list takes one of three paths.
@@ -147,6 +164,9 @@ def _dumps(obj, level: int = 0) -> str:
     this helper only calls public json at fixed separators, so its output
     stays exact there too.
     """
+    render = _SCALARS.get(type(obj))
+    if render is not None:
+        return render(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -190,8 +210,15 @@ def emit_system(system: StructuredSystem, costs: CostMatrix) -> str:
     return _dumps(document) + "\n"
 
 
+def _read(path) -> str:
+    """The text of the file at ``path`` (a str or path object), in the default encoding."""
+    with open(path) as file:
+        return file.read()
+
+
 def load_system(path) -> tuple[StructuredSystem, CostMatrix, list[str]]:
-    return parse_system(Path(path).read_text())
+    """Parse the system file at ``path``, read whole with one ``open`` and closed first."""
+    return parse_system(_read(path))
 
 
 def parse_setcover(text: str) -> SetCoverInstance:
@@ -219,4 +246,4 @@ def parse_setcover(text: str) -> SetCoverInstance:
 
 
 def load_setcover(path) -> SetCoverInstance:
-    return parse_setcover(Path(path).read_text())
+    return parse_setcover(_read(path))

@@ -26,8 +26,9 @@ Five routes to a pattern:
   conditions are monotone in the link set, so the full link set decides
   whether any pattern passes each: when it fails coverage the oracle
   answers without enumerating, and when it fails cycle spanning the pass
-  ends just past the coverage optimum. Each pattern's coverage test is a
-  few bit operations on the same tables.
+  ends just past the coverage optimum. The enumeration hands each pattern
+  over with the constraints it meets, and only a pattern meeting all of
+  them gets a coverage test, a few bit operations on the same tables.
 
 ``reduce_set_cover`` maps a weighted set cover instance to an equivalent
 feedback-selection instance and doubles as a hard-instance generator.
@@ -513,14 +514,15 @@ def greedy_single_input(system: StructuredSystem, costs: CostMatrix) -> Solution
 
 def _subsets_by_cost(
     link_costs: list[float], hits: list[int]
-) -> Iterator[tuple[float, float, int]]:
-    """Yield (key, cost, mask) for link subsets, best-first by a lower bound.
+) -> Iterator[tuple[float, float, int, int]]:
+    """Yield (key, cost, mask, met) for link subsets, best-first by a lower bound.
 
     Bit b of the mask selects link b, and bit h of ``hits[b]`` says that
-    link b meets constraint h. A subset *qualifies* when it meets every
-    constraint some link meets; the keys bound the qualifying subsets'
-    costs from below, and each qualifying subset comes out keyed by its
-    own cost.
+    link b meets constraint h; ``met`` is the OR of the selected links'
+    hits, the constraints the subset meets. A subset *qualifies* when it
+    meets every constraint some link meets; the keys bound the qualifying
+    subsets' costs from below, and each qualifying subset comes out keyed
+    by its own cost.
 
     Best-first enumeration over the links sorted by (cost, index): a
     subset whose costliest sorted link is at position t has two children,
@@ -588,7 +590,7 @@ def _subsets_by_cost(
             return least
         return max(least, count * (ratio * (1 - 1e-12)))
 
-    yield 0, 0, 0
+    yield 0, 0, 0, 0
     heap: list[tuple[float, int, int, float, float, int]] = []
 
     def push(parent_key: float, mask: int, t: int, base: float, met: int) -> None:
@@ -602,9 +604,10 @@ def _subsets_by_cost(
         push(0, bit[0], 0, 0, 0)
     while heap:
         key, mask, t, base, c, met = heapq.heappop(heap)
-        yield key, c, mask
+        meets = met | hit[t]
+        yield key, c, mask, meets
         if t + 1 < k:
-            push(key, mask | bit[t + 1], t + 1, c, met | hit[t])
+            push(key, mask | bit[t + 1], t + 1, c, meets)
             push(key, (mask ^ bit[t]) | bit[t + 1], t + 1, base, met)
 
 
@@ -627,6 +630,9 @@ def exact_oracle(
     its own cost, so the ones passing (a) still arrive in cost order; with
     a zero bound every key is the cost, and the scan is the plain
     cheapest-first one, so the bound changes neither answers nor ties.
+    A popped pattern that misses a constraint fails (a), so it is skipped
+    before its links are listed, tested or summed; the visited order is
+    unchanged.
 
     The cheapest subset to pass (a) is the coverage-only optimum, which the
     certificates expose for validating the chain dynamic program, and the
@@ -676,15 +682,22 @@ def exact_oracle(
     # The hitting constraints of (a): bit s when x_s is in SQ[j], bit n + s
     # when x_s is in SR[i].
     hits = [kernel.SQ[j] | kernel.SR[i] << system.n for i, j in links]
+    # A pattern passing (a) meets both constraints of every state, so
+    # every constraint some link meets.
+    required = 0
+    for h in hits:
+        required |= h
     # The cheapest patterns passing (a), and (a) and (b), as link lists;
     # each list is sorted, since the links are lexicographic and the bits
     # ascend. No pattern cheaper than the first to pass (a) passes both.
     cover: Optional[list[Edge]] = None
     best: Optional[list[Edge]] = None
     cover_cost = best_cost = stop = INF
-    for key, _, mask in _subsets_by_cost(link_costs, hits):
+    for key, _, mask, met in _subsets_by_cost(link_costs, hits):
         if key > stop:
             break
+        if met != required:
+            continue
         bits = [b for b in range(n_links) if mask >> b & 1]
         chosen = [links[b] for b in bits]
         if kernel.uncovered_states(chosen):

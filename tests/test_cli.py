@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import enum
 import gc
 import hashlib
 import io
@@ -22,7 +23,7 @@ from feedsel import (
     INF, CostMatrix, SetCoverInstance, StructuredSystem, cost_of, parse_system, reduce_set_cover,
     solve_dp,
 )
-from feedsel import cli, generators
+from feedsel import cli, fileio, generators
 from feedsel.cli import parse_feedback_arg, run
 from feedsel.fileio import SchemaError, emit_system
 from feedsel.generators import random_line_system, random_single_input_system
@@ -61,11 +62,23 @@ def test_parse_feedback_arg_forms():
     assert parse_feedback_arg("").sorted_links() == []
     assert parse_feedback_arg("2:3").sorted_links() == [(2, 3)]
     assert parse_feedback_arg("2:3, 1:1").sorted_links() == [(1, 1), (2, 3)]
+    assert parse_feedback_arg(" +2 : 3 ;1:+1\t").sorted_links() == [(1, 1), (2, 3)]
+    assert parse_feedback_arg("2:3;").sorted_links() == [(2, 3)]
 
 
 def test_parse_feedback_arg_rejects_garbage():
     with pytest.raises(ValueError):
         parse_feedback_arg("2-3")
+
+
+@pytest.mark.parametrize("link", ["1_0:2", "1:2_0", "\u0661:\u0662", "\u0661:2", "1:\uff12", "+-1:2", "1:2:3"])
+def test_feedback_links_are_ascii_integers(capsys, section5_file, link):
+    # int() alone reads "1_0" as 10 and Arabic-Indic digits as 1 and 2.
+    with pytest.raises(SchemaError, match="^bad feedback link "):
+        parse_feedback_arg(f"2:3,{link}")
+    assert invoke(capsys, "check-sfm", section5_file, "--feedback", link) == (
+        2, "", f"error: bad feedback link {link!r}; expected input:output, e.g. 2:3\n"
+    )
 
 
 def test_solve_dp_reference_text(capsys, section5_file):
@@ -157,6 +170,19 @@ _ROW = (1, 2, 0)
 _BOOL_ROW = (True, False)
 
 
+class _Level(enum.IntEnum):
+    HIGH = 3
+
+
+class _Meters(float):
+    def __repr__(self):
+        return "Meters()"
+
+
+class _Name(str):
+    pass
+
+
 def _shared_rows(width):
     row = st.lists(st.integers(-2, 2) | st.booleans(), min_size=width, max_size=width).map(tuple)
 
@@ -212,9 +238,43 @@ _JSON_TREES = st.recursive(
 @example([(1,), (True,), (False,), (0,)])
 @example([_BOOL_ROW, _BOOL_ROW, None])
 @example([_ROW, (1.0, 2, 0), _ROW])
+# Scalars json.dumps renders its own way: int and float subclasses by the
+# base type's repr, str subclasses as strings, and the float and string
+# forms the renderer must reproduce on exact types.
+@example(_Level.HIGH)
+@example(_Meters(2.5))
+@example(_Name("n\u00e9"))
+@example({"level": _Level.HIGH, "m": [_Meters(-0.0), _Name("x"), {"k": _Meters(1e16)}], "s": _Name("")})
+@example([5e-324, 1e16, 1e-07, -0.0, sys.float_info.max, {"f": 5e-324, "g": [1e16, None]}])
+@example(5e-324)
+@example(1e16)
+@example(1e-07)
+@example(-0.0)
+@example(sys.float_info.max)
+@example("\x00\x1f\x7f\t\"\\ \U0001f600")
+@example({"\x1b": "\x1b[0m", "\U00010348": ["\U00010348", {"c": "\x07"}]})
 @given(_JSON_TREES)
 def test_structured_renderer_is_json_dumps_with_indent_2(tree):
     assert cli._dumps(tree) == json.dumps(tree, indent=2)
+
+
+def test_exact_scalars_render_without_json_dumps(monkeypatch):
+    report = {
+        "feasible": True, "ok": False, "reason": None, "method": "exact\u00e9\x01",
+        "admissible_links": 12, "big": -(10**40), "cost": 0.1, "tiny": 5e-324, "zero": -0.0,
+        "nested": {"elapsed_sec": 1.5e-05, "empty": [], "none": {}},
+    }
+    expected = json.dumps(report, indent=2)
+    calls = []
+    dumps = json.dumps
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(fileio.json, "dumps", counted)
+    assert cli._dumps(report) == expected
+    assert calls == []
 
 
 def test_system_files_with_repeated_list_rows_are_json_dumps_with_indent_2():
@@ -491,6 +551,46 @@ def test_missing_file_is_usage_error(capsys):
     code, _, err = invoke(capsys, "solve-dp", "/nonexistent.json")
     assert code == 2
     assert "error:" in err
+
+
+def test_a_missing_file_or_a_directory_is_one_oserror_line(capsys, tmp_path):
+    # The text is the OSError that Path.read_text raised on the same path.
+    for path in (tmp_path / "missing.json", tmp_path):
+        with pytest.raises(OSError) as raised:
+            path.read_text()
+        expected = (2, "", f"error: {raised.value}\n")
+        assert re.fullmatch(r"error: \[Errno \d+\] .*\n", expected[2])
+        for command in ("check-sfm", "solve-dp", "solve-two-stage", "solve-greedy", "solve-exact",
+                        "gen-setcover", "export-dot"):
+            assert invoke(capsys, command, str(path)) == expected
+
+
+def test_commands_read_their_files_without_path_read_text(capsys, monkeypatch, section5_file, tmp_path):
+    branches = tmp_path / "branches.json"
+    branches.write_text(emit_system(*random_single_input_system(1, n_branches=4)))
+    cover = fig1_cover_instance()
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(
+        {"universe_size": cover.universe_size, "sets": [sorted(s) for s in cover.sets],
+         "weights": list(cover.weights)}
+    ))
+    links = ",".join(f"{i}:{j}" for i, j in solve_dp(*section5_system()).pattern.sorted_links())
+    lines = [
+        ("check-sfm", section5_file, "--feedback", links),
+        ("solve-dp", section5_file),
+        ("solve-two-stage", section5_file),
+        ("solve-greedy", str(branches)),
+        ("solve-exact", section5_file),
+        ("gen-setcover", str(cover_path)),
+    ]
+    expected = [invoke(capsys, *line) for line in lines]
+    assert [code for code, _, _ in expected] == [0] * len(lines)
+
+    def refused(self, *args, **kwargs):
+        raise AssertionError(f"Path.read_text({self})")
+
+    monkeypatch.setattr(Path, "read_text", refused)
+    assert [invoke(capsys, *line) for line in lines] == expected
 
 
 def test_malformed_file_is_usage_error(capsys, tmp_path):

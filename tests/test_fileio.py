@@ -11,12 +11,31 @@ from feedsel import (
     SchemaError,
     StructuredSystem,
     emit_system,
+    load_setcover,
+    load_system,
     parse_setcover,
     parse_system,
 )
 from tests.conftest import (
     faulty_cost_rows, fig1_cover_instance, reference_parsed_cost_rows, section5_system,
 )
+
+
+def test_load_functions_take_str_and_path(tmp_path):
+    system_path = tmp_path / "section5.json"
+    system_path.write_text(emit_system(*section5_system()))
+    cover = fig1_cover_instance()
+    cover_path = tmp_path / "cover.json"
+    cover_path.write_text(json.dumps(
+        {"universe_size": cover.universe_size, "sets": [sorted(s) for s in cover.sets],
+         "weights": list(cover.weights)}
+    ))
+    system, costs = section5_system()
+    for path in (system_path, str(system_path)):
+        loaded_system, loaded_costs, warnings = load_system(path)
+        assert (loaded_system, loaded_costs.rows, warnings) == (system, costs.rows, [])
+    for path in (cover_path, str(cover_path)):
+        assert load_setcover(path) == cover
 
 
 def roundtrip(system, costs):

@@ -1284,9 +1284,9 @@ def test_oracle_tests_coverage_with_the_kernel_alone(monkeypatch):
 def _assert_each_subset_once_cheapest_first(link_costs):
     # Without constraints every bound is 0 and each key is the subset's cost.
     yielded = list(solvers._subsets_by_cost(link_costs, [0] * len(link_costs)))
-    assert sorted(mask for _, _, mask in yielded) == list(range(2 ** len(link_costs)))
-    assert all(key == c for key, c, _ in yielded)
-    keys = [key for key, _, _ in yielded]
+    assert sorted(mask for _, _, mask, _ in yielded) == list(range(2 ** len(link_costs)))
+    assert all(key == c for key, c, _, _ in yielded)
+    keys = [key for key, _, _, _ in yielded]
     assert keys == sorted(keys)
     return yielded
 
@@ -1295,7 +1295,7 @@ def _assert_each_subset_once_cheapest_first(link_costs):
 @given(st.lists(st.integers(0, 4), max_size=10))
 def test_subsets_by_cost_yields_each_subset_once_cheapest_first(link_costs):
     # Small integer costs give many ties and zeros, and every sum is exact.
-    for _, c, mask in _assert_each_subset_once_cheapest_first(link_costs):
+    for _, c, mask, _ in _assert_each_subset_once_cheapest_first(link_costs):
         assert c == sum(w for b, w in enumerate(link_costs) if (mask >> b) & 1)
 
 
@@ -1303,6 +1303,14 @@ def test_subsets_by_cost_yields_each_subset_once_cheapest_first(link_costs):
 @given(st.lists(st.floats(0, 1e6, allow_nan=False, allow_infinity=False), max_size=10))
 def test_subsets_by_cost_keys_never_decrease_on_float_costs(link_costs):
     _assert_each_subset_once_cheapest_first(link_costs)
+
+
+def _hits_of(hits, mask):
+    met = 0
+    for b, h in enumerate(hits):
+        if mask >> b & 1:
+            met |= h
+    return met
 
 
 def _cheapest_first_sum(link_costs, mask):
@@ -1335,23 +1343,22 @@ def test_subsets_by_cost_keys_bound_every_qualifying_subset(links):
     # A subset qualifies when its links meet every constraint some link
     # meets. Each one must come out keyed by its own cheapest-first cost,
     # after keys no larger (so no bound exceeds it), and exactly once.
+    # Every subset comes out with the constraints its links meet.
     link_costs = [c for c, _ in links]
     hits = [h for _, h in links]
     yielded = list(solvers._subsets_by_cost(link_costs, hits))
-    keys = [key for key, _, _ in yielded]
+    keys = [key for key, _, _, _ in yielded]
     assert keys == sorted(keys)
-    masks = [mask for _, _, mask in yielded]
+    masks = [mask for _, _, mask, _ in yielded]
     assert len(set(masks)) == len(masks)
-    by_mask = {mask: (key, c) for key, c, mask in yielded}
+    by_mask = {mask: (key, c) for key, c, mask, _ in yielded}
     required = 0
     for h in hits:
         required |= h
+    for _, _, mask, met in yielded:
+        assert met == _hits_of(hits, mask)
     for mask in range(2 ** len(links)):
-        met = 0
-        for b, h in enumerate(hits):
-            if mask >> b & 1:
-                met |= h
-        if met == required:
+        if _hits_of(hits, mask) == required:
             cost = _cheapest_first_sum(link_costs, mask)
             assert by_mask[mask] == (cost, cost)
         elif mask in by_mask:
@@ -1504,6 +1511,57 @@ def test_oracle_enumerates_once_without_state_matching(monkeypatch):
     monkeypatch.setattr(solvers, "_subsets_by_cost", counted)
     assert exact_oracle(system, costs).feasible
     assert len(calls) == 1
+
+
+def _planted_equal_weight_cover(seed, n_sets):
+    """Three 4-element blocks cover 12 elements among 3-element decoys, all of one weight."""
+    rng = random.Random(seed)
+    universe = list(range(1, 13))
+    rng.shuffle(universe)
+    sets = [frozenset(universe[k:k + 4]) for k in (0, 4, 8)]
+    sets += [frozenset(rng.sample(universe, 3)) for _ in range(n_sets - 3)]
+    rng.shuffle(sets)
+    return SetCoverInstance(universe_size=12, sets=tuple(sets), weights=(7,) * n_sets)
+
+
+def test_oracle_tests_coverage_only_on_subsets_meeting_every_constraint(monkeypatch):
+    # One kernel test of the full link set, then one per subset the scan
+    # consumes that meets every hitting constraint; a subset missing one
+    # fails (a) untested. A scan that breaks leaves its last subset unread.
+    instances = [reduce_set_cover(_planted_equal_weight_cover(seed, n_sets))
+                 for seed, n_sets in ((1, 12), (2, 14), (3, 16))]
+    instances.append(random_line_system(
+        7, scc_count=4, scc_size_range=(2, 2), n_inputs=3, n_outputs=4, perfect_matching=False
+    ))
+    uncovered_states = sfm.CoverageKernel.uncovered_states
+    subsets_by_cost = solvers._subsets_by_cost
+    for system, costs in instances:
+        tests, yielded, scan = [], [], {}
+
+        def counted(kernel, links):
+            tests.append(links)
+            return uncovered_states(kernel, links)
+
+        def recorded(link_costs, hits):
+            scan["required"] = 0
+            for h in hits:
+                scan["required"] |= h
+            try:
+                for item in subsets_by_cost(link_costs, hits):
+                    yielded.append(item)
+                    yield item
+            except GeneratorExit:
+                yielded.pop()
+                raise
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sfm.CoverageKernel, "uncovered_states", counted)
+            patch.setattr(solvers, "_subsets_by_cost", recorded)
+            solution = exact_oracle(system, costs)
+        assert solution.feasible
+        meeting = [mask for _, _, mask, met in yielded if met == scan["required"]]
+        assert len(tests) == 1 + len(meeting)
+        assert len(meeting) < len(yielded)
 
 
 def _cover_optimum_by_element_masks(instance):
