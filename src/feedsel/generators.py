@@ -15,8 +15,8 @@ from typing import Callable, Optional
 
 from .fileio import MAX_SYSTEM_VERTICES
 from .graphs import Condensation, condense, missing_path_links
-from .model import CostMatrix, StructuredSystem, full_pattern
-from .sfm import _has_state_perfect_matching, check_no_sfm
+from .model import CostMatrix, StructuredSystem
+from .sfm import _has_state_perfect_matching, loop_verdict
 
 # Draws a generator makes before it gives up on its structural promises.
 MAX_TRIES = 200
@@ -73,13 +73,18 @@ def _redraw(
     perfect_matching: bool = True,
 ) -> Instance:
     """First of ``MAX_TRIES`` draws whose SCC DAG passes ``shape_ok``, whose state matching is
-    perfect exactly when ``perfect_matching`` asks, and whose full pattern is feasible."""
+    perfect exactly when ``perfect_matching`` asks, and whose full pattern is feasible.
+
+    The full pattern is tested on the system's ``admissible_loop_rows``,
+    built from the cost rows, so no link list or pattern is made: the
+    verdict ``check_no_sfm`` gives on ``full_pattern(costs)``.
+    """
     for _ in range(MAX_TRIES):
         system, costs = draw()
         if (
             shape_ok(condense(system))
             and _has_state_perfect_matching(system) == perfect_matching
-            and check_no_sfm(system, full_pattern(costs)).feasible
+            and loop_verdict(system, system.admissible_loop_rows(costs)).feasible
         ):
             return system, costs
     raise RuntimeError(f"no admissible instance found in {MAX_TRIES} draws")

@@ -105,8 +105,10 @@ class StructuredSystem:
     x_1..x_n are 1..n, inputs u_1..u_m are n+1..n+m and outputs y_1..y_p
     are n+m+1..n+m+p (entry 0 of the rows is unused); a feedback link
     (i, j) adds the edge y_j -> u_i. ``loop_rows`` are the sorted
-    predecessor rows, each input and output row ending in the vertex
-    itself: a self-loop merges no SCCs and adds nothing to reachability,
+    predecessor rows with a self-loop on each input and output: an input
+    row is the vertex itself followed by the outputs fed back to it,
+    [u_i, y...], and an output row is its states followed by the vertex
+    itself. A self-loop merges no SCCs and adds nothing to reachability,
     and as bipartite rows v' - w, one per edge w -> v, they match
     perfectly iff disjoint cycles span the states. ``state_rows`` are the
     same rows over the states alone, the state digraph, and the only rows
@@ -115,6 +117,8 @@ class StructuredSystem:
     are built on first use and kept, as plain int lists, so a system makes
     no reference cycle; a pattern's list copies only the rows its links
     change and shares the others, so callers must not mutate them.
+    ``admissible_loop_rows`` is the list of every admissible link, read
+    off a cost matrix's rows.
     Instances are immutable and safe to share between threads: two
     threads that build the same rows at once build equal ones.
     """
@@ -213,6 +217,24 @@ class StructuredSystem:
                 rows[u] = base[u] + [y]
             else:
                 rows[u].append(y)
+        return rows
+
+    def admissible_loop_rows(self, costs: "CostMatrix") -> list[list[int]]:
+        """``loop_rows`` of every admissible link, read off the cost rows without link tuples.
+
+        Input row u_i is [u_i], then y_j for each finite entry j of cost
+        row i in order; an input with no admissible link, and every other
+        row, is the shared base row. DimensionError if ``costs`` does not
+        match the system.
+        """
+        costs.require_matches(self)
+        n = self.n
+        outputs = n + self.m
+        rows = list(self._loop_rows)
+        for u, row in enumerate(costs.rows, start=n + 1):
+            fed = [outputs + j for j, c in enumerate(row, start=1) if c != INF]
+            if fed:
+                rows[u] = [u, *fed]
         return rows
 
 

@@ -9,10 +9,14 @@ A pattern is feasible when both graph conditions hold on the closed loop:
 
 Feasible patterns permit arbitrary (generic) pole placement; check results
 carry the offending states so callers can explain failures. Both read
-the rows the system builds once and keeps. ``check_no_sfm`` runs Tarjan for
-(a) on one pattern's loop rows; the oracle asks ``CoverageKernel`` instead.
-(b) has one predicate, ``_has_cycle_family``, on a system's rows: a
-pattern's ``loop_rows``, or the ``state_rows`` alone.
+the rows the system builds once and keeps. ``loop_verdict`` decides both
+on one closed-loop row list: Tarjan for (a), with the feedback edges read
+off the input rows (each is [u_i, y...], the vertex first), and
+``_has_cycle_family`` for (b). ``check_no_sfm`` hands it a pattern's
+``loop_rows``, and the generators hand it ``admissible_loop_rows``, the
+rows of every admissible link built from the cost rows. The oracle asks
+``CoverageKernel`` for (a) instead; (b) has the one predicate on any of
+these rows, or on the ``state_rows`` alone.
 """
 
 from __future__ import annotations
@@ -46,14 +50,17 @@ class SfmVerdict:
         return f"condition a: {a}; condition b: {b}; {verdict}"
 
 
-def _uncovered_states(
-    system: StructuredSystem, links: Sequence[Edge], rows: Sequence[Sequence[int]]
-) -> tuple[int, ...]:
-    """States whose SCC on the closed-loop ``rows`` of ``links`` holds no link's edge."""
+def _uncovered_states(system: StructuredSystem, rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """States whose SCC on the closed-loop ``rows`` holds no feedback edge of those rows."""
     ids, _ = scc_ids(rows)
-    # A feedback edge is inside an SCC exactly when its endpoints share one.
-    covered = {ids[u] for y, u in system.feedback_edges(links) if ids[y] == ids[u]}
-    return tuple([s for s in range(1, system.n + 1) if ids[s] not in covered])
+    n = system.n
+    # The feedback edges y -> u are the entries after u's own id in its
+    # input row; one is inside an SCC exactly when its endpoints share one.
+    covered = {
+        ids[u] for u in range(n + 1, n + system.m + 1)
+        if len(rows[u]) > 1 and ids[u] in map(ids.__getitem__, rows[u][1:])
+    }
+    return tuple([s for s in range(1, n + 1) if ids[s] not in covered])
 
 
 def _reachable(rows: Sequence[Sequence[int]], source: int) -> set[int]:
@@ -83,19 +90,19 @@ class CoverageKernel:
     of that graph, it lies in the union of SR[k] over k in C and in the
     union of SQ[j] over the links (i, j) of L with i in C.
 
-    This is ``_uncovered_states`` exactly. The open loop has no edge into
-    an input, so a closed-loop path re-enters an input only by a feedback
-    edge, and between two inputs it runs in the open loop: u_k reaches u_i
-    in the closed loop iff the input graph has a path k ~> i. A state s
-    shares its closed-loop SCC with a feedback edge iff some closed walk
-    passes through s and a feedback edge, so through an input. Cut that
-    walk at the last input u_k before s and the first feedback edge
-    y_j -> u_i after it: u_k ~> s and s ~> y_j are open-loop paths, so s
-    is in SR[k] and SQ[j], and u_i ~> u_k ~> s ~> y_j -> u_i puts k and i
-    in one SCC of the input graph. Conversely those memberships close
-    that walk. One reverse search per output on the system's ``loop_rows``
-    fills SQ and ``inputs_to``; SR comes from forward searches on their
-    transpose. Building the tables costs O((m + p) * (n + E)); each call
+    This is ``_uncovered_states`` on L's ``loop_rows`` exactly. The open
+    loop has no edge into an input, so a closed-loop path re-enters an
+    input only by a feedback edge, and between two inputs it runs in the
+    open loop: u_k reaches u_i in the closed loop iff the input graph has
+    a path k ~> i. A state s shares its closed-loop SCC with a feedback
+    edge iff some closed walk passes through s and a feedback edge, so
+    through an input. Cut that walk at the last input u_k before s and
+    the first feedback edge y_j -> u_i after it: u_k ~> s and s ~> y_j
+    are open-loop paths, so s is in SR[k] and SQ[j], and
+    u_i ~> u_k ~> s ~> y_j -> u_i puts k and i in one SCC of the input
+    graph. Conversely those memberships close that walk. One reverse
+    search per output on the system's ``loop_rows`` fills SQ and
+    ``inputs_to``; SR comes from forward searches on their transpose. Building the tables costs O((m + p) * (n + E)); each call
     then costs O(|L| + m^2) big-int operations and O(n) to list the states,
     against a Tarjan run on the whole closed loop, so the kernel pays only
     across many patterns.
@@ -160,8 +167,11 @@ def _has_state_perfect_matching(system: StructuredSystem) -> bool:
     return _has_cycle_family(system.state_rows)
 
 
+def loop_verdict(system: StructuredSystem, rows: Sequence[Sequence[int]]) -> SfmVerdict:
+    """Both feasibility conditions on one closed-loop row list of ``system``; the combined verdict."""
+    return SfmVerdict(_uncovered_states(system, rows), _has_cycle_family(rows))
+
+
 def check_no_sfm(system: StructuredSystem, pattern: FeedbackPattern) -> SfmVerdict:
-    """Run both feasibility conditions on one closed-loop row list; the combined verdict."""
-    links = system.check_links(pattern.links)
-    rows = system.loop_rows(links)
-    return SfmVerdict(_uncovered_states(system, links, rows), _has_cycle_family(rows))
+    """The verdict on the pattern's ``loop_rows``; DimensionError if a link is out of range."""
+    return loop_verdict(system, system.loop_rows(system.check_links(pattern.links)))

@@ -278,27 +278,25 @@ def solve_dp(system: StructuredSystem, costs: CostMatrix) -> Solution:
 def min_cost_condition_b(system: StructuredSystem, costs: CostMatrix) -> Solution:
     """Cheapest pattern that spans every state with disjoint cycles.
 
-    Matches on the system's closed-loop bipartite rows with every
-    admissible link. A link adds u'_i - y_j to input row u'_i, whose
-    base is u'_i - u_i alone, so each such row is built from cost row i:
-    u_i, then each admissible y_j in order, costed 0 and then the links'
-    costs. Other rows are the system's ``loop_rows``, at cost 0, with the
-    unused vertex 0 matched to itself. The pattern is read off the input
-    rows matched to outputs in a minimum-cost perfect matching, certified as
-    ``matching``: the matched id per vertex id v', 0 at the unused 0. With a
-    state perfect matching the warm start is already perfect and no
-    shortest path runs; the certificates count the shortest paths as
-    ``augmentations``.
+    Matches on the system's ``admissible_loop_rows``, the closed-loop
+    bipartite rows with every admissible link: input row u'_i is u_i,
+    then each admissible y_j of cost row i in order, costed 0 and then
+    the links' costs read off those same entries. Other rows cost 0, and
+    the unused vertex 0 is matched to itself. The pattern is read off the
+    input rows matched to outputs in a minimum-cost perfect matching,
+    certified as ``matching``: the matched id per vertex id v', 0 at the
+    unused 0. With a state perfect matching the warm start is already
+    perfect and no shortest path runs; the certificates count the
+    shortest paths as ``augmentations``.
     """
-    costs.require_matches(system)
     n, m = system.n, system.m
-    rows, weights = system.loop_rows(), [None] * (system.vertex_count + 1)
+    rows, weights = system.admissible_loop_rows(costs), [None] * (system.vertex_count + 1)
     rows[0] = [0]
-    for i, row in enumerate(costs.rows, start=1):
-        admissible = [j for j, c in enumerate(row, start=1) if c != INF]
-        if admissible:
-            rows[n + i] = [n + i] + [n + m + j for j in admissible]
-            weights[n + i] = [0] + [row[j - 1] for j in admissible]
+    first_output = n + m + 1
+    for u, row in enumerate(costs.rows, start=n + 1):
+        fed = rows[u]
+        if len(fed) > 1:  # [u, y...], and y_j costs row[j - 1]
+            weights[u] = [0] + [row[y - first_output] for y in fed[1:]]
     stats: dict = {}
     result = min_cost_perfect_matching(rows, weights, stats)
     if result is None:
@@ -636,10 +634,12 @@ def exact_oracle(
 
     The cheapest subset to pass (a) is the coverage-only optimum, which the
     certificates expose for validating the chain dynamic program, and the
-    cheapest to pass both is the optimum. Condition (b) is tested only on
-    masks that pass (a) and could still win. They are ranked by
-    ``cost_of`` (the report's sum, in link order), equal costs by the
-    lexicographically smaller pattern. A key sums the costs cheapest
+    cheapest to pass both is the optimum. Whether any pattern passes (b)
+    is decided once, on ``admissible_loop_rows``: the closed loop of every
+    admissible link, built from the cost rows. Condition (b) is tested
+    only on masks that pass (a) and could still win, each on its own
+    ``loop_rows``. They are ranked by ``cost_of`` (the report's sum, in
+    link order), equal costs by the lexicographically smaller pattern. A key sums the costs cheapest
     first, within far less than a relative 2^-40 of that for 24 links, so
     the pass stops at the first key past the optimum (or the coverage
     optimum when no pattern passes (b)) times 1 + 2^-40, capped at the
@@ -676,7 +676,7 @@ def exact_oracle(
     if kernel.uncovered_states(links):
         return _infeasible("exact", _NO_FEASIBLE_PATTERN, certificates)
     base_b_ok = _has_state_perfect_matching(system)
-    full_b_ok = base_b_ok or _has_cycle_family(system.loop_rows(links))
+    full_b_ok = base_b_ok or _has_cycle_family(system.admissible_loop_rows(costs))
 
     link_costs = [costs.cost(i, j) for i, j in links]
     # The hitting constraints of (a): bit s when x_s is in SQ[j], bit n + s

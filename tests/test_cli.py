@@ -1249,13 +1249,18 @@ def test_closed_loop_commands_build_at_most_one_loop_row_list(capsys, monkeypatc
         7, scc_count=4, scc_size_range=(2, 2), n_inputs=3, n_outputs=3, perfect_matching=False,
     )))
     calls = []
-    original = StructuredSystem.loop_rows
+    original, admissible = StructuredSystem.loop_rows, StructuredSystem.admissible_loop_rows
 
     def spy(self, links=()):
         calls.append("loop_rows")
         return original(self, links)
 
+    def admissible_spy(self, costs):
+        calls.append("admissible_loop_rows")
+        return admissible(self, costs)
+
     monkeypatch.setattr(StructuredSystem, "loop_rows", spy)
+    monkeypatch.setattr(StructuredSystem, "admissible_loop_rows", admissible_spy)
     # solve-dp tests the state matching on the system's state rows, and
     # cycle spanning on the answer's loop rows only when that test fails.
     code, _, _ = invoke(capsys, "solve-dp", section5_file)
@@ -1265,8 +1270,8 @@ def test_closed_loop_commands_build_at_most_one_loop_row_list(capsys, monkeypatc
     assert calls == ["loop_rows"]
     calls.clear()
     code, out, _ = invoke(capsys, "solve-two-stage", str(path), "--format", "structured")
-    # The cycle stage matches on one row list, with its input rows rebuilt from the costs.
-    assert code == 0 and calls == ["loop_rows"]
+    # The cycle stage matches on one row list, the system's rows of every admissible link.
+    assert code == 0 and calls == ["admissible_loop_rows"]
     links = ",".join(f"{i}:{j}" for i, j in json.loads(out)["links"])
     calls.clear()
     code, _, _ = invoke(capsys, "check-sfm", str(path), "--feedback", links)

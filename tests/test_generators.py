@@ -4,8 +4,10 @@ import random
 
 import pytest
 
-from feedsel import CostMatrix, SfmVerdict, check_no_sfm, condense, emit_system, full_pattern
-from feedsel import generators
+from feedsel import (
+    CostMatrix, FeedbackPattern, SfmVerdict, check_no_sfm, condense, emit_system, full_pattern,
+)
+from feedsel import generators, model
 from feedsel.fileio import MAX_SYSTEM_VERTICES
 from feedsel.generators import random_line_system, random_single_input_system
 from feedsel.graphs import hopcroft_karp, missing_path_links, state_bipartite
@@ -119,6 +121,21 @@ def test_single_input_size_cap_is_the_parser_cap(monkeypatch):
         random_single_input_system(1, n_branches=largest + 1)
 
 
+def test_line_generator_checks_the_full_pattern_without_link_tuples(monkeypatch):
+    # A benchmark-size chain: 50 x 50 admissible links per draw.
+    kwargs = dict(scc_count=200, scc_size_range=(1, 1), n_inputs=50, n_outputs=50)
+    expected = emit_system(*random_line_system(11, **kwargs))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generator built link tuples")
+
+    monkeypatch.setattr(FeedbackPattern, "__post_init__", refuse)
+    monkeypatch.setattr(CostMatrix, "finite_links", refuse)
+    monkeypatch.setattr(model, "full_pattern", refuse)
+    assert emit_system(*random_line_system(11, **kwargs)) == expected
+    assert "full_pattern" not in vars(generators)
+
+
 @pytest.mark.parametrize("generate", [random_line_system, random_single_input_system])
 def test_structured_generators_give_up_after_max_tries(monkeypatch, generate):
     drawn = []
@@ -129,7 +146,7 @@ def test_structured_generators_give_up_after_max_tries(monkeypatch, generate):
 
     monkeypatch.setattr(generators, "MAX_TRIES", 3)
     monkeypatch.setattr(generators, "condense", counted)
-    monkeypatch.setattr(generators, "check_no_sfm", lambda system, pattern: SfmVerdict((1,), True))
+    monkeypatch.setattr(generators, "loop_verdict", lambda system, rows: SfmVerdict((1,), True))
     with pytest.raises(RuntimeError, match="no admissible instance found in 3 draws"):
         generate(5)
     assert len(drawn) == 3

@@ -1,3 +1,4 @@
+import math
 import random
 import re
 
@@ -6,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from feedsel import (
+    CostMatrix,
     DimensionError,
     FeedbackPattern,
     SetCoverInstance,
@@ -18,11 +20,12 @@ from feedsel import condense
 from feedsel.generators import random_line_system
 from feedsel.graphs import state_bipartite
 from feedsel.sfm import (
-    CoverageKernel, _has_cycle_family, _has_state_perfect_matching, _uncovered_states,
+    CoverageKernel, _has_cycle_family, _has_state_perfect_matching, _uncovered_states, loop_verdict,
 )
 from tests.conftest import (
     fig1_cover_instance, random_system, reference_condense, reference_fixed_modes,
-    reference_hopcroft_karp, reference_successors, spanning_cycle_family_exists,
+    reference_hopcroft_karp, reference_successors, scc_partition_by_closure,
+    spanning_cycle_family_exists,
 )
 
 
@@ -154,9 +157,7 @@ def test_coverage_kernel_joins_inputs_on_one_cycle_through_three_of_them():
     system = StructuredSystem(n=3, m=3, p=3, a_edges=frozenset(), b_edges=ring, c_edges=ring)
     kernel = CoverageKernel(system)
     links = [(2, 1), (3, 2), (1, 3)]
-    assert kernel.uncovered_states(links) == () == _uncovered_states(
-        system, links, system.loop_rows(links)
-    )
+    assert kernel.uncovered_states(links) == () == _uncovered_states(system, system.loop_rows(links))
     assert kernel.uncovered_states([(2, 1), (3, 2)]) == (1, 2, 3)
 
 
@@ -216,7 +217,7 @@ def test_coverage_kernel_agrees_with_closed_loop_sccs(family, seed, subsets):
     every_link = [(i, j) for i in range(1, system.m + 1) for j in range(1, system.p + 1)]
     for bits in subsets + [(1 << len(every_link)) - 1]:
         links = [link for b, link in enumerate(every_link) if bits >> b & 1]
-        assert kernel.uncovered_states(links) == _uncovered_states(system, links, system.loop_rows(links))
+        assert kernel.uncovered_states(links) == _uncovered_states(system, system.loop_rows(links))
 
 
 def _open_loop_reach(system: StructuredSystem) -> list[set[int]]:
@@ -284,10 +285,18 @@ def test_cycle_family_on_the_shared_loop_rows_agrees_with_references(seed, n, m,
     assert found == (reference_hopcroft_karp(self_looped, size + 1)[0] == size)
     if n + m + p <= 10:
         assert found == spanning_cycle_family_exists(system, FeedbackPattern(frozenset(links)))
-    # The self-loops ending the input and output rows leave condition (a) as it was:
-    # the loop rows give the same verdict as rows without self-loops, built edge by edge.
-    assert _uncovered_states(system, links, rows) == _uncovered_states(system, links, plain)
+    # The self-loops of the input and output rows leave condition (a) as it was: the loop
+    # rows give the same verdict as the SCCs of rows without self-loops, built edge by edge.
+    assert _uncovered_states(system, rows) == _reference_uncovered_states(system, links)
     assert check_no_sfm(system, FeedbackPattern(frozenset(links))).condition_b_ok == found
+
+
+def _reference_uncovered_states(system: StructuredSystem, links) -> tuple[int, ...]:
+    """Condition (a) by transitive closure on successor rows built edge by edge, without self-loops."""
+    plain = reference_successors(system, FeedbackPattern(frozenset(links)))
+    scc_of = {v: c for c in scc_partition_by_closure(plain, system.vertex_count) for v in c}
+    covered = {scc_of[u] for y, u in system.feedback_edges(links) if scc_of[y] == scc_of[u]}
+    return tuple(s for s in range(1, system.n + 1) if scc_of[s] not in covered)
 
 
 def test_link_free_loop_rows_have_a_cycle_family_exactly_when_the_states_do():
@@ -349,3 +358,46 @@ def test_check_no_sfm_matches_the_algebraic_fixed_mode_reference():
         assert feasible == (reference_fixed_modes(system, pattern.links, k) == 0), (k, system, pattern)
         verdicts.append(feasible)
     assert 1000 < sum(verdicts) < 4000
+
+
+_LINK_COSTS = (0, 1, 2.5, math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@example(seed=0, n=3, m=0, p=2, entries=[0] * 16, blank=-1)  # no inputs: an empty matrix
+@example(seed=1, n=4, m=3, p=3, entries=[3] * 16, blank=-1)  # every row all-inf
+@example(seed=2, n=4, m=3, p=3, entries=[0, 1, 2, 3] * 4, blank=1)  # one input with no admissible link
+@example(seed=3, n=5, m=2, p=0, entries=[0] * 16, blank=-1)  # inputs, but no outputs
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    m=st.integers(0, 4),
+    p=st.integers(0, 4),
+    entries=st.lists(st.integers(0, len(_LINK_COSTS) - 1), min_size=16, max_size=16),
+    blank=st.integers(-1, 3),
+)
+def test_admissible_loop_rows_and_their_verdict_equal_the_full_pattern_reference(
+    seed, n, m, p, entries, blank
+):
+    rng = random.Random(seed)
+    system, _ = random_system(
+        rng, n=n, m=m, p=p, a_density=rng.uniform(0, 0.5), b_density=0.5, c_density=0.5
+    )
+    rows = [[_LINK_COSTS[entries[i * p + j]] for j in range(p)] for i in range(m)]
+    if 0 <= blank < m:  # an input with no admissible link
+        rows[blank] = [math.inf] * p
+    costs = CostMatrix.from_rows(rows)
+    built = system.admissible_loop_rows(costs)
+    assert repr(built) == repr(system.loop_rows(costs.finite_links()))
+    full = check_no_sfm(system, full_pattern(costs))
+    verdict = loop_verdict(system, built)
+    assert (verdict.uncovered_states, verdict.condition_b_ok) == (full.uncovered_states, full.condition_b_ok)
+    # Both read (a) off the same rows, so it is also held to the edge-built SCCs.
+    assert verdict.uncovered_states == _reference_uncovered_states(system, costs.finite_links())
+    # A matrix of another shape is refused: one more input, or (with inputs) one more output.
+    others = [[[1] * p] * (m + 1)]
+    if m:
+        others.append([[1] * (p + 1)] * m)
+    for other in others:
+        with pytest.raises(DimensionError, match="cost matrix is"):
+            system.admissible_loop_rows(CostMatrix.from_rows(other))
